@@ -19,11 +19,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 import scipy.sparse as sp
 
-from .chains import ChainSpec, make_chain, stationary_distribution
+from .chains import ChainSpec, make_chain, mixing_profile, stationary_distribution
+from .fvtl import (
+    RELAX_FACTOR,
+    FvtlReport,
+    log_power_horizon,
+    perron_pair,
+    relaxation_horizon,
+    return_series,
+    return_sums,
+)
 
 DEFAULT_KERNEL_NNZ_CAP = 30_000_000
 
@@ -95,14 +105,32 @@ class AuxChain:
         np.fill_diagonal(w, 0.0)
         return w, new_delta
 
-    def right_step(self, pair_values: np.ndarray, delta_value: float):
-        """One step of ``h -> P_tilde @ h`` in pair-matrix form."""
-        full = pair_values.copy()
-        np.fill_diagonal(full, delta_value)
-        g = (self.kernel @ (self.kernel @ full.T).T)
-        new_delta = float(self.diag_weights @ np.diag(g))
-        np.fill_diagonal(g, 0.0)
-        return g, new_delta
+    # -- first-visit propagator (see dfa_meet.fvtl.Propagator) -----------
+    # The target is DELTA; states are ``(pair_mass, delta_mass)`` and
+    # killed states are pair matrices with zero diagonal.
+
+    mu_target = pi_tilde_delta
+
+    @property
+    def horizon_cap(self) -> int:
+        return log_power_horizon(self.n, 5)
+
+    def start(self):
+        return None, 1.0
+
+    def step(self, state):
+        return self.left_step(*state)
+
+    def target_mass(self, state) -> float:
+        return state[1]
+
+    def killed_start(self) -> np.ndarray:
+        v = np.full((self.n, self.n), 1.0 / (self.n * (self.n - 1)))
+        np.fill_diagonal(v, 0.0)
+        return v
+
+    def killed_step(self, pair_mass: np.ndarray) -> np.ndarray:
+        return self.left_step(pair_mass, 0.0)[0]
 
     def pi_tilde_pair_form(self):
         """Closed-form stationary law as a ``(pair_mass, delta_mass)`` pair."""
@@ -124,16 +152,6 @@ class AuxChain:
         m, a = self.pi_tilde_pair_form()
         m1, a1 = self.left_step(m, a)
         return float(np.abs(m1 - m).sum() + abs(a1 - a))
-
-    def delta_return_series(self, t_max: int) -> np.ndarray:
-        """``P_tilde^t(DELTA, DELTA)`` for ``t = 0..t_max``."""
-        series = np.empty(t_max + 1)
-        series[0] = 1.0
-        pair_mass, delta_mass = None, 1.0
-        for t in range(1, t_max + 1):
-            pair_mass, delta_mass = self.left_step(pair_mass, delta_mass)
-            series[t] = delta_mass
-        return series
 
     def kernel_matrix(self, max_nnz: int = DEFAULT_KERNEL_NNZ_CAP) -> sp.csr_array:
         """Explicit sparse kernel over the ``n*(n-1) + 1`` states.
@@ -257,15 +275,10 @@ def exit_measure(a: AuxChain) -> ExitMeasure:
 
 def return_mass(a: AuxChain, t_horizon: int) -> float:
     """``R = sum_{t=0}^{T} P_tilde^t(DELTA, DELTA)`` by exact iteration."""
-    return float(a.delta_return_series(t_horizon).sum())
+    return float(np.sum(list(islice(return_series(a), t_horizon + 1))))
 
 
-def log_power_horizon(n: int, power: int) -> int:
-    """``ceil(log(n)**power)`` with the natural log (the asymptotic schedule)."""
-    return math.ceil(math.log(n) ** power)
-
-
-def auto_return_horizon(a: AuxChain, relax_factor: float = 1.5, cap: int | None = None) -> int:
+def auto_return_horizon(a: AuxChain, relax_factor: float = RELAX_FACTOR) -> int:
     """Adaptive horizon for the diagonal return mass.
 
     Iterates the return series until ``P_tilde^t(DELTA, DELTA)`` has
@@ -275,100 +288,40 @@ def auto_return_horizon(a: AuxChain, relax_factor: float = 1.5, cap: int | None 
     which at finite ``n`` swamps the head sum the rate prediction needs;
     the cap recovers the asymptotic schedule for very large ``n``.
     """
-    if cap is None:
-        cap = log_power_horizon(a.n, 5)
-    level = relax_factor * a.pi_tilde_delta
-    pair_mass, delta_mass = None, 1.0
-    for t in range(1, cap + 1):
-        pair_mass, delta_mass = a.left_step(pair_mass, delta_mass)
-        if delta_mass <= level:
-            return t
-    return cap
+    return relaxation_horizon(return_series(a), relax_factor * a.mu_target, a.horizon_cap)
 
 
 def aux_fvtl_report(
     a: AuxChain,
     t_horizon: int | None = None,
     compute_quasi_stationary: bool = False,
-):
+) -> FvtlReport:
     """First-visit-time report for the collapsed diagonal state.
 
     ``mu_target`` and the expected hitting time from stationarity come
     from the closed-form law (the latter through the exact
-    fundamental-matrix identity ``E = Z / mu``); the return mass is
-    iterated exactly. ``t_horizon`` defaults to the adaptive relaxation
-    horizon of :func:`auto_return_horizon`. The quasi-stationary pair is
-    optional because it is the one genuinely iterative quantity at scale.
+    fundamental-matrix identity ``E = Z / mu``); the horizon, return mass
+    and ``Z`` come from one pass over the return series. ``t_horizon``
+    defaults to the adaptive relaxation horizon of
+    :func:`auto_return_horizon`. The quasi-stationary pair is optional
+    because it is the one genuinely iterative quantity at scale.
     """
-    from .fvtl import FvtlReport, Z_CONSECUTIVE_SMALL, Z_TERM_TOL
-
-    if t_horizon is None:
-        t_horizon = auto_return_horizon(a)
-    mu_delta = a.pi_tilde_delta
-    series = a.delta_return_series(t_horizon)
-    r_mass = float(series.sum())
-
-    # Z(Delta, Delta): continue past the horizon until the centered terms stay
-    # below the term tolerance for a stretch.
-    z_total = float((series - mu_delta).sum())
-    pair_mass, delta_mass = None, 1.0
-    for _ in range(t_horizon):
-        pair_mass, delta_mass = a.left_step(pair_mass, delta_mass)
-    small = 0
-    max_extra = 10**6
-    for _ in range(max_extra):
-        pair_mass, delta_mass = a.left_step(pair_mass, delta_mass)
-        term = delta_mass - mu_delta
-        z_total += term
-        small = small + 1 if abs(term) < Z_TERM_TOL else 0
-        if small >= Z_CONSECUTIVE_SMALL:
-            break
-    else:
-        raise RuntimeError("diagonal return series did not settle")
-
+    t_horizon, r_mass, z_dd = return_sums(a, t_horizon)
+    mu_delta = a.mu_target
     report = FvtlReport(
         target=a.delta_index,
         mu_target=mu_delta,
         t_horizon=t_horizon,
         return_mass=r_mass,
-        z_dd=z_total,
+        z_dd=z_dd,
         predicted_lambda=mu_delta / r_mass,
-        expected_hitting_from_mu=z_total / mu_delta,
+        expected_hitting_from_mu=z_dd / mu_delta,
     )
     if compute_quasi_stationary:
-        lam, mu_star_matrix, iters = aux_quasi_stationary(a)
-        report.lambda_star = lam
-        report.mu_star = mu_star_matrix
-        report.qs_tied = False
+        pair = perron_pair(a)
+        report.lambda_star = pair.lambda_star
+        report.mu_star = pair.mu_star
     return report
-
-
-def aux_quasi_stationary(a: AuxChain, tol: float = 1e-13, max_iter: int = 10**6):
-    """Dominant left eigenpair of the diagonal-deleted pair kernel.
-
-    Half-lazy power iteration in the pair-matrix representation; the
-    absorbed step is the off-diagonal product propagation with no
-    re-emission. Returns ``(lambda_star, pair_matrix, iterations)`` where
-    the matrix holds the quasi-stationary law over ordered pairs.
-    """
-    n = a.n
-    v = np.full((n, n), 1.0 / (n * (n - 1)))
-    np.fill_diagonal(v, 0.0)
-    for it in range(1, max_iter + 1):
-        w = a.kernel_t @ (a.kernel_t @ v.T).T
-        np.fill_diagonal(w, 0.0)
-        w = 0.5 * (v + w)
-        s = w.sum()
-        w /= s
-        delta = float(np.abs(w - v).sum())
-        v = w
-        if delta <= tol:
-            break
-    else:
-        raise RuntimeError(f"no convergence after {max_iter} iterations (delta {delta:.3e})")
-    w = a.kernel_t @ (a.kernel_t @ v.T).T
-    np.fill_diagonal(w, 0.0)
-    return float(1.0 - w.sum()), v, it
 
 
 @dataclass
@@ -437,7 +390,8 @@ def check_events(
     ratio = r / (r - 1.0)
 
     if n <= a4_exact_limit:
-        max_tv, tv_mode = _max_tv_exact(a, s_horizon), "exact"
+        profile = mixing_profile(a.to_chain_spec(), s_horizon)
+        max_tv, tv_mode = float(profile.d_tv[s_horizon]), "exact"
     else:
         max_tv, tv_mode = _max_tv_sampled(a, s_horizon, a4_samples, seed), "sampled"
 
@@ -461,21 +415,6 @@ def check_events(
         a4=max_tv < eps,
         a5=abs(r_mass - ratio) < eps,
     )
-
-
-def _max_tv_exact(a: AuxChain, s_horizon: int, batch: int = 512) -> float:
-    kernel = a.kernel_matrix()
-    pi_tilde = a.pi_tilde_vector()
-    size = a.size
-    worst = 0.0
-    for start in range(0, size, batch):
-        stop = min(start + batch, size)
-        block = np.zeros((stop - start, size))
-        block[np.arange(stop - start), np.arange(start, stop)] = 1.0
-        for _ in range(s_horizon):
-            block = block @ kernel
-        worst = max(worst, 0.5 * float(np.abs(block - pi_tilde).sum(axis=1).max()))
-    return worst
 
 
 def _max_tv_sampled(a: AuxChain, s_horizon: int, samples: int, seed: int) -> float:

@@ -126,6 +126,8 @@ def stationary_distribution(
 
     The result is cached on ``c.stationary``.
     """
+    if method not in ("auto", "direct", "power"):
+        raise ValueError(f"unknown method {method!r}")
     if c.stationary is not None:
         return c.stationary
     if len(c.recurrent_classes) != 1:
@@ -135,10 +137,8 @@ def stationary_distribution(
         method = "direct" if len(support) <= DIRECT_SOLVE_LIMIT else "power"
     if method == "direct":
         pi_supp = _stationary_direct(c.kernel, support)
-    elif method == "power":
-        pi_supp = _stationary_power(c.kernel, support, tol, max_iter)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        pi_supp = _stationary_power(c.kernel, support, tol, max_iter)
     pi = np.zeros(c.size)
     pi[support] = pi_supp
     residual = float(np.abs(pi @ c.kernel - pi).sum())
@@ -320,38 +320,3 @@ def _backward_reachable(kernel: sp.csr_array, targets: np.ndarray) -> np.ndarray
         frontier = new
     return reach
 
-
-def hitting_time_tail_sum(
-    c: ChainSpec, start: np.ndarray, target_set, tail_tol: float = 1e-9, max_steps: int = 10**6
-) -> float:
-    """Oracle for :func:`hitting_time_expectation`: ``sum_t P(tau > t)``.
-
-    Dynamic-programming survival iteration, truncated once a windowed
-    geometric bound puts the remaining tail below ``tail_tol``. Intended
-    for small chains.
-    """
-    n = c.size
-    targets = np.zeros(n, dtype=bool)
-    targets[np.asarray(list(target_set), dtype=int)] = True
-    survival = np.asarray(start, dtype=float).copy()
-    survival[targets] = 0.0
-    kernel = c.kernel.toarray()
-    kernel[:, targets] = 0.0
-    total = 0.0
-    alive = survival.sum()
-    ratios: list[float] = []
-    for _ in range(max_steps):
-        if alive <= 0:
-            return total
-        total += alive
-        survival = survival @ kernel
-        new_alive = float(survival.sum())
-        ratios.append(new_alive / alive if alive > 0 else 1.0)
-        alive = new_alive
-        # Survival probabilities are non-increasing; bound the tail by the
-        # worst contraction ratio seen over the last 50 steps.
-        if len(ratios) >= 50:
-            rho = max(ratios[-50:])
-            if rho < 1 and alive / (1 - rho) < tail_tol:
-                return total + alive / (1 - rho)
-    raise RuntimeError(f"tail sum did not converge within {max_steps} steps")

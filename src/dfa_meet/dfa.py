@@ -166,6 +166,11 @@ def serialize_dfa(d: Dfa) -> str:
     return json.dumps({"n": d.n, "r": d.r, "out": d.out.tolist()})
 
 
+def _is_json_int(value) -> bool:
+    # JSON true/false decode to bool, which is an int subclass
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_dfa(text: str) -> Dfa:
     """Parse the JSON text format, rejecting structural and invariant errors."""
     try:
@@ -178,7 +183,7 @@ def parse_dfa(text: str) -> Dfa:
         if key not in obj:
             raise DfaFormatError(f"missing field {key!r}")
     n, r, rows = obj["n"], obj["r"], obj["out"]
-    if not isinstance(n, int) or not isinstance(r, int):
+    if not _is_json_int(n) or not _is_json_int(r):
         raise DfaFormatError("fields 'n' and 'r' must be integers")
     if n < 2 or not 2 <= r <= n:
         raise DfaFormatError(f"invalid sizes n={n}, r={r}: need n >= 2 and 2 <= r <= n")
@@ -190,7 +195,7 @@ def parse_dfa(text: str) -> Dfa:
         if not isinstance(row, list) or len(row) != r:
             raise DfaFormatError(f"row {x}: expected {r} targets")
         for c, y in enumerate(row):
-            if not isinstance(y, int) or not 0 <= y < n:
+            if not _is_json_int(y) or not 0 <= y < n:
                 raise DfaFormatError(f"row {x}, field {c}: target {y!r} outside [0, {n})")
             out[x, c] = y
         if len(set(row)) != r:

@@ -12,22 +12,38 @@ within a short horizon. The exact finite-chain identities behind this are
 
 These identities are what the test suite verifies to near machine
 precision; the geometric rate prediction itself is asymptotic.
+
+Each algorithm (return series, relaxation horizon, ``R`` and ``Z`` sums,
+Perron iteration) is written once over a :class:`Propagator`.
+:class:`TargetWalk` is the propagator of a generic chain;
+:class:`~dfa_meet.aux_chain.AuxChain` is the propagator of the collapsed
+pair chain in its pair-matrix form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import tee
+from typing import Iterator, Protocol
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .chains import ChainSpec, hitting_time_expectation, make_chain, stationary_distribution
+from .chains import (
+    ChainSpec,
+    _recurrent_classes,
+    hitting_time_expectation,
+    make_chain,
+    stationary_distribution,
+)
 
 Z_TERM_TOL = 1e-14
 Z_CONSECUTIVE_SMALL = 50
+Z_MAX_STEPS = 10**6
 PERRON_TOL = 1e-13
+RELAX_FACTOR = 1.5
 
 
 class PerronConvergenceError(Exception):
@@ -46,10 +62,10 @@ class QuasiStationaryPair:
     """Dominant left eigenpair of the target-deleted sub-kernel.
 
     ``lambda_star`` is one minus the Perron root; ``mu_star`` is the
-    normalized left Perron vector embedded in full-chain indexing (zero at
-    the target). ``tied_closed_classes`` flags a non-unique pair: several
-    closed communicating classes of the sub-kernel share the dominant
-    root.
+    normalized left Perron vector as a killed state: a full-chain vector
+    with zero at the target, or a pair matrix for the pair chain.
+    ``tied_closed_classes`` flags a non-unique pair: several closed
+    communicating classes of the sub-kernel share the dominant root.
     """
 
     lambda_star: float
@@ -74,59 +90,141 @@ class FvtlReport:
     qs_tied: bool = False
 
 
-def target_return_series(c: ChainSpec, target: int, t_max: int) -> np.ndarray:
-    """``Q^t(target, target)`` for ``t = 0..t_max`` by row iteration."""
-    row = np.zeros(c.size)
-    row[target] = 1.0
-    series = np.empty(t_max + 1)
-    series[0] = 1.0
-    for t in range(1, t_max + 1):
-        row = row @ c.kernel
-        series[t] = row[target]
-    return series
+class Propagator(Protocol):
+    """A chain seen from one target state, as the first-visit engine uses it.
 
-
-def auto_horizon(c: ChainSpec, target: int, relax_factor: float = 1.5) -> int:
-    """Smallest ``t >= 1`` with ``Q^t(target, target)`` within ``relax_factor``
-    of ``mu(target)``, capped at ``ceil(log(N)**5)``."""
-    mu = stationary_distribution(c)
-    cap = max(1, math.ceil(math.log(max(c.size, 2)) ** 5))
-    level = relax_factor * mu[target]
-    row = np.zeros(c.size)
-    row[target] = 1.0
-    for t in range(1, cap + 1):
-        row = row @ c.kernel
-        if row[target] <= level:
-            return t
-    return cap
-
-
-def fundamental_matrix_entry(
-    c: ChainSpec,
-    target: int,
-    term_tol: float = Z_TERM_TOL,
-    consecutive: int = Z_CONSECUTIVE_SMALL,
-    max_steps: int = 10**6,
-) -> float:
-    """``Z(target, target) = sum_t (Q^t(target, target) - mu(target))``.
-
-    The series is summed until ``consecutive`` successive terms fall below
-    ``term_tol`` in magnitude; after mixing the terms decay geometrically,
-    so the truncated tail is negligible at that point.
+    ``start`` is the point mass at the target, ``step`` one step of
+    ``nu -> nu Q`` and ``target_mass`` the mass a state puts on the target.
+    ``killed_start`` is uniform mass off the target and ``killed_step`` one
+    step of the target-deleted sub-kernel ``[Q]_target``; killed states are
+    arrays whose sum is the surviving mass. ``mu_target`` is the stationary
+    mass of the target and ``horizon_cap`` the longest relaxation horizon.
     """
-    mu = stationary_distribution(c)
-    row = np.zeros(c.size)
-    row[target] = 1.0
-    total = 1.0 - mu[target]
+
+    mu_target: float
+    horizon_cap: int
+
+    def start(self): ...
+    def step(self, state): ...
+    def target_mass(self, state) -> float: ...
+    def killed_start(self) -> np.ndarray: ...
+    def killed_step(self, killed: np.ndarray) -> np.ndarray: ...
+
+
+def log_power_horizon(n: int, power: int) -> int:
+    """``ceil(log(n)**power)`` with the natural log (the asymptotic schedule)."""
+    return math.ceil(math.log(n) ** power)
+
+
+@dataclass(eq=False)
+class TargetWalk:
+    """A :class:`ChainSpec` seen from ``target``; states are probability vectors.
+
+    Killed states keep full-chain indexing with zero mass at the target.
+    """
+
+    chain: ChainSpec
+    target: int
+
+    @property
+    def mu_target(self) -> float:
+        return float(stationary_distribution(self.chain)[self.target])
+
+    @property
+    def horizon_cap(self) -> int:
+        return log_power_horizon(max(self.chain.size, 2), 5)
+
+    def start(self) -> np.ndarray:
+        v = np.zeros(self.chain.size)
+        v[self.target] = 1.0
+        return v
+
+    def step(self, v: np.ndarray) -> np.ndarray:
+        return v @ self.chain.kernel
+
+    def target_mass(self, v: np.ndarray) -> float:
+        return float(v[self.target])
+
+    def killed_start(self) -> np.ndarray:
+        v = np.full(self.chain.size, 1.0 / (self.chain.size - 1))
+        v[self.target] = 0.0
+        return v
+
+    def killed_step(self, v: np.ndarray) -> np.ndarray:
+        w = v @ self.chain.kernel
+        w[self.target] = 0.0
+        return w
+
+
+def return_series(p: Propagator) -> Iterator[float]:
+    """``Q^t(target, target)`` for ``t = 0, 1, 2, ...``; term ``t`` costs ``t`` steps."""
+    state = p.start()
+    while True:
+        yield p.target_mass(state)
+        state = p.step(state)
+
+
+def relaxation_horizon(terms: Iterator[float], level: float, cap: int) -> int:
+    """Smallest ``t >= 1`` whose return-series term is at most ``level``, or ``cap``.
+
+    Reads ``terms`` (a :func:`return_series`) up to and including term ``t``.
+    """
+    return next(t for t, q in enumerate(terms) if t >= 1 and (q <= level or t == cap))
+
+
+def return_sums(p: Propagator, t_horizon: int | None = None) -> tuple[int, float, float]:
+    """Horizon ``T``, return mass ``R(T)`` and ``Z(target, target)`` in one pass.
+
+    ``R(T) = sum_{t<=T} Q^t(target, target)``, with ``T`` defaulting to the
+    :func:`relaxation_horizon` at ``RELAX_FACTOR * mu(target)``.
+    ``Z = sum_t (Q^t(target, target) - mu(target))`` is the
+    fundamental-matrix entry; the series is summed until ``t >= T`` and
+    ``Z_CONSECUTIVE_SMALL`` successive terms fall below ``Z_TERM_TOL`` in
+    magnitude. After mixing the terms decay geometrically, so the
+    truncated tail is negligible at that point.
+    """
+    mu = p.mu_target
+    # the horizon scan reads ahead; tee replays its terms without stepping again
+    stream, scan = tee(return_series(p))
+    if t_horizon is None:
+        t_horizon = relaxation_horizon(scan, RELAX_FACTOR * mu, p.horizon_cap)
+    terms: list[float] = []
     small = 0
-    for _ in range(max_steps):
-        row = row @ c.kernel
-        term = row[target] - mu[target]
-        total += term
-        small = small + 1 if abs(term) < term_tol else 0
-        if small >= consecutive:
-            return float(total)
-    raise RuntimeError(f"fundamental matrix series did not settle in {max_steps} steps")
+    for t, q in enumerate(stream):
+        terms.append(q)
+        small = small + 1 if abs(q - mu) < Z_TERM_TOL else 0
+        if t >= t_horizon and small >= Z_CONSECUTIVE_SMALL:
+            break
+        if t >= Z_MAX_STEPS:
+            raise RuntimeError(f"return series did not settle in {Z_MAX_STEPS} steps")
+    series = np.array(terms)
+    return t_horizon, float(series[: t_horizon + 1].sum()), float((series - mu).sum())
+
+
+def perron_pair(
+    p: Propagator, tol: float = PERRON_TOL, max_iter: int = 10**6
+) -> QuasiStationaryPair:
+    """Power iteration for the dominant left eigenpair of ``[Q]_target``.
+
+    The sub-kernel is not assumed irreducible; iteration starts from the
+    strictly positive ``killed_start`` and converges to the dominant closed
+    class. ``mu_star`` comes back in the propagator's killed-state form.
+    """
+    v = p.killed_start()
+    delta = math.inf
+    for it in range(1, max_iter + 1):
+        # Half-lazy update: shifts the spectrum so the Perron root is the
+        # unique dominant eigenvalue in modulus even for periodic classes.
+        w = 0.5 * (v + p.killed_step(v))
+        w /= w.sum()
+        delta = float(np.abs(w - v).sum())
+        v = w
+        if delta <= tol:
+            break
+    else:
+        raise PerronConvergenceError(max_iter, delta)
+    root = float(p.killed_step(v).sum())
+    return QuasiStationaryPair(lambda_star=1.0 - root, mu_star=v, iterations=it)
 
 
 def quasi_stationary_pair(
@@ -135,49 +233,21 @@ def quasi_stationary_pair(
     tol: float = PERRON_TOL,
     max_iter: int = 10**6,
 ) -> QuasiStationaryPair:
-    """Power iteration for the dominant left eigenpair of ``[Q]_target``.
+    """:func:`perron_pair` of the chain seen from ``target``.
 
-    The sub-kernel is not assumed irreducible; iteration starts from a
-    strictly positive vector and converges to the dominant closed class.
-    A tie in the Perron root across several closed classes is reported via
-    ``tied_closed_classes``.
+    A tie in the Perron root across several closed classes of the
+    sub-kernel is reported via ``tied_closed_classes``.
     """
+    pair = perron_pair(TargetWalk(c, target), tol=tol, max_iter=max_iter)
     keep = np.arange(c.size) != target
     sub = c.kernel[np.ix_(keep, keep)].tocsr()
-    m = sub.shape[0]
-    v = np.full(m, 1.0 / m)
-    delta = math.inf
-    for it in range(1, max_iter + 1):
-        # Half-lazy update: shifts the spectrum so the Perron root is the
-        # unique dominant eigenvalue in modulus even for periodic classes.
-        w = 0.5 * (v + v @ sub)
-        w /= w.sum()
-        delta = float(np.abs(w - v).sum())
-        v = w
-        if delta <= tol:
-            break
-    else:
-        raise PerronConvergenceError(max_iter, delta)
-
-    root = float((v @ sub).sum())
-    mu_star = np.zeros(c.size)
-    mu_star[keep] = v
-    tied = _closed_class_root_tie(sub, root)
-    return QuasiStationaryPair(
-        lambda_star=float(1.0 - root), mu_star=mu_star, iterations=it, tied_closed_classes=tied
-    )
+    pair.tied_closed_classes = _closed_class_root_tie(sub, 1.0 - pair.lambda_star)
+    return pair
 
 
 def _closed_class_root_tie(sub: sp.csr_array, root: float, rel_tol: float = 1e-9) -> bool:
     """True when several closed classes of the sub-kernel tie for the root."""
-    n_comp, labels = connected_components(sub, directed=True, connection="strong")
-    if n_comp <= 1:
-        return False
-    coo = sub.tocoo()
-    open_comp = np.zeros(n_comp, dtype=bool)
-    src, dst = labels[coo.row], labels[coo.col]
-    open_comp[src[src != dst]] = True
-    closed = [np.flatnonzero(labels == k) for k in range(n_comp) if not open_comp[k]]
+    closed = _recurrent_classes(sub)
     if len(closed) <= 1:
         return False
     at_root = 0
@@ -198,16 +268,12 @@ def fvtl_quantities(
     """Assemble the first-visit-time report for one target state.
 
     ``t_horizon`` defaults to the adaptive relaxation horizon of
-    :func:`auto_horizon`. Requires the target to carry stationary mass.
+    :func:`return_sums`. Requires the target to carry stationary mass.
     """
     mu = stationary_distribution(c)
     if mu[target] <= 0:
         raise ValueError(f"target {target} is outside the support of the stationary law")
-    if t_horizon is None:
-        t_horizon = auto_horizon(c, target)
-    series = target_return_series(c, target, t_horizon)
-    r_mass = float(series.sum())
-    z_dd = fundamental_matrix_entry(c, target)
+    t_horizon, r_mass, z_dd = return_sums(TargetWalk(c, target), t_horizon)
     expected = hitting_time_expectation(c, mu, [target])
     report = FvtlReport(
         target=target,
@@ -245,13 +311,12 @@ def quasi_stationary_tail_check(
         return 0.0
     if t_max is None:
         t_max = math.ceil(10.0 / pair.lambda_star)
-    keep = np.arange(c.size) != target
-    sub = c.kernel[np.ix_(keep, keep)].tocsr()
-    v = pair.mu_star[keep]
+    walk = TargetWalk(c, target)
+    v = pair.mu_star
     scale = 1.0 - pair.lambda_star
     worst = abs(float(v.sum()) - 1.0)
     for _ in range(t_max):
-        v = (v @ sub) / scale
+        v = walk.killed_step(v) / scale
         worst = max(worst, abs(float(v.sum()) - 1.0))
     return worst
 

@@ -57,9 +57,7 @@ class RunManifest:
     ``starts`` is ``"uniform"`` (a fresh distinct pair per trial), a fixed
     ``(x, y)`` pair, or ``None`` for the all-vertex modes. ``dfa_policy``
     is ``"fresh"`` (one automaton per trial, from the trial stream) or
-    ``"fixed"`` (a shared automaton from ``dfa_path``). ``resample_count``
-    stays 0 for all four sampling modes, which never need a stationary
-    law; it is kept for schema compatibility with exact pipelines.
+    ``"fixed"`` (a shared automaton from ``dfa_path``).
     """
 
     master_seed: int
@@ -71,17 +69,18 @@ class RunManifest:
     dfa_policy: str = "fresh"
     dfa_path: str | None = None
     starts: str | tuple[int, int] | None = "uniform"
-    resample_count: int = 0
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
         if self.mode in ("coalescing", "sync"):
             # "uniform" is the untouched default; an explicit pair is an error.
-            if self.starts not in (None, "all", "uniform"):
+            if self.starts not in (None, "uniform"):
                 raise ValueError(f"mode {self.mode!r} starts from all vertices; set starts=None")
             self.starts = None
-        elif self.starts is None:
+        elif self.starts != "uniform" and not (
+            isinstance(self.starts, (tuple, list)) and len(self.starts) == 2
+        ):
             raise ValueError(f"mode {self.mode!r} needs starts='uniform' or a fixed pair")
         if self.dfa_policy not in ("fresh", "fixed"):
             raise ValueError(f"unknown dfa_policy {self.dfa_policy!r}")

@@ -1,13 +1,14 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from dfa_meet.aux_chain import (
+    AuxChain,
     AuxChainError,
     aux_fvtl_report,
-    aux_quasi_stationary,
     auto_return_horizon,
     build_aux_chain,
     check_events,
@@ -16,6 +17,16 @@ from dfa_meet.aux_chain import (
     return_mass,
 )
 from dfa_meet.chains import ergodic_walk_chain, make_chain, stationary_distribution, walk_matrix
+from dfa_meet.fvtl import (
+    Z_CONSECUTIVE_SMALL,
+    Z_TERM_TOL,
+    PerronConvergenceError,
+    TargetWalk,
+    perron_pair,
+    quasi_stationary_pair,
+    return_series,
+    return_sums,
+)
 from tests.test_chains import full_image_dfa
 
 
@@ -86,7 +97,7 @@ def test_build_rejects_non_dfa_kernel():
         build_aux_chain(chain)
 
 
-def test_left_and_right_step_match_explicit_kernel():
+def test_left_and_killed_step_match_explicit_kernel():
     aux = small_aux(6, 2, seed=1)
     kernel = aux.kernel_matrix()
     rng = np.random.default_rng(0)
@@ -99,13 +110,12 @@ def test_left_and_right_step_match_explicit_kernel():
     expected = nu @ kernel
     assert np.abs(aux.flatten_pair_form(stepped_pair, stepped_delta) - expected).max() < 1e-14
 
-    h = rng.random(aux.size)
-    h_pair = np.zeros((aux.n, aux.n))
-    for i in range(aux.size - 1):
-        h_pair[aux.index_pair(i)] = h[i]
-    out_pair, out_delta = aux.right_step(h_pair, h[-1])
-    expected = kernel @ h
-    assert np.abs(aux.flatten_pair_form(out_pair, out_delta) - expected).max() < 1e-14
+    # the killed step is the step with the diagonal state deleted
+    killed = aux.killed_step(pair)
+    nu[-1] = 0.0
+    expected = nu @ kernel
+    expected[-1] = 0.0
+    assert np.abs(aux.flatten_pair_form(killed, 0.0) - expected).max() < 1e-14
 
 
 def test_exit_measure_total_and_support():
@@ -163,8 +173,9 @@ def test_return_mass_uniform_chain_oracle():
 def test_auto_return_horizon_relaxes():
     aux = small_aux(30, 2, seed=1)
     t = auto_return_horizon(aux)
-    series = aux.delta_return_series(t)
+    series = list(islice(return_series(aux), t + 1))
     assert series[-1] <= 1.5 * aux.pi_tilde_delta
+    assert min(series[1:-1], default=math.inf) > 1.5 * aux.pi_tilde_delta
     assert t <= log_power_horizon(30, 5)
     # uniform chain relaxes immediately: P(D,D) = 1/n = pi_tilde(D)
     uniform_aux = build_aux_chain(walk_matrix(full_image_dfa(12)))
@@ -236,14 +247,52 @@ def test_aux_fvtl_report_small_chain_identities():
 
 
 def test_aux_quasi_stationary_matches_generic():
-    from dfa_meet.fvtl import quasi_stationary_pair
-
     aux = small_aux(9, 2, seed=5)
-    lam_aux, pair_matrix, _ = aux_quasi_stationary(aux)
+    aux_pair = perron_pair(aux)
     pair = quasi_stationary_pair(aux.to_chain_spec(), aux.delta_index)
-    assert lam_aux == pytest.approx(pair.lambda_star, abs=1e-10)
-    flat = aux.flatten_pair_form(pair_matrix, 0.0)
+    assert aux_pair.lambda_star == pytest.approx(pair.lambda_star, abs=1e-10)
+    flat = aux.flatten_pair_form(aux_pair.mu_star, 0.0)
     assert np.abs(flat - pair.mu_star).max() < 1e-9
+
+
+def test_aux_perron_error_carries_iteration_count():
+    with pytest.raises(PerronConvergenceError) as err:
+        perron_pair(small_aux(9, 2, seed=5), max_iter=1)
+    assert err.value.iterations == 1
+    assert err.value.last_delta > 0
+
+
+def test_return_sums_pair_form_matches_explicit_chain():
+    aux = small_aux()
+    t_aux, r_aux, z_aux = return_sums(aux)
+    t_gen, r_gen, z_gen = return_sums(TargetWalk(aux.to_chain_spec(), aux.delta_index))
+    assert t_aux == t_gen
+    assert r_aux == pytest.approx(r_gen, rel=1e-12)
+    assert z_aux == pytest.approx(z_gen, rel=1e-12)
+
+
+def test_aux_fvtl_report_walks_the_return_series_once(monkeypatch):
+    aux = small_aux(30, 2, seed=1)
+    calls = [0]
+    left_step = AuxChain.left_step
+
+    def counted(self, *args):
+        calls[0] += 1
+        return left_step(self, *args)
+
+    monkeypatch.setattr(AuxChain, "left_step", counted)
+    report = aux_fvtl_report(aux)
+    steps = calls[0]
+    monkeypatch.undo()
+
+    # one step per term, none repeated: the pass ends at the first t >= T
+    # whose last Z_CONSECUTIVE_SMALL centered terms are all below Z_TERM_TOL
+    small = np.abs(np.array(list(islice(return_series(aux), steps + 1))) - aux.mu_target)
+    small = small < Z_TERM_TOL
+    k = Z_CONSECUTIVE_SMALL
+    first = max(report.t_horizon, k - 1)
+    ends = [t for t in range(first, steps + 1) if small[t - k + 1:t + 1].all()]
+    assert ends[:1] == [steps]
 
 
 def test_asymptotic_horizon_overshoots_at_desk_scale():

@@ -9,7 +9,6 @@ from dfa_meet.chains import (
     UnreachableTargetError,
     ergodic_walk_chain,
     hitting_time_expectation,
-    hitting_time_tail_sum,
     make_chain,
     measure_pi_extremes,
     mixing_profile,
@@ -123,6 +122,13 @@ def test_stationary_requires_unique_recurrent_class():
     assert len(err.value.classes) == 2
 
 
+def test_stationary_rejects_unknown_method_even_when_cached():
+    chain = walk_matrix(cycle_dfa(5))
+    stationary_distribution(chain)
+    with pytest.raises(ValueError, match="unknown method"):
+        stationary_distribution(chain, method="bogus")
+
+
 def test_stationary_on_periodic_chain_power_method():
     kernel = sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
     chain = make_chain(kernel)
@@ -217,6 +223,40 @@ def test_hitting_time_unreachable():
     start = np.array([0.0, 0.0, 1.0])
     with pytest.raises(UnreachableTargetError):
         hitting_time_expectation(chain, start, [0])
+
+
+def hitting_time_tail_sum(c, start, target_set, tail_tol=1e-9, max_steps=10**6):
+    """Oracle for ``hitting_time_expectation``: ``sum_t P(tau > t)``.
+
+    Dynamic-programming survival iteration, truncated once a windowed
+    geometric bound puts the remaining tail below ``tail_tol``. Intended
+    for small chains.
+    """
+    n = c.size
+    targets = np.zeros(n, dtype=bool)
+    targets[np.asarray(list(target_set), dtype=int)] = True
+    survival = np.asarray(start, dtype=float).copy()
+    survival[targets] = 0.0
+    kernel = c.kernel.toarray()
+    kernel[:, targets] = 0.0
+    total = 0.0
+    alive = survival.sum()
+    ratios: list[float] = []
+    for _ in range(max_steps):
+        if alive <= 0:
+            return total
+        total += alive
+        survival = survival @ kernel
+        new_alive = float(survival.sum())
+        ratios.append(new_alive / alive if alive > 0 else 1.0)
+        alive = new_alive
+        # Survival probabilities are non-increasing; bound the tail by the
+        # worst contraction ratio seen over the last 50 steps.
+        if len(ratios) >= 50:
+            rho = max(ratios[-50:])
+            if rho < 1 and alive / (1 - rho) < tail_tol:
+                return total + alive / (1 - rho)
+    raise RuntimeError(f"tail sum did not converge within {max_steps} steps")
 
 
 def test_hitting_time_matches_tail_sum_oracle():

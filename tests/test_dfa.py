@@ -152,6 +152,17 @@ def test_parse_rejects_out_of_range_target():
         parse_dfa(text)
 
 
+def test_parse_rejects_json_booleans():
+    # JSON true/false decode to bool, an int subclass: true must not read as 1
+    for obj in (
+        {"n": 3, "r": 2, "out": [[0, True], [1, 2], [2, 0]]},
+        {"n": 3, "r": True, "out": [[0, 1], [1, 2], [2, 0]]},
+        {"n": True, "r": 2, "out": [[0, 1]]},
+    ):
+        with pytest.raises(DfaFormatError):
+            parse_dfa(json.dumps(obj))
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(DfaFormatError, match="invalid JSON"):
         parse_dfa("{not json")

@@ -11,11 +11,12 @@ from dfa_meet.chains import (
 from dfa_meet.aux_chain import build_aux_chain
 from dfa_meet.fvtl import (
     PerronConvergenceError,
-    fundamental_matrix_entry,
+    TargetWalk,
     fvtl_quantities,
     quasi_stationary_pair,
     quasi_stationary_tail_check,
     random_ergodic_chain,
+    return_sums,
     two_state_chain,
     uniform_start_ratio,
 )
@@ -31,7 +32,7 @@ def test_two_state_closed_forms():
         pair = quasi_stationary_pair(chain, 1)
         assert pair.lambda_star == pytest.approx(p, abs=1e-13)
         assert pair.mu_star[0] == pytest.approx(1.0)
-        z11 = fundamental_matrix_entry(chain, 1)
+        _, _, z11 = return_sums(TargetWalk(chain, 1))
         expected = hitting_time_expectation(chain, mu, [1])
         assert z11 / mu[1] == pytest.approx(expected, abs=1e-10)
         assert expected == pytest.approx(q / (p * (p + q)), abs=1e-10)
@@ -48,7 +49,7 @@ def test_fundamental_identity_random_chains():
         chain = random_ergodic_chain(rng, max_states=40)
         target = int(rng.integers(0, chain.size))
         mu = stationary_distribution(chain)
-        z = fundamental_matrix_entry(chain, target)
+        _, _, z = return_sums(TargetWalk(chain, target))
         expected = hitting_time_expectation(chain, mu, [target])
         assert abs(expected - z / mu[target]) <= 1e-8
 

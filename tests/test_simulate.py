@@ -214,6 +214,9 @@ def test_manifest_validation():
         RunManifest(master_seed=0, mode="sync", n=5, r=2, trials=1, starts=(0, 1))
     with pytest.raises(ValueError, match="dfa_path"):
         RunManifest(master_seed=0, mode="independent", n=5, r=2, trials=1, dfa_policy="fixed")
+    for mode in ("sync", "independent"):
+        with pytest.raises(ValueError, match="starts"):
+            RunManifest(master_seed=0, mode=mode, n=5, r=2, trials=1, starts="all")
 
 
 def test_uniform_starts_recorded_and_distinct():

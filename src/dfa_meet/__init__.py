@@ -14,6 +14,7 @@ from .aux_chain import (
 )
 from .chains import (
     ChainSpec,
+    ConvergenceError,
     MixingProfile,
     MultipleRecurrentClassesError,
     UnreachableTargetError,

@@ -48,7 +48,7 @@ class AuxChain:
 
     Off-diagonal ordered pairs are enumerated row-major with the diagonal
     state last, so ``pair_index`` and ``delta_index`` are stable across
-    runs. ``diag_weights`` is the re-emission law ``pi(z)**2 / sum pi**2``.
+    runs.
     """
 
     n: int
@@ -56,7 +56,6 @@ class AuxChain:
     kernel: sp.csr_array = field(repr=False)
     kernel_t: sp.csr_array = field(repr=False)
     pi: np.ndarray = field(repr=False)
-    diag_weights: np.ndarray = field(repr=False)
     exit_kernel: sp.csr_array = field(repr=False)
     _exit_dense: np.ndarray | None = field(default=None, repr=False)
 
@@ -234,7 +233,6 @@ def build_aux_chain(c: ChainSpec, pi: np.ndarray | None = None) -> AuxChain:
         kernel=kernel,
         kernel_t=kernel.T.tocsr(),
         pi=pi,
-        diag_weights=weights,
         exit_kernel=exit_kernel,
     )
 
@@ -318,9 +316,7 @@ def aux_fvtl_report(
         expected_hitting_from_mu=z_dd / mu_delta,
     )
     if compute_quasi_stationary:
-        pair = perron_pair(a)
-        report.lambda_star = pair.lambda_star
-        report.mu_star = pair.mu_star
+        report.quasi = perron_pair(a)
     return report
 
 

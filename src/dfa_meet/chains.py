@@ -31,6 +31,17 @@ class MultipleRecurrentClassesError(Exception):
         super().__init__(f"chain has {len(classes)} recurrent classes (sizes {sizes})")
 
 
+class ConvergenceError(RuntimeError):
+    """An iterative solve stopped before reaching its tolerance."""
+
+    def __init__(self, iterations: int, last_delta: float):
+        self.iterations = iterations
+        self.last_delta = last_delta
+        super().__init__(
+            f"no convergence after {iterations} iterations (last delta {last_delta:.3e})"
+        )
+
+
 class UnreachableTargetError(Exception):
     """The target set cannot be reached from the support of the start law."""
 
@@ -165,13 +176,15 @@ def _stationary_power(kernel, support, tol, max_iter):
     x = np.full(len(support), 1.0 / len(support))
     # Half-lazy iteration keeps periodic classes convergent; the residual is
     # still measured against the original kernel.
+    residual = math.inf
     for _ in range(max_iter):
         x_next = 0.5 * (x + x @ sub)
         x_next /= x_next.sum()
-        if np.abs(x_next @ sub - x_next).sum() <= tol:
+        residual = float(np.abs(x_next @ sub - x_next).sum())
+        if residual <= tol:
             return x_next
         x = x_next
-    raise RuntimeError(f"power iteration did not reach {tol:.0e} in {max_iter} iterations")
+    raise ConvergenceError(max_iter, residual)
 
 
 def ergodic_walk_chain(n: int, r: int, seed: int, max_resamples: int = 64):

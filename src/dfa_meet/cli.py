@@ -11,6 +11,7 @@ import numpy as np
 
 from . import aux_chain, recipes, stats
 from .chains import (
+    ConvergenceError,
     MultipleRecurrentClassesError,
     mixing_profile,
     stationary_distribution,
@@ -18,6 +19,7 @@ from .chains import (
 )
 from .dfa import generate_dfa, parse_dfa, serialize_dfa
 from .simulate import (
+    MODES,
     RunManifest,
     read_records_csv,
     resolve_workers,
@@ -56,8 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fvtl.add_argument("--out", type=Path, default=None)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment")
-    p_sim.add_argument("--mode", required=True,
-                       choices=["independent", "coupled", "coalescing", "sync"])
+    p_sim.add_argument("--mode", required=True, choices=MODES)
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--r", type=int, required=True)
     p_sim.add_argument("--trials", type=int, required=True)
@@ -141,7 +142,7 @@ def _cmd_fvtl(args) -> int:
         "predicted_lambda": report.predicted_lambda,
         "n_predicted_lambda": d.n * report.predicted_lambda,
         "expected_hitting_from_mu": report.expected_hitting_from_mu,
-        "lambda_star": report.lambda_star,
+        "lambda_star": report.quasi.lambda_star if report.quasi else None,
     }
     if not args.skip_events:
         events = aux_chain.check_events(
@@ -153,14 +154,7 @@ def _cmd_fvtl(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    starts: str | tuple[int, int] | None
-    if args.mode in ("coalescing", "sync"):
-        starts = None
-    elif args.starts is None:
-        starts = "uniform"
-    else:
-        x, y = (int(v) for v in args.starts.split(","))
-        starts = (x, y)
+    starts = "uniform" if args.starts is None else tuple(int(v) for v in args.starts.split(","))
     manifest = RunManifest(
         master_seed=args.seed,
         mode=args.mode,
@@ -259,7 +253,7 @@ def main(argv=None) -> int:
     except MultipleRecurrentClassesError as exc:
         print(f"error: {exc}; resample the DFA", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

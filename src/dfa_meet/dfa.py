@@ -18,12 +18,17 @@ import numpy as np
 Word = Sequence[int]
 
 
-class DfaError(Exception):
+class DfaError(ValueError):
     """Invalid DFA construction or query."""
 
 
 class DfaFormatError(DfaError):
     """Malformed serialized DFA."""
+
+
+def _check_sizes(n: int, r: int) -> None:
+    if n < 2 or not 2 <= r <= n:
+        raise DfaError(f"invalid sizes n={n}, r={r}: need n >= 2 and 2 <= r <= n")
 
 
 @dataclass(eq=False)
@@ -49,20 +54,23 @@ class Dfa:
     out: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise DfaError(f"need at least 2 vertices, got n={self.n}")
-        if not 2 <= self.r <= self.n:
-            raise DfaError(f"need 2 <= r <= n, got r={self.r}, n={self.n}")
+        _check_sizes(self.n, self.r)
         out = np.ascontiguousarray(self.out, dtype=np.int64)
         if out.shape != (self.n, self.r):
             raise DfaError(f"out table has shape {out.shape}, expected {(self.n, self.r)}")
         if out.min() < 0 or out.max() >= self.n:
-            raise DfaError("out table contains targets outside [0, n)")
-        for x in range(self.n):
-            if len(set(out[x].tolist())) != self.r:
-                raise DfaError(f"one-to-one violated: vertex {x} has duplicate targets")
+            x, c = np.argwhere((out < 0) | (out >= self.n))[0]
+            raise DfaError(f"row {x}, field {c}: target {out[x, c]} outside [0, {self.n})")
+        ordered = np.sort(out, axis=1)
+        repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        if repeats.any():
+            raise DfaError(f"row {repeats.argmax()}: one-to-one violated (duplicate targets)")
         out.setflags(write=False)
         object.__setattr__(self, "out", out)
+
+    def __reduce__(self):
+        # workers receive the automaton by pickle; rebuilding keeps it checked and read-only
+        return Dfa, (self.n, self.r, self.out)
 
     def __eq__(self, other):
         if not isinstance(other, Dfa):
@@ -102,10 +110,7 @@ def generate_dfa(n: int, r: int, seed) -> Dfa:
         Seed for the draw; a fixed integer seed gives a bitwise-identical
         DFA on every call.
     """
-    if n < 2:
-        raise DfaError(f"need at least 2 vertices, got n={n}")
-    if not 2 <= r <= n:
-        raise DfaError(f"need 2 <= r <= n, got r={r}, n={n}")
+    _check_sizes(n, r)
     rng = np.random.default_rng(seed)
     # Swap positions are drawn column-by-column so the stream layout is a
     # frozen part of the generator contract.
@@ -172,7 +177,7 @@ def _is_json_int(value) -> bool:
 
 
 def parse_dfa(text: str) -> Dfa:
-    """Parse the JSON text format, rejecting structural and invariant errors."""
+    """Parse the JSON text format; the :class:`Dfa` constructor checks the automaton."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -185,19 +190,16 @@ def parse_dfa(text: str) -> Dfa:
     n, r, rows = obj["n"], obj["r"], obj["out"]
     if not _is_json_int(n) or not _is_json_int(r):
         raise DfaFormatError("fields 'n' and 'r' must be integers")
-    if n < 2 or not 2 <= r <= n:
-        raise DfaFormatError(f"invalid sizes n={n}, r={r}: need n >= 2 and 2 <= r <= n")
     if not isinstance(rows, list) or len(rows) != n:
         got = len(rows) if isinstance(rows, list) else type(rows).__name__
         raise DfaFormatError(f"'out' must list {n} rows, got {got}")
-    out = np.empty((n, r), dtype=np.int64)
     for x, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != r:
             raise DfaFormatError(f"row {x}: expected {r} targets")
         for c, y in enumerate(row):
-            if not _is_json_int(y) or not 0 <= y < n:
-                raise DfaFormatError(f"row {x}, field {c}: target {y!r} outside [0, {n})")
-            out[x, c] = y
-        if len(set(row)) != r:
-            raise DfaFormatError(f"row {x}: one-to-one violated (duplicate targets)")
-    return Dfa(n=n, r=r, out=out)
+            if not _is_json_int(y) or not -(2**63) <= y < 2**63:
+                raise DfaFormatError(f"row {x}, field {c}: target {y!r} is not a 64-bit integer")
+    try:
+        return Dfa(n=n, r=r, out=np.array(rows, dtype=np.int64))
+    except DfaError as exc:
+        raise DfaFormatError(str(exc)) from exc

@@ -33,6 +33,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .chains import (
     ChainSpec,
+    ConvergenceError,
     _recurrent_classes,
     hitting_time_expectation,
     make_chain,
@@ -46,15 +47,8 @@ PERRON_TOL = 1e-13
 RELAX_FACTOR = 1.5
 
 
-class PerronConvergenceError(Exception):
+class PerronConvergenceError(ConvergenceError):
     """Power iteration for the quasi-stationary pair failed to converge."""
-
-    def __init__(self, iterations: int, last_delta: float):
-        self.iterations = iterations
-        self.last_delta = last_delta
-        super().__init__(
-            f"no convergence after {iterations} iterations (last delta {last_delta:.3e})"
-        )
 
 
 @dataclass
@@ -65,7 +59,9 @@ class QuasiStationaryPair:
     normalized left Perron vector as a killed state: a full-chain vector
     with zero at the target, or a pair matrix for the pair chain.
     ``tied_closed_classes`` flags a non-unique pair: several closed
-    communicating classes of the sub-kernel share the dominant root.
+    communicating classes of the sub-kernel share the dominant root. Only
+    :func:`quasi_stationary_pair` checks for such a tie; a pair from
+    :func:`perron_pair` alone leaves the flag False.
     """
 
     lambda_star: float
@@ -85,9 +81,7 @@ class FvtlReport:
     z_dd: float
     predicted_lambda: float
     expected_hitting_from_mu: float
-    lambda_star: float | None = None
-    mu_star: np.ndarray | None = field(default=None, repr=False)
-    qs_tied: bool = False
+    quasi: QuasiStationaryPair | None = None
 
 
 class Propagator(Protocol):
@@ -196,7 +190,7 @@ def return_sums(p: Propagator, t_horizon: int | None = None) -> tuple[int, float
         if t >= t_horizon and small >= Z_CONSECUTIVE_SMALL:
             break
         if t >= Z_MAX_STEPS:
-            raise RuntimeError(f"return series did not settle in {Z_MAX_STEPS} steps")
+            raise ConvergenceError(t, abs(q - mu))
     series = np.array(terms)
     return t_horizon, float(series[: t_horizon + 1].sum()), float((series - mu).sum())
 
@@ -285,10 +279,7 @@ def fvtl_quantities(
         expected_hitting_from_mu=float(expected),
     )
     if compute_quasi_stationary:
-        pair = quasi_stationary_pair(c, target)
-        report.lambda_star = pair.lambda_star
-        report.mu_star = pair.mu_star
-        report.qs_tied = pair.tied_closed_classes
+        report.quasi = quasi_stationary_pair(c, target)
     return report
 
 

@@ -146,7 +146,6 @@ def _run_figure_recipe(rec: Recipe, workers) -> RecipeResult:
             trials=trials,
             cap=cap,
             dfa_policy="fresh",
-            starts="uniform" if mode in ("independent", "coupled") else None,
         )
         records = run_experiment(manifest, workers=workers)
         stem = f"{rec.name}-r{r}"
@@ -263,21 +262,18 @@ def _run_fvtl_suite(rec: Recipe) -> RecipeResult:
 
 def _fvtl_identity_row(chain, target: int, label: str) -> dict:
     report = fvtl.fvtl_quantities(chain, target, compute_quasi_stationary=True)
-    pair = fvtl.QuasiStationaryPair(
-        lambda_star=report.lambda_star, mu_star=report.mu_star, iterations=0,
-        tied_closed_classes=report.qs_tied,
-    )
+    pair = report.quasi
     tail_dev = fvtl.quasi_stationary_tail_check(chain, target, pair=pair)
-    qs_hitting = hitting_time_expectation(chain, report.mu_star, [target])
+    qs_hitting = hitting_time_expectation(chain, pair.mu_star, [target])
     return {
         "chain": label,
         "states": chain.size,
         "target": target,
         "mu_target": report.mu_target,
-        "lambda_star": report.lambda_star,
+        "lambda_star": pair.lambda_star,
         "identity_dev": abs(report.expected_hitting_from_mu - report.z_dd / report.mu_target),
         "tail_dev": tail_dev,
-        "qs_mean_dev": abs(report.lambda_star * qs_hitting - 1.0),
+        "qs_mean_dev": abs(pair.lambda_star * qs_hitting - 1.0),
         "predicted_lambda": report.predicted_lambda,
         "return_horizon": report.t_horizon,
     }

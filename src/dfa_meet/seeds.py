@@ -18,8 +18,8 @@ def seed_split(master: int, index: int, tag: str) -> int:
     """
     if master < 0 or master >= 1 << _SEED_BITS:
         raise ValueError(f"master seed must be in [0, 2**{_SEED_BITS}), got {master}")
-    if index < 0:
-        raise ValueError(f"index must be nonnegative, got {index}")
+    if index < 0 or index >= 1 << _SEED_BITS:
+        raise ValueError(f"index must be in [0, 2**{_SEED_BITS}), got {index}")
     h = hashlib.blake2b(digest_size=_SEED_BITS // 8)
     h.update(_DOMAIN)
     h.update(master.to_bytes(_SEED_BITS // 8, "little"))

@@ -21,6 +21,7 @@ import csv
 import math
 import os
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +58,8 @@ class RunManifest:
     ``starts`` is ``"uniform"`` (a fresh distinct pair per trial), a fixed
     ``(x, y)`` pair, or ``None`` for the all-vertex modes. ``dfa_policy``
     is ``"fresh"`` (one automaton per trial, from the trial stream) or
-    ``"fixed"`` (a shared automaton from ``dfa_path``).
+    ``"fixed"`` (a shared automaton from ``dfa_path``). ``trials`` is at
+    least 0 and ``cap``, when given, at least 1.
     """
 
     master_seed: int
@@ -82,6 +84,10 @@ class RunManifest:
             isinstance(self.starts, (tuple, list)) and len(self.starts) == 2
         ):
             raise ValueError(f"mode {self.mode!r} needs starts='uniform' or a fixed pair")
+        if self.trials < 0:
+            raise ValueError(f"trials must be nonnegative, got {self.trials}")
+        if self.cap is not None and self.cap < 1:
+            raise ValueError(f"cap must be at least 1, got {self.cap}")
         if self.dfa_policy not in ("fresh", "fixed"):
             raise ValueError(f"unknown dfa_policy {self.dfa_policy!r}")
         if self.dfa_policy == "fixed" and self.dfa_path is None:
@@ -300,15 +306,16 @@ def _draw_uniform_distinct_pair(rng, n: int) -> tuple[int, int]:
 
 
 def run_trial(manifest: RunManifest, index: int, fixed_dfa: Dfa | None = None) -> TrialRecord:
-    """Execute trial ``index`` of a manifest; fully determined by the manifest."""
+    """Execute trial ``index`` of a manifest; fully determined by the manifest.
+
+    ``fixed_dfa`` is the automaton at ``dfa_path``, read here when omitted.
+    """
     derived = seed_split(manifest.master_seed, index, manifest.mode)
     rng = np.random.default_rng(derived)
     if manifest.dfa_policy == "fresh":
         d = generate_dfa(manifest.n, manifest.r, rng)
     else:
-        d = fixed_dfa if fixed_dfa is not None else _load_dfa_cached(manifest.dfa_path)
-        if (d.n, d.r) != (manifest.n, manifest.r):
-            raise ValueError("fixed DFA does not match the manifest dimensions")
+        d = fixed_dfa if fixed_dfa is not None else _read_fixed_dfa(manifest)
     cap = manifest.effective_cap
     mode = manifest.mode
     if mode in ("independent", "coupled"):
@@ -326,28 +333,11 @@ def run_trial(manifest: RunManifest, index: int, fixed_dfa: Dfa | None = None) -
     return rec
 
 
-_WORKER_MANIFEST: RunManifest | None = None
-_WORKER_DFA: Dfa | None = None
-_DFA_CACHE: dict[str, Dfa] = {}
-
-
-def _load_dfa_cached(path: str) -> Dfa:
-    if path not in _DFA_CACHE:
-        _DFA_CACHE[path] = parse_dfa(Path(path).read_text())
-    return _DFA_CACHE[path]
-
-
-def _init_worker(manifest: RunManifest):
-    global _WORKER_MANIFEST, _WORKER_DFA
-    _WORKER_MANIFEST = manifest
-    _WORKER_DFA = None
-    if manifest.dfa_policy == "fixed":
-        _WORKER_DFA = _load_dfa_cached(manifest.dfa_path)
-
-
-def _run_range(bounds: tuple[int, int]) -> list[TrialRecord]:
-    start, stop = bounds
-    return [run_trial(_WORKER_MANIFEST, i, _WORKER_DFA) for i in range(start, stop)]
+def _read_fixed_dfa(manifest: RunManifest) -> Dfa:
+    d = parse_dfa(Path(manifest.dfa_path).read_text(encoding="utf-8"))
+    if (d.n, d.r) != (manifest.n, manifest.r):
+        raise ValueError("fixed DFA does not match the manifest dimensions")
+    return d
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -364,28 +354,21 @@ def run_experiment(manifest: RunManifest, workers: int | None = None) -> list[Tr
     """Run all trials of a manifest, in trial order, on a worker pool.
 
     Trials are seeded independently through :func:`seed_split`, so the
-    output is byte-for-byte identical for any worker count.
+    output is byte-for-byte identical for any worker count. A fixed
+    automaton is read once per call and sent to the workers.
     """
     workers = resolve_workers(workers)
     trials = manifest.trials
-    if trials == 0:
-        return []
-    if manifest.dfa_policy == "fixed":
-        _load_dfa_cached(manifest.dfa_path)  # fail fast on a bad file
+    fixed_dfa = _read_fixed_dfa(manifest) if manifest.dfa_policy == "fixed" else None
+    trial = partial(run_trial, manifest, fixed_dfa=fixed_dfa)
     if workers == 1 or trials < 4 * workers:
-        _init_worker(manifest)
-        return _run_range((0, trials))
+        return [trial(i) for i in range(trials)]
 
     import multiprocessing as mp
 
     span = max(1, math.ceil(trials / (workers * 16)))
-    chunks = [(lo, min(lo + span, trials)) for lo in range(0, trials, span)]
-    records: list[TrialRecord | None] = [None] * trials
-    with mp.Pool(workers, initializer=_init_worker, initargs=(manifest,)) as pool:
-        for batch in pool.imap_unordered(_run_range, chunks):
-            for rec in batch:
-                records[rec.trial] = rec
-    return records  # type: ignore[return-value]
+    with mp.Pool(workers) as pool:
+        return list(pool.imap(trial, range(trials), chunksize=span))
 
 
 def write_records_csv(records, path) -> None:

@@ -218,7 +218,7 @@ def test_geometric_sojourn_at_delta():
     targets = aux.kernel.indices.reshape(aux.n, r)
     rng = np.random.default_rng(12345)
     trials, steps = 100_000, 48
-    z = rng.choice(aux.n, p=aux.diag_weights, size=(trials, steps))
+    z = rng.choice(aux.n, p=aux.pi**2 / (aux.pi @ aux.pi), size=(trials, steps))
     c1 = rng.integers(0, r, size=(trials, steps))
     c2 = rng.integers(0, r, size=(trials, steps))
     stay = targets[z, c1] == targets[z, c2]
@@ -242,7 +242,7 @@ def test_aux_fvtl_report_small_chain_identities():
     chain = aux.to_chain_spec()
     direct = hitting_time_expectation(chain, chain.stationary, [aux.delta_index])
     assert report.expected_hitting_from_mu == pytest.approx(direct, abs=1e-7)
-    assert 0 < report.lambda_star < 1
+    assert 0 < report.quasi.lambda_star < 1
     assert report.return_mass >= 1.0
 
 
@@ -260,6 +260,12 @@ def test_aux_perron_error_carries_iteration_count():
         perron_pair(small_aux(9, 2, seed=5), max_iter=1)
     assert err.value.iterations == 1
     assert err.value.last_delta > 0
+
+
+def test_aux_fvtl_report_keeps_the_perron_pair():
+    report = aux_fvtl_report(small_aux(9, 2, seed=5), compute_quasi_stationary=True)
+    assert report.quasi.iterations >= 1
+    assert report.quasi.mu_star.shape == (9, 9)
 
 
 def test_return_sums_pair_form_matches_explicit_chain():

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from dfa_meet.chains import (
+    ConvergenceError,
     MultipleRecurrentClassesError,
     UnreachableTargetError,
     ergodic_walk_chain,
@@ -72,6 +73,14 @@ def test_product_matrix_memory_guard():
     d = generate_dfa(10, 2, seed=0)
     with pytest.raises(ValueError, match="cap"):
         product_matrix(walk_matrix(d), max_states=50)
+
+
+def test_power_iteration_failure_is_typed():
+    _, chain, _ = ergodic_walk_chain(30, 2, seed=4)
+    with pytest.raises(ConvergenceError) as err:
+        stationary_distribution(chain, method="power", max_iter=1)
+    assert err.value.iterations == 1
+    assert err.value.last_delta > 0
 
 
 def test_product_stationary_is_tensor_square():

@@ -129,3 +129,64 @@ def test_simulate_threads_env(tmp_path, dfa_file, monkeypatch):
     ])
     assert code == 0
     assert len(read_records_csv(csv_path)) == 16
+
+
+@pytest.fixture
+def duplicate_target_file(tmp_path):
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({"n": 3, "r": 2, "out": [[1, 2], [0, 0], [0, 1]]}))
+    return path
+
+
+def test_dfa_errors_exit_one(tmp_path, duplicate_target_file, capsys):
+    assert main(["gen", "--n", "1", "--r", "2", "--seed", "0",
+                 "--out", str(tmp_path / "g.json")]) == 1
+    assert "invalid sizes" in capsys.readouterr().err
+    dup = str(duplicate_target_file)
+    for argv in (
+        ["exact", "--dfa", dup],
+        ["fvtl", "--dfa", dup],
+        ["simulate", "--mode", "independent", "--n", "3", "--r", "2", "--trials", "4",
+         "--seed", "0", "--fixed-dfa", dup, "--threads", "1",
+         "--out", str(tmp_path / "s.csv")],
+    ):
+        assert main(argv) == 1
+        assert "error: row 1: one-to-one violated" in capsys.readouterr().err
+
+
+def test_simulate_rejects_starts_in_all_vertex_modes(tmp_path, capsys):
+    for mode in ("coalescing", "sync"):
+        code = main([
+            "simulate", "--mode", mode, "--n", "10", "--r", "2", "--trials", "4",
+            "--seed", "0", "--starts", "0,1", "--threads", "1",
+            "--out", str(tmp_path / "s.csv"),
+        ])
+        assert code == 1
+        assert "starts" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_simulate_rejects_negative_trials(tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["simulate", "--mode", "sync", "--n", "10", "--r", "2", "--trials", "-3",
+                 "--seed", "0", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_recipe_with_oversized_r_exits_one(tmp_path, capsys):
+    code = main(["recipe", "fig1-independent", "--r-values", str(2**128), "--trials", "1",
+                 "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "index" in capsys.readouterr().err
+
+
+def test_convergence_failure_exits_one(dfa_file, monkeypatch, capsys):
+    from dfa_meet import cli
+    from dfa_meet.chains import ConvergenceError
+
+    def stalls(chain):
+        raise ConvergenceError(7, 0.25)
+
+    monkeypatch.setattr(cli, "stationary_distribution", stalls)
+    assert main(["exact", "--dfa", str(dfa_file)]) == 1
+    assert "no convergence after 7 iterations" in capsys.readouterr().err

@@ -52,9 +52,36 @@ def test_out_table_immutable():
         d.out[0, 0] = 3
 
 
+def test_unpickled_out_table_stays_immutable():
+    import pickle
+
+    d = pickle.loads(pickle.dumps(generate_dfa(5, 2, seed=0)))
+    assert d == generate_dfa(5, 2, seed=0)
+    with pytest.raises(ValueError):
+        d.out[0, 0] = 3
+
+
 def test_constructor_enforces_one_to_one():
     with pytest.raises(DfaError, match="one-to-one"):
         Dfa(n=3, r=2, out=np.array([[0, 0], [1, 2], [2, 0]]))
+
+
+def test_constructor_names_first_duplicate_row():
+    with pytest.raises(DfaError, match="row 2: one-to-one violated"):
+        Dfa(n=4, r=2, out=np.array([[0, 1], [1, 2], [3, 3], [0, 0]]))
+
+
+def test_constructor_names_out_of_range_target():
+    with pytest.raises(DfaError, match=r"row 1, field 0: target 3 outside \[0, 3\)"):
+        Dfa(n=3, r=2, out=np.array([[1, 2], [3, 0], [0, -1]]))
+    with pytest.raises(DfaError, match="row 2, field 1: target -1"):
+        Dfa(n=3, r=2, out=np.array([[1, 2], [2, 0], [0, -1]]))
+
+
+def test_dfa_errors_are_value_errors():
+    assert issubclass(DfaError, ValueError)
+    with pytest.raises(ValueError, match="invalid sizes"):
+        Dfa(n=1, r=2, out=np.array([[0, 0]]))
 
 
 def test_apply_word_empty_and_single():
@@ -161,6 +188,13 @@ def test_parse_rejects_json_booleans():
     ):
         with pytest.raises(DfaFormatError):
             parse_dfa(json.dumps(obj))
+
+
+def test_parse_rejects_int64_overflow_and_bad_sizes():
+    with pytest.raises(DfaFormatError, match="64-bit"):
+        parse_dfa('{"n": 2, "r": 2, "out": [[0, 1], [1, 18446744073709551616]]}')
+    with pytest.raises(DfaFormatError, match="invalid sizes"):
+        parse_dfa('{"n": 2, "r": 0, "out": [[], []]}')
 
 
 def test_parse_rejects_garbage():

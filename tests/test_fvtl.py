@@ -71,7 +71,7 @@ def test_fvtl_quantities_report_fields():
     report = fvtl_quantities(chain, 0)
     assert report.return_mass >= 1.0
     assert 0 < report.predicted_lambda < 1
-    assert report.lambda_star is not None
+    assert report.quasi is not None
     assert report.expected_hitting_from_mu == pytest.approx(
         report.z_dd / report.mu_target, abs=1e-8
     )

@@ -34,6 +34,12 @@ def test_range_and_validation():
         seed_split(0, -1, "x")
 
 
+def test_index_beyond_seed_width_is_value_error():
+    assert seed_split(0, 2**128 - 1, "x") >= 0
+    with pytest.raises(ValueError, match="index"):
+        seed_split(0, 2**128, "x")
+
+
 @pytest.mark.slow
 def test_tag_variation_collision_scan():
     """Distinct tags over a million indices never collide."""

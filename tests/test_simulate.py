@@ -219,6 +219,31 @@ def test_manifest_validation():
             RunManifest(master_seed=0, mode=mode, n=5, r=2, trials=1, starts="all")
 
 
+def test_manifest_rejects_negative_trials_and_nonpositive_cap():
+    with pytest.raises(ValueError, match="trials"):
+        RunManifest(master_seed=0, mode="independent", n=5, r=2, trials=-1)
+    with pytest.raises(ValueError, match="cap"):
+        RunManifest(master_seed=0, mode="sync", n=5, r=2, trials=1, cap=0)
+
+
+def test_rewritten_fixed_dfa_is_read_again(tmp_path):
+    from dfa_meet.dfa import serialize_dfa
+
+    dfa_path = tmp_path / "dfa.json"
+    manifest = RunManifest(
+        master_seed=3, mode="independent", n=30, r=2, trials=12,
+        dfa_policy="fixed", dfa_path=str(dfa_path),
+    )
+    runs = []
+    for seed in (77, 78):
+        d = generate_dfa(30, 2, seed=seed)
+        dfa_path.write_text(serialize_dfa(d))
+        records = run_experiment(manifest, workers=1)
+        assert records == [run_trial(manifest, i, fixed_dfa=d) for i in range(12)]
+        runs.append([rec.tau for rec in records])
+    assert runs[0] != runs[1]
+
+
 def test_uniform_starts_recorded_and_distinct():
     manifest = RunManifest(master_seed=4, mode="independent", n=25, r=2, trials=50)
     records = run_experiment(manifest, workers=1)

@@ -8,11 +8,14 @@ stationary law is known in closed form:
 * ``pi_tilde((x, x')) = pi(x) * pi(x')`` for ``x != x'``,
 * ``pi_tilde(DELTA) = sum_z pi(z)**2``.
 
-Distributions over the auxiliary state space are represented as a dense
-``(n, n)`` pair-mass matrix plus a scalar of diagonal mass, so one step of
-the chain costs two sparse-times-dense products regardless of alphabet
-size. An explicit sparse kernel over the ``n*(n-1) + 1`` states is also
-available for small instances.
+A distribution over the auxiliary state space is one dense ``(n, n)``
+matrix ``M``: off the diagonal it holds the pair masses, and its diagonal
+holds the mass at ``DELTA`` spread over the re-entry law
+``w = pi**2 / sum(pi**2)``, so the mass at ``DELTA`` is ``trace(M)``. One
+step is ``K^T M K`` followed by ``diag <- trace * w``: two
+sparse-times-dense products regardless of alphabet size. In this form
+``pi_tilde`` is ``outer(pi, pi)``. An explicit sparse kernel over the
+``n*(n-1) + 1`` states is also available for small instances.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .fvtl import (
 )
 
 DEFAULT_KERNEL_NNZ_CAP = 30_000_000
+A4_EXACT_LIMIT = 60
 
 
 class AuxChainError(Exception):
@@ -56,8 +60,7 @@ class AuxChain:
     kernel: sp.csr_array = field(repr=False)
     kernel_t: sp.csr_array = field(repr=False)
     pi: np.ndarray = field(repr=False)
-    exit_kernel: sp.csr_array = field(repr=False)
-    _exit_dense: np.ndarray | None = field(default=None, repr=False)
+    reentry: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -82,31 +85,19 @@ class AuxChain:
         x, k = divmod(i, self.n - 1)
         return x, k if k < x else k + 1
 
-    def exit_dense(self) -> np.ndarray:
-        if self._exit_dense is None:
-            self._exit_dense = self.exit_kernel.toarray()
-        return self._exit_dense
+    def left_step(self, m: np.ndarray) -> np.ndarray:
+        """One step of ``nu -> nu @ P_tilde`` on a pair-matrix state ``m``.
 
-    def left_step(self, pair_mass: np.ndarray | None, delta_mass: float):
-        """One step of ``nu -> nu @ P_tilde`` in pair-matrix form.
-
-        ``pair_mass`` holds the off-diagonal mass (its diagonal must be
-        zero, ``None`` means no off-diagonal mass), ``delta_mass`` the mass
-        at the collapsed state. Returns the new ``(pair_mass, delta_mass)``.
+        ``K^T m K`` moves both walks; its diagonal, the mass that met, is
+        collapsed onto ``DELTA`` and spread over ``reentry``. From ``DELTA``
+        this re-emits by ``sum_z w(z) K(z, y) K(z, y')``, self-loop ``1/r``.
         """
-        if pair_mass is None:
-            w = delta_mass * self.exit_dense()
-        else:
-            w = self.kernel_t @ (self.kernel_t @ pair_mass.T).T
-            if delta_mass:
-                w = w + delta_mass * self.exit_dense()
-        new_delta = float(np.trace(w))
-        np.fill_diagonal(w, 0.0)
-        return w, new_delta
+        w = self.kernel_t @ (self.kernel_t @ m.T).T
+        w[np.diag_indices(self.n)] = np.trace(w) * self.reentry
+        return w
 
     # -- first-visit propagator (see dfa_meet.fvtl.Propagator) -----------
-    # The target is DELTA; states are ``(pair_mass, delta_mass)`` and
-    # killed states are pair matrices with zero diagonal.
+    # The target is DELTA; killed states are pair matrices with zero diagonal.
 
     mu_target = pi_tilde_delta
 
@@ -114,43 +105,40 @@ class AuxChain:
     def horizon_cap(self) -> int:
         return log_power_horizon(self.n, 5)
 
-    def start(self):
-        return None, 1.0
+    def start(self) -> np.ndarray:
+        return np.diag(self.reentry)
 
-    def step(self, state):
-        return self.left_step(*state)
+    def step(self, m: np.ndarray) -> np.ndarray:
+        return self.left_step(m)
 
-    def target_mass(self, state) -> float:
-        return state[1]
+    def target_mass(self, m: np.ndarray) -> float:
+        return float(np.trace(m))
 
     def killed_start(self) -> np.ndarray:
         v = np.full((self.n, self.n), 1.0 / (self.n * (self.n - 1)))
         np.fill_diagonal(v, 0.0)
         return v
 
-    def killed_step(self, pair_mass: np.ndarray) -> np.ndarray:
-        return self.left_step(pair_mass, 0.0)[0]
+    def killed_step(self, m: np.ndarray) -> np.ndarray:
+        w = self.left_step(m)
+        np.fill_diagonal(w, 0.0)
+        return w
 
-    def pi_tilde_pair_form(self):
-        """Closed-form stationary law as a ``(pair_mass, delta_mass)`` pair."""
-        m = np.outer(self.pi, self.pi)
-        np.fill_diagonal(m, 0.0)
-        return m, self.pi_tilde_delta
+    def pi_tilde_pair_form(self) -> np.ndarray:
+        """Closed-form stationary law as a pair-matrix state: ``outer(pi, pi)``."""
+        return np.outer(self.pi, self.pi)
 
     def pi_tilde_vector(self) -> np.ndarray:
         """Closed-form stationary law as a flat vector over the state space."""
-        m, a = self.pi_tilde_pair_form()
-        return self.flatten_pair_form(m, a)
+        return self.flatten_pair_form(self.pi_tilde_pair_form())
 
-    def flatten_pair_form(self, pair_mass: np.ndarray, delta_mass: float) -> np.ndarray:
-        off = pair_mass[~np.eye(self.n, dtype=bool)]
-        return np.concatenate([off, [delta_mass]])
+    def flatten_pair_form(self, m: np.ndarray) -> np.ndarray:
+        return np.concatenate([m[~np.eye(self.n, dtype=bool)], [np.trace(m)]])
 
     def stationarity_residual(self) -> float:
         """L1 residual of the closed-form law under one exact step."""
-        m, a = self.pi_tilde_pair_form()
-        m1, a1 = self.left_step(m, a)
-        return float(np.abs(m1 - m).sum() + abs(a1 - a))
+        m = self.pi_tilde_pair_form()
+        return float(np.abs(self.left_step(m) - m).sum())
 
     def kernel_matrix(self, max_nnz: int = DEFAULT_KERNEL_NNZ_CAP) -> sp.csr_array:
         """Explicit sparse kernel over the ``n*(n-1) + 1`` states.
@@ -184,13 +172,11 @@ class AuxChain:
         data = np.full(rows.size, 1.0 / (r * r))
 
         # Diagonal row: re-emission law off the diagonal, plus 1/r on itself.
-        exit_coo = self.exit_kernel.tocoo()
-        keep = exit_coo.row != exit_coo.col
-        rows = np.concatenate([rows, np.full(keep.sum() + 1, delta)])
-        cols = np.concatenate(
-            [cols, ordered_pair_index(exit_coo.row[keep], exit_coo.col[keep]), [delta]]
-        )
-        data = np.concatenate([data, exit_coo.data[keep], [1.0 / r]])
+        exit_mass = self.killed_step(self.start())
+        y, yp = np.nonzero(exit_mass)
+        rows = np.concatenate([rows, np.full(y.size + 1, delta)])
+        cols = np.concatenate([cols, ordered_pair_index(y, yp), [delta]])
+        data = np.concatenate([data, exit_mass[y, yp], [1.0 / r]])
         size = self.size
         return sp.csr_array((data, (rows, cols)), shape=(size, size))
 
@@ -225,15 +211,13 @@ def build_aux_chain(c: ChainSpec, pi: np.ndarray | None = None) -> AuxChain:
     total = weights.sum()
     if total <= 0:
         raise AuxChainError("stationary law has no mass")
-    weights = weights / total
-    exit_kernel = (kernel.T.tocsr() @ sp.diags_array(weights) @ kernel).tocsr()
     return AuxChain(
         n=n,
         r=r,
         kernel=kernel,
         kernel_t=kernel.T.tocsr(),
         pi=pi,
-        exit_kernel=exit_kernel,
+        reentry=weights / total,
     )
 
 
@@ -263,12 +247,9 @@ class ExitMeasure:
 
 
 def exit_measure(a: AuxChain) -> ExitMeasure:
-    """Exit law from the diagonal, ``r/(r-1)`` times the off-diagonal exit mass."""
-    mu = sp.lil_array(a.exit_kernel * (a.r / (a.r - 1.0)))
-    mu.setdiag(0.0)
-    mu = mu.tocsr()
-    mu.eliminate_zeros()
-    return ExitMeasure(mu_plus=mu)
+    """Exit law from the diagonal: ``r/(r-1)`` times the mass that leaves it in one step."""
+    mu = a.killed_step(a.start()) * (a.r / (a.r - 1.0))
+    return ExitMeasure(mu_plus=sp.csr_array(mu))
 
 
 def return_mass(a: AuxChain, t_horizon: int) -> float:
@@ -365,14 +346,13 @@ def check_events(
     eps: float,
     t_horizon: int | None = None,
     s_horizon: int | None = None,
-    a4_exact_limit: int = 60,
     a4_samples: int = 200,
     seed: int = 0,
 ) -> AuxEventReport:
     """Evaluate the five events at horizons ``T = ceil(log^5 n)``, ``S = ceil(log^3 n)``.
 
     The mixing event is evaluated exactly (all starts) when ``n`` is at
-    most ``a4_exact_limit`` and otherwise estimated from ``a4_samples``
+    most ``A4_EXACT_LIMIT`` and otherwise estimated from ``a4_samples``
     uniformly chosen pair starts plus the diagonal state; the sampled mode
     is an estimate of the max, not the exact max.
     """
@@ -385,7 +365,7 @@ def check_events(
     n_pi_delta = n * a.pi_tilde_delta
     ratio = r / (r - 1.0)
 
-    if n <= a4_exact_limit:
+    if n <= A4_EXACT_LIMIT:
         profile = mixing_profile(a.to_chain_spec(), s_horizon)
         max_tv, tv_mode = float(profile.d_tv[s_horizon]), "exact"
     else:
@@ -415,22 +395,20 @@ def check_events(
 
 def _max_tv_sampled(a: AuxChain, s_horizon: int, samples: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
-    pi_pair, pi_delta = a.pi_tilde_pair_form()
-    starts: list[tuple[int, int] | None] = [None]  # None marks the diagonal state
-    for _ in range(samples):
-        x = int(rng.integers(0, a.n))
-        xp = int(rng.integers(0, a.n - 1))
-        starts.append((x, xp + (xp >= x)))
+    pi_tilde = a.pi_tilde_pair_form()
+
+    def starts():
+        yield a.start()
+        for _ in range(samples):
+            x = int(rng.integers(0, a.n))
+            xp = int(rng.integers(0, a.n - 1))
+            m = np.zeros((a.n, a.n))
+            m[x, xp + (xp >= x)] = 1.0
+            yield m
+
     worst = 0.0
-    for s in starts:
-        if s is None:
-            pair_mass, delta_mass = None, 1.0
-        else:
-            pair_mass = np.zeros((a.n, a.n))
-            pair_mass[s] = 1.0
-            delta_mass = 0.0
+    for m in starts():
         for _ in range(s_horizon):
-            pair_mass, delta_mass = a.left_step(pair_mass, delta_mass)
-        tv = 0.5 * (float(np.abs(pair_mass - pi_pair).sum()) + abs(delta_mass - pi_delta))
-        worst = max(worst, tv)
+            m = a.left_step(m)
+        worst = max(worst, 0.5 * float(np.abs(m - pi_tilde).sum()))
     return worst

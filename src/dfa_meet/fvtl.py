@@ -17,7 +17,7 @@ Each algorithm (return series, relaxation horizon, ``R`` and ``Z`` sums,
 Perron iteration) is written once over a :class:`Propagator`.
 :class:`TargetWalk` is the propagator of a generic chain;
 :class:`~dfa_meet.aux_chain.AuxChain` is the propagator of the collapsed
-pair chain in its pair-matrix form.
+pair chain, whose every state is one ``(n, n)`` pair matrix.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ class QuasiStationaryPair:
 
     ``lambda_star`` is one minus the Perron root; ``mu_star`` is the
     normalized left Perron vector as a killed state: a full-chain vector
-    with zero at the target, or a pair matrix for the pair chain.
+    with zero at the target, or a pair matrix with zero diagonal for the
+    pair chain.
     ``tied_closed_classes`` flags a non-unique pair: several closed
     communicating classes of the sub-kernel share the dominant root. Only
     :func:`quasi_stationary_pair` checks for such a tie; a pair from
@@ -89,6 +90,9 @@ class Propagator(Protocol):
 
     ``start`` is the point mass at the target, ``step`` one step of
     ``nu -> nu Q`` and ``target_mass`` the mass a state puts on the target.
+    A state is one array of the propagator's own shape: a probability
+    vector for :class:`TargetWalk`, an ``(n, n)`` pair matrix whose trace
+    is the target mass for the pair chain.
     ``killed_start`` is uniform mass off the target and ``killed_step`` one
     step of the target-deleted sub-kernel ``[Q]_target``; killed states are
     arrays whose sum is the surviving mass. ``mu_target`` is the stationary

@@ -341,13 +341,19 @@ def _read_fixed_dfa(manifest: RunManifest) -> Dfa:
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Explicit argument, then the DFA_MEET_THREADS variable, then CPU count."""
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
+    """Explicit argument, then the DFA_MEET_THREADS variable, then CPU count.
+
+    A count below 1 from the argument or the variable is a ``ValueError``.
+    """
+    source = f"workers={workers}"
+    if workers is None:
+        env = os.environ.get(THREADS_ENV_VAR)
+        if not env:
+            return os.cpu_count() or 1
+        source, workers = f"{THREADS_ENV_VAR}={env}", int(env)
+    if workers < 1:
+        raise ValueError(f"{source}: the worker count must be at least 1")
+    return workers
 
 
 def run_experiment(manifest: RunManifest, workers: int | None = None) -> list[TrialRecord]:

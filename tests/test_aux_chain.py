@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from dfa_meet.aux_chain import (
     AuxChain,
     AuxChainError,
+    _max_tv_sampled,
     aux_fvtl_report,
     auto_return_horizon,
     build_aux_chain,
@@ -106,16 +107,16 @@ def test_left_and_killed_step_match_explicit_kernel():
     pair = np.zeros((aux.n, aux.n))
     for i in range(aux.size - 1):
         pair[aux.index_pair(i)] = nu[i]
-    stepped_pair, stepped_delta = aux.left_step(pair, nu[-1])
+    stepped = aux.left_step(pair + np.diag(nu[-1] * aux.reentry))
     expected = nu @ kernel
-    assert np.abs(aux.flatten_pair_form(stepped_pair, stepped_delta) - expected).max() < 1e-14
+    assert np.abs(aux.flatten_pair_form(stepped) - expected).max() < 1e-14
 
     # the killed step is the step with the diagonal state deleted
     killed = aux.killed_step(pair)
     nu[-1] = 0.0
     expected = nu @ kernel
     expected[-1] = 0.0
-    assert np.abs(aux.flatten_pair_form(killed, 0.0) - expected).max() < 1e-14
+    assert np.abs(aux.flatten_pair_form(killed) - expected).max() < 1e-14
 
 
 def test_exit_measure_total_and_support():
@@ -133,6 +134,18 @@ def test_exit_measure_total_and_support():
                 if a != b:
                     common_in.add((int(a), int(b)))
     assert set(mu.support_pairs()) == common_in
+
+
+def test_exit_measure_is_the_reentry_law_through_two_kernel_steps():
+    """Leaving the diagonal from z ~ pi**2 / sum(pi**2), both walks take one
+    step; conditioned on their moves differing, the exit law is r/(r-1)
+    times the off-diagonal part of K^T diag(w) K."""
+    aux = small_aux(10, 3, seed=2)
+    w = aux.pi**2 / (aux.pi @ aux.pi)
+    exit_mass = (aux.kernel.T @ sp.diags_array(w) @ aux.kernel).toarray()
+    np.fill_diagonal(exit_mass, 0.0)
+    mu_plus = exit_measure(aux).mu_plus.toarray()
+    assert np.abs(mu_plus - aux.r / (aux.r - 1) * exit_mass).max() <= 1e-15
 
 
 def test_exit_measure_max_reported_against_threshold():
@@ -204,6 +217,27 @@ def test_check_events_sampled_mode_kicks_in():
     assert 0 <= report.max_tv_at_s <= 1
 
 
+def test_sampled_tv_matches_explicit_chain():
+    """The sampled A4 estimate is the exact TV distance after S steps from
+    the diagonal state and the same seeded pair starts."""
+    aux = small_aux(12, 2, seed=3)
+    s_horizon, samples, seed = 6, 15, 4
+    chain = aux.to_chain_spec()
+    rng = np.random.default_rng(seed)
+    starts = [aux.delta_index]
+    for _ in range(samples):
+        x = int(rng.integers(0, aux.n))
+        xp = int(rng.integers(0, aux.n - 1))
+        starts.append(aux.pair_index(x, xp + (xp >= x)))
+    nu = np.zeros((len(starts), aux.size))
+    nu[np.arange(len(starts)), starts] = 1.0
+    for _ in range(s_horizon):
+        nu = nu @ chain.kernel
+    expected = 0.5 * np.abs(nu - chain.stationary).sum(axis=1).max()
+    assert expected > 1e-3  # not yet mixed, so the comparison has teeth
+    assert _max_tv_sampled(aux, s_horizon, samples, seed) == pytest.approx(expected, abs=1e-12)
+
+
 def test_geometric_sojourn_at_delta():
     """Sojourn lengths at the collapsed state are Geom(1 - 1/r).
 
@@ -251,7 +285,7 @@ def test_aux_quasi_stationary_matches_generic():
     aux_pair = perron_pair(aux)
     pair = quasi_stationary_pair(aux.to_chain_spec(), aux.delta_index)
     assert aux_pair.lambda_star == pytest.approx(pair.lambda_star, abs=1e-10)
-    flat = aux.flatten_pair_form(aux_pair.mu_star, 0.0)
+    flat = aux.flatten_pair_form(aux_pair.mu_star)
     assert np.abs(flat - pair.mu_star).max() < 1e-9
 
 

@@ -131,6 +131,19 @@ def test_simulate_threads_env(tmp_path, dfa_file, monkeypatch):
     assert len(read_records_csv(csv_path)) == 16
 
 
+def test_simulate_rejects_worker_counts_below_one(tmp_path, dfa_file, monkeypatch, capsys):
+    out = tmp_path / "runs.csv"
+    argv = ["simulate", "--mode", "independent", "--n", "30", "--r", "2", "--trials", "4",
+            "--seed", "9", "--fixed-dfa", str(dfa_file), "--out", str(out)]
+    for threads in ("0", "-5"):
+        assert main(argv + ["--threads", threads]) == 1
+        assert f"workers={threads}:" in capsys.readouterr().err
+    monkeypatch.setenv("DFA_MEET_THREADS", "0")
+    assert main(argv) == 1
+    assert "DFA_MEET_THREADS=0:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture
 def duplicate_target_file(tmp_path):
     path = tmp_path / "dup.json"

@@ -17,6 +17,7 @@ from .chains import (
     ConvergenceError,
     MixingProfile,
     MultipleRecurrentClassesError,
+    StationaryResidualError,
     UnreachableTargetError,
     ergodic_walk_chain,
     hitting_time_expectation,

@@ -29,7 +29,6 @@ import scipy.sparse as sp
 
 from .chains import ChainSpec, make_chain, mixing_profile, stationary_distribution
 from .fvtl import (
-    RELAX_FACTOR,
     FvtlReport,
     log_power_horizon,
     perron_pair,
@@ -38,8 +37,10 @@ from .fvtl import (
     return_sums,
 )
 
-DEFAULT_KERNEL_NNZ_CAP = 30_000_000
+KERNEL_NNZ_CAP = 30_000_000
 A4_EXACT_LIMIT = 60
+A4_SAMPLES = 200
+A4_SEED = 0
 
 
 class AuxChainError(Exception):
@@ -74,10 +75,9 @@ class AuxChain:
     def pi_tilde_delta(self) -> float:
         return float(self.pi @ self.pi)
 
-    def pair_index(self, x: int, xp: int) -> int:
-        if x == xp:
-            return self.delta_index
-        return x * (self.n - 1) + (xp if xp < x else xp - 1)
+    def pair_index(self, x, xp):
+        """Index of ``(x, xp)``, ``delta_index`` if ``x == xp``; takes ints or int arrays."""
+        return np.where(x == xp, self.delta_index, x * (self.n - 1) + xp - (xp > x))
 
     def index_pair(self, i: int) -> tuple[int, int]:
         if i == self.delta_index:
@@ -140,7 +140,7 @@ class AuxChain:
         m = self.pi_tilde_pair_form()
         return float(np.abs(self.left_step(m) - m).sum())
 
-    def kernel_matrix(self, max_nnz: int = DEFAULT_KERNEL_NNZ_CAP) -> sp.csr_array:
+    def kernel_matrix(self) -> sp.csr_array:
         """Explicit sparse kernel over the ``n*(n-1) + 1`` states.
 
         The diagonal self-transition is assigned ``1/r`` exactly rather than
@@ -148,21 +148,18 @@ class AuxChain:
         """
         n, r = self.n, self.r
         est_nnz = n * (n - 1) * r * r + n * r * r + 1
-        if est_nnz > max_nnz:
-            raise ValueError(f"explicit kernel needs ~{est_nnz} entries > cap {max_nnz}")
+        if est_nnz > KERNEL_NNZ_CAP:
+            raise ValueError(f"explicit kernel needs ~{est_nnz} entries > cap {KERNEL_NNZ_CAP}")
         targets = self.kernel.indices.reshape(n, r).astype(np.int64)
         delta = self.delta_index
 
-        def ordered_pair_index(y, yp):
-            return np.where(y == yp, delta, y * (n - 1) + yp - (yp > y))
-
         # Off-diagonal rows: (x, x') -> (y, y') with weight 1/r^2 per color pair.
         x = np.arange(n)
-        src = ordered_pair_index(
+        src = self.pair_index(
             np.broadcast_to(x[:, None, None, None], (n, n, r, r)),
             np.broadcast_to(x[None, :, None, None], (n, n, r, r)),
         )
-        dst = ordered_pair_index(
+        dst = self.pair_index(
             np.broadcast_to(targets[:, None, :, None], (n, n, r, r)),
             np.broadcast_to(targets[None, :, None, :], (n, n, r, r)),
         )
@@ -175,14 +172,14 @@ class AuxChain:
         exit_mass = self.killed_step(self.start())
         y, yp = np.nonzero(exit_mass)
         rows = np.concatenate([rows, np.full(y.size + 1, delta)])
-        cols = np.concatenate([cols, ordered_pair_index(y, yp), [delta]])
+        cols = np.concatenate([cols, self.pair_index(y, yp), [delta]])
         data = np.concatenate([data, exit_mass[y, yp], [1.0 / r]])
         size = self.size
         return sp.csr_array((data, (rows, cols)), shape=(size, size))
 
-    def to_chain_spec(self, max_nnz: int = DEFAULT_KERNEL_NNZ_CAP) -> ChainSpec:
+    def to_chain_spec(self) -> ChainSpec:
         """Materialize as a generic chain with the closed-form stationary law."""
-        chain = make_chain(self.kernel_matrix(max_nnz=max_nnz))
+        chain = make_chain(self.kernel_matrix())
         chain.stationary = self.pi_tilde_vector()
         return chain
 
@@ -257,17 +254,17 @@ def return_mass(a: AuxChain, t_horizon: int) -> float:
     return float(np.sum(list(islice(return_series(a), t_horizon + 1))))
 
 
-def auto_return_horizon(a: AuxChain, relax_factor: float = RELAX_FACTOR) -> int:
+def auto_return_horizon(a: AuxChain) -> int:
     """Adaptive horizon for the diagonal return mass.
 
     Iterates the return series until ``P_tilde^t(DELTA, DELTA)`` has
-    relaxed to within ``relax_factor`` of its stationary value
+    relaxed to within ``fvtl.RELAX_FACTOR`` of its stationary value
     ``pi_tilde(DELTA)``, capped at ``ceil(log(n)**5)``. Past this point
     every further step inflates ``R`` by roughly ``pi_tilde(DELTA)``,
     which at finite ``n`` swamps the head sum the rate prediction needs;
     the cap recovers the asymptotic schedule for very large ``n``.
     """
-    return relaxation_horizon(return_series(a), relax_factor * a.mu_target, a.horizon_cap)
+    return relaxation_horizon(a, return_series(a))
 
 
 def aux_fvtl_report(
@@ -346,15 +343,13 @@ def check_events(
     eps: float,
     t_horizon: int | None = None,
     s_horizon: int | None = None,
-    a4_samples: int = 200,
-    seed: int = 0,
 ) -> AuxEventReport:
     """Evaluate the five events at horizons ``T = ceil(log^5 n)``, ``S = ceil(log^3 n)``.
 
     The mixing event is evaluated exactly (all starts) when ``n`` is at
-    most ``A4_EXACT_LIMIT`` and otherwise estimated from ``a4_samples``
-    uniformly chosen pair starts plus the diagonal state; the sampled mode
-    is an estimate of the max, not the exact max.
+    most ``A4_EXACT_LIMIT`` and otherwise estimated from ``A4_SAMPLES``
+    uniform pair starts (seed ``A4_SEED``) plus the diagonal state; the
+    sampled mode is an estimate of the max, not the exact max.
     """
     n, r = a.n, a.r
     if t_horizon is None:
@@ -369,7 +364,7 @@ def check_events(
         profile = mixing_profile(a.to_chain_spec(), s_horizon)
         max_tv, tv_mode = float(profile.d_tv[s_horizon]), "exact"
     else:
-        max_tv, tv_mode = _max_tv_sampled(a, s_horizon, a4_samples, seed), "sampled"
+        max_tv, tv_mode = _max_tv_sampled(a, s_horizon), "sampled"
 
     r_mass = return_mass(a, t_horizon)
     log_n = math.log(n)
@@ -393,13 +388,13 @@ def check_events(
     )
 
 
-def _max_tv_sampled(a: AuxChain, s_horizon: int, samples: int, seed: int) -> float:
-    rng = np.random.default_rng(seed)
+def _max_tv_sampled(a: AuxChain, s_horizon: int) -> float:
+    rng = np.random.default_rng(A4_SEED)
     pi_tilde = a.pi_tilde_pair_form()
 
     def starts():
         yield a.start()
-        for _ in range(samples):
+        for _ in range(A4_SAMPLES):
             x = int(rng.integers(0, a.n))
             xp = int(rng.integers(0, a.n - 1))
             m = np.zeros((a.n, a.n))

@@ -18,8 +18,12 @@ from .dfa import Dfa
 ROW_SUM_TOL = 1e-12
 STATIONARY_RESIDUAL_TOL = 1e-10
 POWER_ITERATION_TOL = 1e-13
+POWER_MAX_ITER = 10**6
 DIRECT_SOLVE_LIMIT = 5000
+PRODUCT_STATE_CAP = 4_000_000
+MAX_RESAMPLES = 64
 MIXING_THRESHOLD = 1.0 / (2.0 * math.e)
+MIXING_BATCH_SIZE = 2000
 
 
 class MultipleRecurrentClassesError(Exception):
@@ -40,6 +44,13 @@ class ConvergenceError(RuntimeError):
         super().__init__(
             f"no convergence after {iterations} iterations (last delta {last_delta:.3e})"
         )
+
+
+class StationaryResidualError(ConvergenceError):
+    """The solved law misses ``pi P = pi`` by ``last_delta`` > ``STATIONARY_RESIDUAL_TOL`` in L1."""
+
+    def __str__(self) -> str:
+        return f"stationary residual {self.last_delta:.3e} above tolerance"
 
 
 class UnreachableTargetError(Exception):
@@ -64,12 +75,12 @@ class ChainSpec:
     def size(self) -> int:
         return self.kernel.shape[0]
 
-    def validate(self, tol: float = ROW_SUM_TOL) -> None:
-        """Check row-stochasticity within ``tol``; raise on violation."""
+    def validate(self) -> None:
+        """Check row-stochasticity within ``ROW_SUM_TOL``; raise on violation."""
         sums = np.asarray(self.kernel.sum(axis=1)).ravel()
         worst = float(np.abs(sums - 1.0).max()) if sums.size else 0.0
-        if worst > tol:
-            raise ValueError(f"row sums deviate from 1 by {worst:.3e} > {tol:.0e}")
+        if worst > ROW_SUM_TOL:
+            raise ValueError(f"row sums deviate from 1 by {worst:.3e} > {ROW_SUM_TOL:.0e}")
         if self.kernel.nnz and self.kernel.data.min() < 0:
             raise ValueError("kernel has negative entries")
 
@@ -107,35 +118,30 @@ def walk_matrix(d: Dfa) -> ChainSpec:
     return make_chain(kernel)
 
 
-def product_matrix(c: ChainSpec, max_states: int = 4_000_000) -> ChainSpec:
+def product_matrix(c: ChainSpec) -> ChainSpec:
     """Kernel of two independent copies, ``P (x) P`` on pair states.
 
     Pair ``(x, x')`` is indexed row-major as ``x * n + x'``. Refuses to
-    build more than ``max_states`` states.
+    build more than ``PRODUCT_STATE_CAP`` states.
     """
     n = c.size
-    if n * n > max_states:
-        raise ValueError(f"product chain would have {n * n} states > cap {max_states}")
+    if n * n > PRODUCT_STATE_CAP:
+        raise ValueError(f"product chain would have {n * n} states > cap {PRODUCT_STATE_CAP}")
     kernel = sp.kron(c.kernel, c.kernel, format="csr")
     return make_chain(kernel)
 
 
-def stationary_distribution(
-    c: ChainSpec,
-    method: str = "auto",
-    tol: float = POWER_ITERATION_TOL,
-    max_iter: int = 10**6,
-) -> np.ndarray:
+def stationary_distribution(c: ChainSpec, method: str = "auto") -> np.ndarray:
     """Solve ``pi P = pi`` for the unique stationary law.
 
     Requires exactly one recurrent class and raises
     :class:`MultipleRecurrentClassesError` otherwise; callers sampling
     random DFAs typically resample on that error. ``method`` is ``"direct"``
     (dense solve on the recurrent class), ``"power"`` (L1 residual below
-    ``tol``), or ``"auto"`` which solves directly up to
-    ``DIRECT_SOLVE_LIMIT`` states.
-
-    The result is cached on ``c.stationary``.
+    ``POWER_ITERATION_TOL`` within ``POWER_MAX_ITER`` iterations), or
+    ``"auto"`` which solves directly up to ``DIRECT_SOLVE_LIMIT`` states.
+    A residual above ``STATIONARY_RESIDUAL_TOL`` raises
+    :class:`StationaryResidualError`; the result is cached on ``c.stationary``.
     """
     if method not in ("auto", "direct", "power"):
         raise ValueError(f"unknown method {method!r}")
@@ -149,12 +155,12 @@ def stationary_distribution(
     if method == "direct":
         pi_supp = _stationary_direct(c.kernel, support)
     else:
-        pi_supp = _stationary_power(c.kernel, support, tol, max_iter)
+        pi_supp = _stationary_power(c.kernel, support)
     pi = np.zeros(c.size)
     pi[support] = pi_supp
     residual = float(np.abs(pi @ c.kernel - pi).sum())
     if residual > STATIONARY_RESIDUAL_TOL:
-        raise RuntimeError(f"stationary residual {residual:.3e} above tolerance")
+        raise StationaryResidualError(0, residual)
     c.stationary = pi
     return pi
 
@@ -171,28 +177,29 @@ def _stationary_direct(kernel: sp.csr_array, support: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-def _stationary_power(kernel, support, tol, max_iter):
+def _stationary_power(kernel, support):
     sub = kernel[np.ix_(support, support)].tocsr()
     x = np.full(len(support), 1.0 / len(support))
     # Half-lazy iteration keeps periodic classes convergent; the residual is
     # still measured against the original kernel.
     residual = math.inf
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         x_next = 0.5 * (x + x @ sub)
         x_next /= x_next.sum()
         residual = float(np.abs(x_next @ sub - x_next).sum())
-        if residual <= tol:
+        if residual <= POWER_ITERATION_TOL:
             return x_next
         x = x_next
-    raise ConvergenceError(max_iter, residual)
+    raise ConvergenceError(POWER_MAX_ITER, residual)
 
 
-def ergodic_walk_chain(n: int, r: int, seed: int, max_resamples: int = 64):
+def ergodic_walk_chain(n: int, r: int, seed: int):
     """Generate a DFA whose walk chain has a unique recurrent class.
 
     Uniqueness of the stationary law only holds with high probability, so
     the draw is retried with seeds derived from ``(seed, k, "resample")``
-    until it does; the retry count is returned for reporting.
+    until it does, at most ``MAX_RESAMPLES`` times, then raises
+    :class:`MultipleRecurrentClassesError`; the retry count is returned for reporting.
 
     Returns ``(dfa, chain, resample_count)``.
     """
@@ -200,13 +207,13 @@ def ergodic_walk_chain(n: int, r: int, seed: int, max_resamples: int = 64):
     from .seeds import seed_split
 
     current = seed
-    for k in range(max_resamples + 1):
+    for k in range(MAX_RESAMPLES + 1):
         d = generate_dfa(n, r, current)
         chain = walk_matrix(d)
         if len(chain.recurrent_classes) == 1:
             return d, chain, k
         current = seed_split(seed, k + 1, "resample")
-    raise RuntimeError(f"no ergodic draw within {max_resamples} resamples of seed {seed}")
+    raise MultipleRecurrentClassesError(chain.recurrent_classes)
 
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
@@ -224,25 +231,24 @@ class MixingProfile:
 
     d_tv: np.ndarray
     t_mix: int | None
-    threshold: float = MIXING_THRESHOLD
 
     @property
     def mixed(self) -> bool:
         return self.t_mix is not None
 
 
-def mixing_profile(c: ChainSpec, t_cap: int, batch_size: int = 2000) -> MixingProfile:
+def mixing_profile(c: ChainSpec, t_cap: int) -> MixingProfile:
     """Compute ``d_tv(t) = max_x TV(P^t(x, .), pi)`` for ``t = 0..t_cap``.
 
     ``t_mix`` is the first ``t`` with ``d_tv(t) <= 1/(2e)``, or ``None``
-    when the cap is exhausted first (flagged, not fatal). Start states are
-    processed in row batches so memory stays at ``batch_size * N`` floats.
+    when the cap is exhausted first (flagged, not fatal). Memory stays at
+    ``MIXING_BATCH_SIZE * N`` floats: start states are processed in row batches.
     """
     pi = stationary_distribution(c)
     n = c.size
     d_tv = np.zeros(t_cap + 1)
-    for start in range(0, n, batch_size):
-        stop = min(start + batch_size, n)
+    for start in range(0, n, MIXING_BATCH_SIZE):
+        stop = min(start + MIXING_BATCH_SIZE, n)
         block = np.zeros((stop - start, n))
         block[np.arange(stop - start), np.arange(start, stop)] = 1.0
         d_tv[0] = max(d_tv[0], 0.5 * float(np.abs(block - pi).sum(axis=1).max()))
@@ -262,25 +268,20 @@ class PiExtremes:
     max_value: float
     min_threshold: float
     max_threshold: float
-    log_base: float
 
 
-def measure_pi_extremes(c: ChainSpec, log_base: float = math.e) -> PiExtremes:
+def measure_pi_extremes(c: ChainSpec) -> PiExtremes:
     """Report ``min_supp pi`` and ``max pi`` next to ``n^-1.8`` and ``log^8(n)/n``.
 
-    The log base only affects the reported thresholds, never the measured
-    values; natural log is the default.
+    The thresholds use the natural log; they never change the measured values.
     """
     pi = stationary_distribution(c)
-    support = pi > 0
     n = c.size
-    log_n = math.log(n) / math.log(log_base)
     return PiExtremes(
-        min_over_support=float(pi[support].min()),
+        min_over_support=float(pi[pi > 0].min()),
         max_value=float(pi.max()),
         min_threshold=n**-1.8,
-        max_threshold=log_n**8 / n,
-        log_base=log_base,
+        max_threshold=math.log(n) ** 8 / n,
     )
 
 

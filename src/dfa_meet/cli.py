@@ -13,6 +13,7 @@ from . import aux_chain, recipes, stats
 from .chains import (
     ConvergenceError,
     MultipleRecurrentClassesError,
+    measure_pi_extremes,
     mixing_profile,
     stationary_distribution,
     walk_matrix,
@@ -109,13 +110,13 @@ def _cmd_exact(args) -> int:
     chain = walk_matrix(d)
     pi = stationary_distribution(chain)
     profile = mixing_profile(chain, t_cap=args.t_cap)
-    support = pi[pi > 0]
+    extremes = measure_pi_extremes(chain)
     _emit({
         "n": d.n,
         "r": d.r,
         "pi": pi.tolist(),
-        "pi_min": float(support.min()),
-        "pi_max": float(pi.max()),
+        "pi_min": extremes.min_over_support,
+        "pi_max": extremes.max_value,
         "t_mix": profile.t_mix,
         "mixed_by_cap": profile.mixed,
         "d_tv_series": profile.d_tv.tolist(),

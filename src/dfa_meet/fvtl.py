@@ -44,7 +44,10 @@ Z_TERM_TOL = 1e-14
 Z_CONSECUTIVE_SMALL = 50
 Z_MAX_STEPS = 10**6
 PERRON_TOL = 1e-13
+PERRON_MAX_ITER = 10**6
+ROOT_TIE_REL_TOL = 1e-9
 RELAX_FACTOR = 1.5
+RANDOM_CHAIN_MAX_STATES = 40
 
 
 class PerronConvergenceError(ConvergenceError):
@@ -162,11 +165,12 @@ def return_series(p: Propagator) -> Iterator[float]:
         state = p.step(state)
 
 
-def relaxation_horizon(terms: Iterator[float], level: float, cap: int) -> int:
-    """Smallest ``t >= 1`` whose return-series term is at most ``level``, or ``cap``.
+def relaxation_horizon(p: Propagator, terms: Iterator[float]) -> int:
+    """Smallest ``t >= 1`` whose term is at most ``RELAX_FACTOR * mu(target)``, or ``horizon_cap``.
 
-    Reads ``terms`` (a :func:`return_series`) up to and including term ``t``.
+    Reads ``terms`` (``p``'s :func:`return_series`) up to and including term ``t``.
     """
+    level, cap = RELAX_FACTOR * p.mu_target, p.horizon_cap
     return next(t for t, q in enumerate(terms) if t >= 1 and (q <= level or t == cap))
 
 
@@ -174,7 +178,7 @@ def return_sums(p: Propagator, t_horizon: int | None = None) -> tuple[int, float
     """Horizon ``T``, return mass ``R(T)`` and ``Z(target, target)`` in one pass.
 
     ``R(T) = sum_{t<=T} Q^t(target, target)``, with ``T`` defaulting to the
-    :func:`relaxation_horizon` at ``RELAX_FACTOR * mu(target)``.
+    :func:`relaxation_horizon`.
     ``Z = sum_t (Q^t(target, target) - mu(target))`` is the
     fundamental-matrix entry; the series is summed until ``t >= T`` and
     ``Z_CONSECUTIVE_SMALL`` successive terms fall below ``Z_TERM_TOL`` in
@@ -185,7 +189,7 @@ def return_sums(p: Propagator, t_horizon: int | None = None) -> tuple[int, float
     # the horizon scan reads ahead; tee replays its terms without stepping again
     stream, scan = tee(return_series(p))
     if t_horizon is None:
-        t_horizon = relaxation_horizon(scan, RELAX_FACTOR * mu, p.horizon_cap)
+        t_horizon = relaxation_horizon(p, scan)
     terms: list[float] = []
     small = 0
     for t, q in enumerate(stream):
@@ -199,52 +203,47 @@ def return_sums(p: Propagator, t_horizon: int | None = None) -> tuple[int, float
     return t_horizon, float(series[: t_horizon + 1].sum()), float((series - mu).sum())
 
 
-def perron_pair(
-    p: Propagator, tol: float = PERRON_TOL, max_iter: int = 10**6
-) -> QuasiStationaryPair:
+def perron_pair(p: Propagator) -> QuasiStationaryPair:
     """Power iteration for the dominant left eigenpair of ``[Q]_target``.
 
     The sub-kernel is not assumed irreducible; iteration starts from the
     strictly positive ``killed_start`` and converges to the dominant closed
     class. ``mu_star`` comes back in the propagator's killed-state form.
+    Stops once successive iterates are ``PERRON_TOL`` apart in L1, and raises
+    :class:`PerronConvergenceError` after ``PERRON_MAX_ITER`` steps.
     """
     v = p.killed_start()
     delta = math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, PERRON_MAX_ITER + 1):
         # Half-lazy update: shifts the spectrum so the Perron root is the
         # unique dominant eigenvalue in modulus even for periodic classes.
         w = 0.5 * (v + p.killed_step(v))
         w /= w.sum()
         delta = float(np.abs(w - v).sum())
         v = w
-        if delta <= tol:
+        if delta <= PERRON_TOL:
             break
     else:
-        raise PerronConvergenceError(max_iter, delta)
+        raise PerronConvergenceError(PERRON_MAX_ITER, delta)
     root = float(p.killed_step(v).sum())
     return QuasiStationaryPair(lambda_star=1.0 - root, mu_star=v, iterations=it)
 
 
-def quasi_stationary_pair(
-    c: ChainSpec,
-    target: int,
-    tol: float = PERRON_TOL,
-    max_iter: int = 10**6,
-) -> QuasiStationaryPair:
+def quasi_stationary_pair(c: ChainSpec, target: int) -> QuasiStationaryPair:
     """:func:`perron_pair` of the chain seen from ``target``.
 
     A tie in the Perron root across several closed classes of the
     sub-kernel is reported via ``tied_closed_classes``.
     """
-    pair = perron_pair(TargetWalk(c, target), tol=tol, max_iter=max_iter)
+    pair = perron_pair(TargetWalk(c, target))
     keep = np.arange(c.size) != target
     sub = c.kernel[np.ix_(keep, keep)].tocsr()
     pair.tied_closed_classes = _closed_class_root_tie(sub, 1.0 - pair.lambda_star)
     return pair
 
 
-def _closed_class_root_tie(sub: sp.csr_array, root: float, rel_tol: float = 1e-9) -> bool:
-    """True when several closed classes of the sub-kernel tie for the root."""
+def _closed_class_root_tie(sub: sp.csr_array, root: float) -> bool:
+    """True when several closed classes tie for the root, to ``ROOT_TIE_REL_TOL`` relative."""
     closed = _recurrent_classes(sub)
     if len(closed) <= 1:
         return False
@@ -252,28 +251,23 @@ def _closed_class_root_tie(sub: sp.csr_array, root: float, rel_tol: float = 1e-9
     for cls in closed:
         block = sub[np.ix_(cls, cls)].toarray()
         cls_root = float(np.max(np.abs(np.linalg.eigvals(block))))
-        if abs(cls_root - root) <= rel_tol * max(root, 1e-300):
+        if abs(cls_root - root) <= ROOT_TIE_REL_TOL * max(root, 1e-300):
             at_root += 1
     return at_root > 1
 
 
-def fvtl_quantities(
-    c: ChainSpec,
-    target: int,
-    t_horizon: int | None = None,
-    compute_quasi_stationary: bool = True,
-) -> FvtlReport:
+def fvtl_quantities(c: ChainSpec, target: int) -> FvtlReport:
     """Assemble the first-visit-time report for one target state.
 
-    ``t_horizon`` defaults to the adaptive relaxation horizon of
-    :func:`return_sums`. Requires the target to carry stationary mass.
+    Uses the adaptive horizon of :func:`return_sums` and includes the
+    quasi-stationary pair. Requires the target to carry stationary mass.
     """
     mu = stationary_distribution(c)
     if mu[target] <= 0:
         raise ValueError(f"target {target} is outside the support of the stationary law")
-    t_horizon, r_mass, z_dd = return_sums(TargetWalk(c, target), t_horizon)
+    t_horizon, r_mass, z_dd = return_sums(TargetWalk(c, target))
     expected = hitting_time_expectation(c, mu, [target])
-    report = FvtlReport(
+    return FvtlReport(
         target=target,
         mu_target=float(mu[target]),
         t_horizon=t_horizon,
@@ -281,31 +275,21 @@ def fvtl_quantities(
         z_dd=z_dd,
         predicted_lambda=float(mu[target] / r_mass),
         expected_hitting_from_mu=float(expected),
+        quasi=quasi_stationary_pair(c, target),
     )
-    if compute_quasi_stationary:
-        report.quasi = quasi_stationary_pair(c, target)
-    return report
 
 
-def quasi_stationary_tail_check(
-    c: ChainSpec,
-    target: int,
-    t_max: int | None = None,
-    pair: QuasiStationaryPair | None = None,
-) -> float:
-    """``max_t |P_{mu_star}(tau > t) / (1 - lambda_star)^t - 1|`` up to ``t_max``.
+def quasi_stationary_tail_check(c: ChainSpec, target: int, pair: QuasiStationaryPair) -> float:
+    """``max_t |P_{mu_star}(tau > t) / (1 - lambda_star)^t - 1|`` up to ``ceil(10 / lambda_star)``.
 
-    The survival probabilities are iterated in normalized form, dividing by
-    ``1 - lambda_star`` each step, so no underflow occurs even for long
-    horizons. ``t_max`` defaults to ``ceil(10 / lambda_star)``.
+    ``pair`` is the chain's :func:`quasi_stationary_pair` at ``target``. The
+    survival probabilities are iterated in normalized form, dividing by
+    ``1 - lambda_star`` each step, so no underflow occurs even for long horizons.
     """
-    if pair is None:
-        pair = quasi_stationary_pair(c, target)
     if pair.lambda_star == 1.0:
         # degenerate absorption in one step: both tails are exactly zero
         return 0.0
-    if t_max is None:
-        t_max = math.ceil(10.0 / pair.lambda_star)
+    t_max = math.ceil(10.0 / pair.lambda_star)
     walk = TargetWalk(c, target)
     v = pair.mu_star
     scale = 1.0 - pair.lambda_star
@@ -348,15 +332,15 @@ def two_state_chain(p: float, q: float) -> ChainSpec:
     return make_chain(kernel)
 
 
-def random_ergodic_chain(rng: np.random.Generator, max_states: int = 40) -> ChainSpec:
-    """Random irreducible aperiodic chain with at most ``max_states`` states.
+def random_ergodic_chain(rng: np.random.Generator) -> ChainSpec:
+    """Random irreducible aperiodic chain with at most ``RANDOM_CHAIN_MAX_STATES`` states.
 
     Rows are Dirichlet-like draws, randomly sparsified; a small uniform
     self-loop keeps the chain aperiodic and draws are retried until the
     support digraph is strongly connected.
     """
     while True:
-        m = int(rng.integers(3, max_states + 1))
+        m = int(rng.integers(3, RANDOM_CHAIN_MAX_STATES + 1))
         alpha = rng.uniform(0.3, 2.0)
         rows = rng.gamma(alpha, size=(m, m))
         if rng.random() < 0.5:

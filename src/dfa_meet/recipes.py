@@ -26,14 +26,17 @@ from .simulate import (
     write_records_csv,
 )
 
-RECIPE_NAMES = (
-    "fig1-independent",
-    "fig1-coupled",
-    "fig2-coalescing",
-    "fig2-sync",
-    "thm-fvtl-suite",
-    "events-a1-a5",
-)
+_FIGURE_KEYS = frozenset({"seed", "n", "trials", "r_values"})
+# The override keys each recipe reads; any other key is an error.
+OVERRIDE_KEYS = {
+    "fig1-independent": _FIGURE_KEYS,
+    "fig1-coupled": _FIGURE_KEYS,
+    "fig2-coalescing": _FIGURE_KEYS | {"kingman_size"},
+    "fig2-sync": _FIGURE_KEYS | {"kingman_size"},
+    "thm-fvtl-suite": frozenset({"seed", "chains"}),
+    "events-a1-a5": frozenset({"seed", "n", "r_values", "eps"}),
+}
+RECIPE_NAMES = tuple(OVERRIDE_KEYS)
 
 _DEFAULT_SEEDS = {
     "fig1-independent": 101,
@@ -51,11 +54,14 @@ COAL_MEAN_BOUNDS = (1.8, 2.2)
 W1_KINGMAN_BOUND = 0.1
 IDENTITY_TOL = 1e-8
 KINGMAN_REFERENCE_SIZE = 100_000
+HIST_BIN_WIDTH = 0.1
+HIST_UPPER = 8.0
+EVENTS_SEEDS = 3
 
 
 @dataclass
 class Recipe:
-    """A named experiment with parameter overrides and an output directory."""
+    """A named experiment, its ``OVERRIDE_KEYS`` overrides and an output directory."""
 
     name: str
     overrides: dict = field(default_factory=dict)
@@ -64,6 +70,11 @@ class Recipe:
     def __post_init__(self):
         if self.name not in RECIPE_NAMES:
             raise ValueError(f"unknown recipe {self.name!r}, expected one of {RECIPE_NAMES}")
+        keys = OVERRIDE_KEYS[self.name]
+        unknown = set(self.overrides) - keys
+        if unknown:
+            raise ValueError(f"recipe {self.name!r} does not read {', '.join(sorted(unknown))}; "
+                             f"it reads {', '.join(sorted(keys))}")
         self.out_dir = Path(self.out_dir)
 
     def param(self, key, default):
@@ -91,8 +102,9 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def tau_histogram(ratios: np.ndarray, bin_width: float = 0.1, upper: float = 8.0):
-    """Histogram rows ``(left, right, count, density)`` plus an overflow bin."""
+def tau_histogram(ratios: np.ndarray):
+    """Rows ``(left, right, count, density)`` of ``HIST_BIN_WIDTH`` bins, plus an overflow bin."""
+    bin_width, upper = HIST_BIN_WIDTH, HIST_UPPER
     edges = np.round(np.arange(0.0, upper + bin_width / 2, bin_width), 10)
     counts, _ = np.histogram(ratios, bins=edges)
     total = max(len(ratios), 1)
@@ -126,7 +138,6 @@ def _run_figure_recipe(rec: Recipe, workers) -> RecipeResult:
     trials = int(rec.param("trials", 10_000 if mode in ("independent", "coupled") else 1000))
     master = int(rec.param("seed", _DEFAULT_SEEDS[rec.name]))
     r_values = tuple(rec.param("r_values", (2, 20)))
-    cap = rec.param("cap", None)
 
     artifacts: list[Path] = []
     per_r: dict[str, dict] = {}
@@ -144,7 +155,6 @@ def _run_figure_recipe(rec: Recipe, workers) -> RecipeResult:
             n=n,
             r=r,
             trials=trials,
-            cap=cap,
             dfa_policy="fresh",
         )
         records = run_experiment(manifest, workers=workers)
@@ -220,13 +230,12 @@ def _run_fvtl_suite(rec: Recipe) -> RecipeResult:
     """
     master = int(rec.param("seed", _DEFAULT_SEEDS["thm-fvtl-suite"]))
     chain_count = int(rec.param("chains", 50))
-    max_states = int(rec.param("max_states", 40))
     rows = []
     failures: list[str] = []
 
     for i in range(chain_count):
         rng = np.random.default_rng(seed_split(master, i, "fvtl-chain"))
-        chain = fvtl.random_ergodic_chain(rng, max_states=max_states)
+        chain = fvtl.random_ergodic_chain(rng)
         target = int(rng.integers(0, chain.size))
         rows.append(_fvtl_identity_row(chain, target, f"random-{i}"))
 
@@ -261,7 +270,7 @@ def _run_fvtl_suite(rec: Recipe) -> RecipeResult:
 
 
 def _fvtl_identity_row(chain, target: int, label: str) -> dict:
-    report = fvtl.fvtl_quantities(chain, target, compute_quasi_stationary=True)
+    report = fvtl.fvtl_quantities(chain, target)
     pair = report.quasi
     tail_dev = fvtl.quasi_stationary_tail_check(chain, target, pair=pair)
     qs_hitting = hitting_time_expectation(chain, pair.mu_star, [target])
@@ -280,7 +289,7 @@ def _fvtl_identity_row(chain, target: int, label: str) -> dict:
 
 
 def _run_events(rec: Recipe) -> RecipeResult:
-    """Report the five finite-n events for a few seeded instances.
+    """Report the five finite-n events for ``EVENTS_SEEDS`` seeded instances per ``r``.
 
     The events are high-probability statements; the recipe reports their
     verdicts and never fails on them.
@@ -288,21 +297,16 @@ def _run_events(rec: Recipe) -> RecipeResult:
     master = int(rec.param("seed", _DEFAULT_SEEDS["events-a1-a5"]))
     n = int(rec.param("n", 300))
     r_values = tuple(rec.param("r_values", (2,)))
-    seeds = int(rec.param("seeds", 3))
     eps = float(rec.param("eps", 0.15))
-    t_horizon = rec.param("t_horizon", None)
-    s_horizon = rec.param("s_horizon", None)
 
     rows = []
     for r in r_values:
-        for i in range(seeds):
+        for i in range(EVENTS_SEEDS):
             dfa_seed = seed_split(master, i, f"events-r{r}")
             d, chain, resamples = ergodic_walk_chain(n, r, dfa_seed)
             stationary_distribution(chain)
             aux = aux_chain.build_aux_chain(chain)
-            report = aux_chain.check_events(
-                aux, eps=eps, t_horizon=t_horizon, s_horizon=s_horizon
-            )
+            report = aux_chain.check_events(aux, eps=eps)
             row = report.as_dict()
             row.update({"seed_index": i, "dfa_seed": dfa_seed, "resamples": resamples})
             rows.append(row)

@@ -282,21 +282,20 @@ def sample_meeting_independent_batch(
     return taus, censored
 
 
-def sample_kingman_reference(n: int, seed, size: int | None = None):
+def sample_kingman_reference(n: int, seed, size: int) -> np.ndarray:
     """Sum of independent exponentials of rate ``i*(i-1)/2``, ``i = 2..n``.
 
     This is the coalescent limit law of the coalescence time in units of
-    ``n``, truncated at the initial number of walkers. Returns a scalar,
-    or an array of ``size`` independent replicas.
+    ``n``, truncated at the initial number of walkers. Returns an array of
+    ``size`` independent replicas.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     rng = np.random.default_rng(seed)
-    count = 1 if size is None else size
-    total = np.zeros(count)
+    total = np.zeros(size)
     for i in range(2, n + 1):
-        total += rng.exponential(scale=2.0 / (i * (i - 1)), size=count)
-    return float(total[0]) if size is None else total
+        total += rng.exponential(scale=2.0 / (i * (i - 1)), size=size)
+    return total
 
 
 def _draw_uniform_distinct_pair(rng, n: int) -> tuple[int, int]:
@@ -343,14 +342,18 @@ def _read_fixed_dfa(manifest: RunManifest) -> Dfa:
 def resolve_workers(workers: int | None = None) -> int:
     """Explicit argument, then the DFA_MEET_THREADS variable, then CPU count.
 
-    A count below 1 from the argument or the variable is a ``ValueError``.
+    A non-integer variable or a count below 1 is a ``ValueError`` naming its source.
     """
     source = f"workers={workers}"
     if workers is None:
         env = os.environ.get(THREADS_ENV_VAR)
         if not env:
             return os.cpu_count() or 1
-        source, workers = f"{THREADS_ENV_VAR}={env}", int(env)
+        source = f"{THREADS_ENV_VAR}={env}"
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ValueError(f"{source}: the worker count must be an integer") from None
     if workers < 1:
         raise ValueError(f"{source}: the worker count must be at least 1")
     return workers

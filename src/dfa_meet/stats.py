@@ -29,9 +29,6 @@ class EmpiricalDist:
     def count(self) -> int:
         return int(self.values.size)
 
-    def scaled(self, factor: float) -> "EmpiricalDist":
-        return EmpiricalDist(values=self.values * factor, censored_count=self.censored_count)
-
 
 @dataclass
 class FitReport:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from dfa_meet import aux_chain, fvtl
 from dfa_meet.aux_chain import (
     AuxChain,
     AuxChainError,
@@ -210,18 +211,22 @@ def test_check_events_uniform_chain_closed_forms():
     assert report.a5
 
 
-def test_check_events_sampled_mode_kicks_in():
+def test_check_events_sampled_mode_kicks_in(monkeypatch):
     aux = small_aux(70, 2, seed=0)
-    report = check_events(aux, eps=0.5, t_horizon=30, s_horizon=25, a4_samples=10, seed=1)
+    monkeypatch.setattr(aux_chain, "A4_SAMPLES", 10)
+    monkeypatch.setattr(aux_chain, "A4_SEED", 1)
+    report = check_events(aux, eps=0.5, t_horizon=30, s_horizon=25)
     assert report.tv_mode == "sampled"
     assert 0 <= report.max_tv_at_s <= 1
 
 
-def test_sampled_tv_matches_explicit_chain():
+def test_sampled_tv_matches_explicit_chain(monkeypatch):
     """The sampled A4 estimate is the exact TV distance after S steps from
     the diagonal state and the same seeded pair starts."""
     aux = small_aux(12, 2, seed=3)
     s_horizon, samples, seed = 6, 15, 4
+    monkeypatch.setattr(aux_chain, "A4_SAMPLES", samples)
+    monkeypatch.setattr(aux_chain, "A4_SEED", seed)
     chain = aux.to_chain_spec()
     rng = np.random.default_rng(seed)
     starts = [aux.delta_index]
@@ -235,7 +240,7 @@ def test_sampled_tv_matches_explicit_chain():
         nu = nu @ chain.kernel
     expected = 0.5 * np.abs(nu - chain.stationary).sum(axis=1).max()
     assert expected > 1e-3  # not yet mixed, so the comparison has teeth
-    assert _max_tv_sampled(aux, s_horizon, samples, seed) == pytest.approx(expected, abs=1e-12)
+    assert _max_tv_sampled(aux, s_horizon) == pytest.approx(expected, abs=1e-12)
 
 
 def test_geometric_sojourn_at_delta():
@@ -289,9 +294,11 @@ def test_aux_quasi_stationary_matches_generic():
     assert np.abs(flat - pair.mu_star).max() < 1e-9
 
 
-def test_aux_perron_error_carries_iteration_count():
+def test_aux_perron_error_carries_iteration_count(monkeypatch):
+    aux = small_aux(9, 2, seed=5)
+    monkeypatch.setattr(fvtl, "PERRON_MAX_ITER", 1)
     with pytest.raises(PerronConvergenceError) as err:
-        perron_pair(small_aux(9, 2, seed=5), max_iter=1)
+        perron_pair(aux)
     assert err.value.iterations == 1
     assert err.value.last_delta > 0
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from dfa_meet import chains
 from dfa_meet.chains import (
     ConvergenceError,
     MultipleRecurrentClassesError,
@@ -70,15 +71,17 @@ def test_product_matrix_uniform_case():
 
 
 def test_product_matrix_memory_guard():
-    d = generate_dfa(10, 2, seed=0)
+    # 2001^2 pair states exceed PRODUCT_STATE_CAP; the guard fires before kron
+    d = generate_dfa(2001, 2, seed=0)
     with pytest.raises(ValueError, match="cap"):
-        product_matrix(walk_matrix(d), max_states=50)
+        product_matrix(walk_matrix(d))
 
 
-def test_power_iteration_failure_is_typed():
+def test_power_iteration_failure_is_typed(monkeypatch):
     _, chain, _ = ergodic_walk_chain(30, 2, seed=4)
+    monkeypatch.setattr(chains, "POWER_MAX_ITER", 1)
     with pytest.raises(ConvergenceError) as err:
-        stationary_distribution(chain, method="power", max_iter=1)
+        stationary_distribution(chain, method="power")
     assert err.value.iterations == 1
     assert err.value.last_delta > 0
 
@@ -149,6 +152,15 @@ def test_ergodic_walk_chain_records_resamples():
     d, chain, resamples = ergodic_walk_chain(30, 2, seed=0)
     assert len(chain.recurrent_classes) == 1
     assert resamples >= 0
+
+
+def test_ergodic_walk_chain_out_of_resamples_is_typed(monkeypatch):
+    # the first draw at this seed has two recurrent classes
+    assert len(walk_matrix(generate_dfa(6, 2, 157)).recurrent_classes) == 2
+    monkeypatch.setattr(chains, "MAX_RESAMPLES", 0)
+    with pytest.raises(MultipleRecurrentClassesError) as err:
+        ergodic_walk_chain(6, 2, 157)
+    assert len(err.value.classes) == 2
 
 
 def test_tv_distance_basics():

@@ -138,9 +138,10 @@ def test_simulate_rejects_worker_counts_below_one(tmp_path, dfa_file, monkeypatc
     for threads in ("0", "-5"):
         assert main(argv + ["--threads", threads]) == 1
         assert f"workers={threads}:" in capsys.readouterr().err
-    monkeypatch.setenv("DFA_MEET_THREADS", "0")
-    assert main(argv) == 1
-    assert "DFA_MEET_THREADS=0:" in capsys.readouterr().err
+    for value in ("0", "abc"):
+        monkeypatch.setenv("DFA_MEET_THREADS", value)
+        assert main(argv) == 1
+        assert f"DFA_MEET_THREADS={value}:" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -191,6 +192,23 @@ def test_recipe_with_oversized_r_exits_one(tmp_path, capsys):
                  "--out-dir", str(tmp_path)])
     assert code == 1
     assert "index" in capsys.readouterr().err
+
+
+def test_recipe_rejects_flags_it_does_not_read(tmp_path, capsys):
+    code = main(["recipe", "thm-fvtl-suite", "--trials", "5", "--eps", "0.3",
+                 "--r-values", "7", "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: recipe 'thm-fvtl-suite' does not read" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_stationary_residual_failure_exits_one(dfa_file, monkeypatch, capsys):
+    from dfa_meet import chains
+
+    monkeypatch.setattr(chains, "STATIONARY_RESIDUAL_TOL", -1.0)
+    assert main(["exact", "--dfa", str(dfa_file)]) == 1
+    assert "error: stationary residual" in capsys.readouterr().err
 
 
 def test_convergence_failure_exits_one(dfa_file, monkeypatch, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from dfa_meet import fvtl
 from dfa_meet.chains import (
     ergodic_walk_chain,
     hitting_time_expectation,
@@ -39,14 +40,17 @@ def test_two_state_closed_forms():
 
 
 def test_two_state_tail_exact():
-    chain = two_state_chain(0.3, 0.6)
-    assert quasi_stationary_tail_check(chain, 1, t_max=200) < 1e-12
+    # the check runs to ceil(10 / lambda_star): 34 steps here, 200 at p = 0.05
+    for p in (0.3, 0.05):
+        chain = two_state_chain(p, 0.6)
+        pair = quasi_stationary_pair(chain, 1)
+        assert quasi_stationary_tail_check(chain, 1, pair) < 1e-12
 
 
 def test_fundamental_identity_random_chains():
     for seed in range(8):
         rng = np.random.default_rng(seed)
-        chain = random_ergodic_chain(rng, max_states=40)
+        chain = random_ergodic_chain(rng)
         target = int(rng.integers(0, chain.size))
         mu = stationary_distribution(chain)
         _, _, z = return_sums(TargetWalk(chain, target))
@@ -54,10 +58,11 @@ def test_fundamental_identity_random_chains():
         assert abs(expected - z / mu[target]) <= 1e-8
 
 
-def test_quasi_stationary_geometric_mean():
+def test_quasi_stationary_geometric_mean(monkeypatch):
+    monkeypatch.setattr(fvtl, "RANDOM_CHAIN_MAX_STATES", 30)
     for seed in range(5):
         rng = np.random.default_rng(100 + seed)
-        chain = random_ergodic_chain(rng, max_states=30)
+        chain = random_ergodic_chain(rng)
         target = int(rng.integers(0, chain.size))
         pair = quasi_stationary_pair(chain, target)
         expected = hitting_time_expectation(chain, pair.mu_star, [target])
@@ -65,9 +70,10 @@ def test_quasi_stationary_geometric_mean():
         assert quasi_stationary_tail_check(chain, target, pair=pair) <= 1e-8
 
 
-def test_fvtl_quantities_report_fields():
+def test_fvtl_quantities_report_fields(monkeypatch):
+    monkeypatch.setattr(fvtl, "RANDOM_CHAIN_MAX_STATES", 25)
     rng = np.random.default_rng(7)
-    chain = random_ergodic_chain(rng, max_states=25)
+    chain = random_ergodic_chain(rng)
     report = fvtl_quantities(chain, 0)
     assert report.return_mass >= 1.0
     assert 0 < report.predicted_lambda < 1
@@ -97,11 +103,13 @@ def test_degenerate_one_step_absorption():
     assert quasi_stationary_tail_check(chain, 1, pair=pair) == 0.0
 
 
-def test_perron_error_carries_diagnostics():
+def test_perron_error_carries_diagnostics(monkeypatch):
+    monkeypatch.setattr(fvtl, "RANDOM_CHAIN_MAX_STATES", 20)
     rng = np.random.default_rng(3)
-    chain = random_ergodic_chain(rng, max_states=20)
+    chain = random_ergodic_chain(rng)
+    monkeypatch.setattr(fvtl, "PERRON_MAX_ITER", 1)
     with pytest.raises(PerronConvergenceError) as err:
-        quasi_stationary_pair(chain, 0, max_iter=1)
+        quasi_stationary_pair(chain, 0)
     assert err.value.iterations == 1
     assert err.value.last_delta > 0
 

@@ -84,16 +84,21 @@ def test_fvtl_suite_recipe(tmp_path):
     assert report["chains"] == 6 + 5  # random chains plus the two-state family
 
 
+def test_recipes_reject_overrides_they_do_not_read():
+    with pytest.raises(ValueError, match="'thm-fvtl-suite' does not read trials; it reads chains"):
+        Recipe("thm-fvtl-suite", overrides={"chains": 3, "trials": 5})
+    with pytest.raises(ValueError, match="'fig1-coupled' does not read kingman_size;"):
+        Recipe("fig1-coupled", overrides={"kingman_size": 10})
+    with pytest.raises(ValueError, match="'events-a1-a5' does not read seeds;"):
+        Recipe("events-a1-a5", overrides={"seeds": 2})
+
+
 def test_events_recipe(tmp_path):
-    rec = Recipe(
-        "events-a1-a5",
-        overrides={"n": 25, "seeds": 2, "t_horizon": 40, "s_horizon": 12},
-        out_dir=tmp_path,
-    )
+    rec = Recipe("events-a1-a5", overrides={"n": 25}, out_dir=tmp_path)
     result = run_recipe(rec)
     assert result.exit_code == 0
     rows = result.summary["rows"]
-    assert len(rows) == 2
+    assert len(rows) == 3
     for row in rows:
         assert {"a1", "a2", "a3", "a4", "a5", "n_pi_tilde_delta"} <= set(row)
         assert row["tv_mode"] == "exact"

@@ -135,8 +135,8 @@ def test_kingman_reference_moments():
     # telescoping mean: 2 (1 - 1/n)
     draws = sample_kingman_reference(1000, seed=1, size=100_000)
     assert abs(draws.mean() - 2 * (1 - 1 / 1000)) <= 0.02
-    scalar = sample_kingman_reference(5, seed=2)
-    assert isinstance(scalar, float) and scalar > 0
+    draws = sample_kingman_reference(5, seed=2, size=3)
+    assert draws.shape == (3,) and (draws > 0).all()
 
 
 def test_censoring_at_cap():

@@ -65,7 +65,6 @@ from .simulate import (
     sample_meeting_independent,
     sample_meeting_independent_batch,
     sample_sync,
-    sync_image_sizes,
     write_records_csv,
 )
 from .stats import EmpiricalDist, FitReport, geometric_tail_fit, ks_distance, w1_distance

@@ -229,7 +229,8 @@ def _cmd_recipe(args) -> int:
         overrides["eps"] = args.eps
     out_dir = args.out_dir if args.out_dir is not None else Path("recipe-out") / args.name
     rec = recipes.Recipe(name=args.name, overrides=overrides, out_dir=out_dir)
-    result = recipes.run_recipe(rec, workers=resolve_workers(args.threads))
+    workers = None if args.threads is None else resolve_workers(args.threads)
+    result = recipes.run_recipe(rec, workers=workers)
     for failure in result.summary.get("failures", []):
         print(f"FAIL {failure}", file=sys.stderr)
     print(f"recipe {result.name}: exit {result.exit_code}; artifacts in {out_dir}",

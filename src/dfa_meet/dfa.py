@@ -98,9 +98,16 @@ def generate_dfa(n: int, r: int, seed) -> Dfa:
     """Draw a DFA uniformly at random among all one-to-one out-maps.
 
     Every vertex independently picks an ordered ``r``-tuple of distinct
-    targets, uniformly over the ``n * (n-1) * ... * (n-r+1)`` possibilities.
-    Sampling uses a partial Fisher-Yates pass over a shared scratch array
-    (exact, O(r) per vertex after the swaps are undone).
+    targets, uniformly over the ``n * (n-1) * ... * (n-r+1)`` possibilities,
+    by the first ``r`` swaps of a Fisher-Yates shuffle of ``0..n-1``. Swap
+    ``k`` exchanges position ``k`` with a drawn jump in ``[k, n)``, so a
+    vertex touches only positions ``0..r-1`` and its own jumps. Each vertex
+    keeps a compact row of ``2 * r`` slots: position ``p < r`` is slot ``p``,
+    and a jump ``j >= r`` is slot ``r`` plus the rank of its first copy among
+    the row's sorted jumps, so a repeated jump finds its earlier swap. One
+    row-wise sort of the jumps gives those ranks, and the ``r`` swaps then
+    run for all vertices at once: ``O(r)`` numpy passes and
+    ``O(n * r * log r)`` work in total.
 
     Parameters
     ----------
@@ -114,18 +121,30 @@ def generate_dfa(n: int, r: int, seed) -> Dfa:
     rng = np.random.default_rng(seed)
     # Swap positions are drawn column-by-column so the stream layout is a
     # frozen part of the generator contract.
-    jumps = [rng.integers(k, n, size=n).tolist() for k in range(r)]
-    out = np.empty((n, r), dtype=np.int64)
-    scratch = list(range(n))
-    for v in range(n):
-        for k in range(r):
-            j = jumps[k][v]
-            scratch[k], scratch[j] = scratch[j], scratch[k]
-            out[v, k] = scratch[k]
-        for k in range(r - 1, -1, -1):
-            j = jumps[k][v]
-            scratch[k], scratch[j] = scratch[j], scratch[k]
-    return Dfa(n=n, r=r, out=out)
+    jumps = np.column_stack([rng.integers(k, n, size=n) for k in range(r)])
+    cols = np.arange(r)
+    rows = np.arange(0, n * r, r)[:, None]
+    order = np.argsort(jumps, axis=1)
+    ranked = np.sort(jumps, axis=1)
+    # rank of each sorted jump's first copy in its row
+    first = np.zeros((n, r), dtype=np.int64)
+    first[:, 1:] = np.where(ranked[:, 1:] != ranked[:, :-1], cols[1:], 0)
+    np.maximum.accumulate(first, axis=1, out=first)
+    rank = np.empty((n, r), dtype=np.int64)
+    rank.ravel()[order + rows] = first
+    # flat index, in the (n, 2r) scratch, of the slot swap k exchanges with slot k
+    there = np.where(jumps < r, jumps, rank + r) + 2 * rows
+
+    scratch = np.empty((n, 2 * r), dtype=np.int64)
+    scratch[:, :r] = cols
+    scratch[:, r:] = ranked
+    flat = scratch.ravel()
+    # swap k only touches slot k and slots past it, so column k is final after it
+    for k in range(r):
+        moved = flat[there[:, k]]
+        flat[there[:, k]] = scratch[:, k]
+        scratch[:, k] = moved
+    return Dfa(n=n, r=r, out=scratch[:, :r])
 
 
 def apply_word(d: Dfa, v: int, w: Word) -> int:

@@ -27,6 +27,13 @@ from .simulate import (
 )
 
 _FIGURE_KEYS = frozenset({"seed", "n", "trials", "r_values"})
+# The figure recipes and the sampler mode each runs on the worker pool.
+_FIGURE_MODES = {
+    "fig1-independent": "independent",
+    "fig1-coupled": "coupled",
+    "fig2-coalescing": "coalescing",
+    "fig2-sync": "sync",
+}
 # The override keys each recipe reads; any other key is an error.
 OVERRIDE_KEYS = {
     "fig1-independent": _FIGURE_KEYS,
@@ -90,8 +97,12 @@ class RecipeResult:
 
 
 def run_recipe(rec: Recipe, workers: int | None = None) -> RecipeResult:
+    """Run a recipe; only the figure recipes use a worker pool and take ``workers``."""
+    figure = rec.name in _FIGURE_MODES
+    if workers is not None and not figure:
+        raise ValueError(f"recipe {rec.name!r} runs serially and takes no worker count")
     rec.out_dir.mkdir(parents=True, exist_ok=True)
-    if rec.name in ("fig1-independent", "fig1-coupled", "fig2-coalescing", "fig2-sync"):
+    if figure:
         return _run_figure_recipe(rec, workers)
     if rec.name == "thm-fvtl-suite":
         return _run_fvtl_suite(rec)
@@ -128,12 +139,7 @@ def _write_histogram(path: Path, rows) -> None:
 
 
 def _run_figure_recipe(rec: Recipe, workers) -> RecipeResult:
-    mode = {
-        "fig1-independent": "independent",
-        "fig1-coupled": "coupled",
-        "fig2-coalescing": "coalescing",
-        "fig2-sync": "sync",
-    }[rec.name]
+    mode = _FIGURE_MODES[rec.name]
     n = int(rec.param("n", 1000))
     trials = int(rec.param("trials", 10_000 if mode in ("independent", "coupled") else 1000))
     master = int(rec.param("seed", _DEFAULT_SEEDS[rec.name]))

@@ -7,18 +7,27 @@ from its derived seed alone and results are independent of worker count:
 * pair walks draw colors in flat blocks of ``2 * COLOR_CHUNK`` (step-major,
   first walk then second walk within a step); coupled walks and the
   synchronization mode draw blocks of ``COLOR_CHUNK`` single colors;
-* the coalescing mode draws one color per cluster per step, clusters
+* the coalescing mode reads one color per cluster per step, clusters
   ordered by increasing current position;
 * uniform-random-distinct starts cost two integer draws (second shifted
   around the first);
 * with a fresh automaton per trial, the automaton is generated from the
   trial stream before anything else.
+
+Successive ``Generator.integers(0, r, size=k)`` calls return the values
+of one block draw of the summed size (``tests/test_streams.py`` checks
+this). So the coalescing mode reads its colors from ``COLOR_CHUNK`` blocks
+and still sees the values of one ``k``-color draw per step for ``k``
+clusters. Every sampler may draw past its stopping step: where the
+generator stands after a sampler returns is not part of the contract, and
+nothing draws from a trial stream after its sampler.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 import os
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -151,11 +160,20 @@ def sample_coalescence(d: Dfa, cap: int, seed, trial: int = 0, walkers=None) -> 
 
     Walks start from every vertex; ``walkers`` restricts the start set
     (debug mode: with two walkers this has the law of the independent
-    meeting time). Clusters draw colors in increasing order of their
-    current position.
+    meeting time). Clusters take colors in increasing order of their
+    current position, from ``COLOR_CHUNK`` blocks that equal one draw per
+    step; the last block may run past the stopping step.
     """
+    if walkers is None:
+        starts = range(d.n)
+    else:
+        starts = [operator.index(v) for v in walkers]
+        if not starts:
+            raise ValueError("walkers must name at least one start vertex")
+        for v in starts:
+            _check_start(d, v)
     rng = np.random.default_rng(seed)
-    tau, censored = _coalesce(d, cap, rng, walkers)
+    tau, censored = _coalesce(d, cap, rng, starts)
     return _record("coalescing", d, None, None, tau, censored, seed, trial)
 
 
@@ -164,7 +182,8 @@ def sample_sync(d: Dfa, cap: int, seed, trial: int = 0) -> TrialRecord:
 
     Tracks the image set of the whole vertex set under the word read so
     far; non-synchronizable automata exist, so censoring at the cap is an
-    expected occasional outcome.
+    expected occasional outcome. The word is read from ``COLOR_CHUNK``
+    blocks, the last of which may run past the stopping step.
     """
     rng = np.random.default_rng(seed)
     tau, censored = _sync(d, cap, rng)
@@ -205,47 +224,35 @@ def _meet_coupled(out_flat: list, r: int, x: int, y: int, cap: int, rng) -> tupl
     return cap, True
 
 
-def _coalesce(d: Dfa, cap: int, rng, walkers=None) -> tuple[int, bool]:
-    positions = np.arange(d.n) if walkers is None else np.unique(np.asarray(walkers))
-    out = d.out
-    if positions.size == 1:
+def _colors(rng, r: int):
+    """Endless uniform colors from blocks of ``COLOR_CHUNK`` draws."""
+    while True:
+        yield from rng.integers(0, r, size=COLOR_CHUNK).tolist()
+
+
+def _coalesce(d: Dfa, cap: int, rng, starts) -> tuple[int, bool]:
+    r = d.r
+    out_flat = d.out.ravel().tolist()
+    positions = sorted(set(starts))
+    if len(positions) == 1:
         return 0, False
+    colors = _colors(rng, r)
     for t in range(1, cap + 1):
-        colors = rng.integers(0, d.r, size=positions.size)
-        positions = np.unique(out[positions, colors])
-        if positions.size == 1:
+        # zip stops at the last cluster, so each step takes one color per cluster
+        positions = sorted({out_flat[x * r + c] for x, c in zip(positions, colors)})
+        if len(positions) == 1:
             return t, False
     return cap, True
 
 
-def _image_step(out: np.ndarray, image: np.ndarray, color: int) -> np.ndarray:
-    return np.unique(out[image, color])
-
-
-def sync_image_sizes(d: Dfa, letters) -> list[int]:
-    """Sizes of the whole-vertex-set image along a word, ``|S_0|, |S_1|, ...``."""
-    image = np.arange(d.n)
-    sizes = [int(image.size)]
-    for c in letters:
-        image = _image_step(d.out, image, int(c))
-        sizes.append(int(image.size))
-    return sizes
-
-
 def _sync(d: Dfa, cap: int, rng) -> tuple[int, bool]:
-    image = np.arange(d.n)
-    out = d.out
-    t = 0
-    while t < cap:
-        if image.size == 1:
+    r = d.r
+    out_flat = d.out.ravel().tolist()
+    image = range(d.n)
+    for t, c in zip(range(1, cap + 1), _colors(rng, r)):
+        image = {out_flat[x * r + c] for x in image}
+        if len(image) == 1:
             return t, False
-        m = min(COLOR_CHUNK, cap - t)
-        colors = rng.integers(0, d.r, size=m).tolist()
-        for c in colors:
-            image = _image_step(out, image, c)
-            t += 1
-            if image.size == 1:
-                return t, False
     return cap, True
 
 

@@ -203,6 +203,14 @@ def test_recipe_rejects_flags_it_does_not_read(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("name", ["events-a1-a5", "thm-fvtl-suite"])
+def test_serial_recipes_reject_threads(tmp_path, capsys, name):
+    code = main(["recipe", name, "--threads", "4", "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert f"error: recipe '{name}' runs serially" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_stationary_residual_failure_exits_one(dfa_file, monkeypatch, capsys):
     from dfa_meet import chains
 

@@ -37,6 +37,35 @@ def test_generate_deterministic():
     assert generate_dfa(5, 2, seed=43) != a
 
 
+def swap_loop_dfa(n, r, seed):
+    """Reference generator: the partial Fisher-Yates loop, one vertex at a time."""
+    rng = np.random.default_rng(seed)
+    jumps = [rng.integers(k, n, size=n).tolist() for k in range(r)]
+    out = np.empty((n, r), dtype=np.int64)
+    scratch = list(range(n))
+    for v in range(n):
+        for k in range(r):
+            j = jumps[k][v]
+            scratch[k], scratch[j] = scratch[j], scratch[k]
+            out[v, k] = scratch[k]
+        for k in range(r - 1, -1, -1):
+            j = jumps[k][v]
+            scratch[k], scratch[j] = scratch[j], scratch[k]
+    return out, int(rng.integers(0, 2**62))
+
+
+def test_generate_matches_swap_loop_reference():
+    cases = [(2, 2), (3, 3), (4, 2), (9, 9), (50, 3), (64, 40), (120, 119)]
+    draw = np.random.default_rng(2)
+    cases += [(int(n), int(draw.integers(2, n + 1))) for n in draw.integers(2, 90, size=60)]
+    for seed, (n, r) in enumerate(cases):
+        rng = np.random.default_rng(seed)
+        out = generate_dfa(n, r, rng).out
+        expected, next_draw = swap_loop_dfa(n, r, seed)
+        np.testing.assert_array_equal(out, expected)
+        assert int(rng.integers(0, 2**62)) == next_draw
+
+
 def test_generate_rejects_bad_sizes():
     with pytest.raises(DfaError):
         generate_dfa(1, 2, seed=0)

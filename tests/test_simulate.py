@@ -1,8 +1,10 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from dfa_meet import simulate
 from dfa_meet.chains import hitting_time_expectation, product_matrix, walk_matrix
 from dfa_meet.dfa import Dfa, generate_dfa
 from dfa_meet.seeds import seed_split
@@ -18,10 +20,19 @@ from dfa_meet.simulate import (
     sample_meeting_independent,
     sample_meeting_independent_batch,
     sample_sync,
-    sync_image_sizes,
     write_records_csv,
 )
 from tests.test_chains import full_image_dfa
+
+
+def sync_image_sizes(d, letters):
+    """Oracle: sizes of the whole-vertex-set image along a word, ``|S_0|, |S_1|, ...``."""
+    image = np.arange(d.n)
+    sizes = [int(image.size)]
+    for c in letters:
+        image = np.unique(d.out[image, int(c)])
+        sizes.append(int(image.size))
+    return sizes
 
 
 def constant_color_dfa(n, r):
@@ -114,6 +125,60 @@ def test_sync_image_sizes_non_increasing():
         assert all(b <= a for a, b in zip(sizes, sizes[1:]))
 
 
+def coalescence_oracle(d, cap, seed, walkers=None):
+    """Reference: one numpy draw per step, one color per cluster in increasing position."""
+    rng = np.random.default_rng(seed)
+    positions = np.unique(np.arange(d.n) if walkers is None else np.asarray(walkers))
+    if positions.size == 1:
+        return 0, False
+    for t in range(1, cap + 1):
+        positions = np.unique(d.out[positions, rng.integers(0, d.r, size=positions.size)])
+        if positions.size == 1:
+            return t, False
+    return cap, True
+
+
+@pytest.mark.parametrize("chunk", [7, simulate.COLOR_CHUNK])
+def test_coalescence_matches_per_step_draw_oracle(monkeypatch, chunk):
+    monkeypatch.setattr(simulate, "COLOR_CHUNK", chunk)
+    for n, r, cap in ((2, 2, 4), (5, 3, 1), (17, 3, 3), (17, 2, 1000), (60, 5, 5000)):
+        for seed in range(6):
+            d = generate_dfa(n, r, seed)
+            for walkers in (None, [0, n - 1], list(range(1, n, 3))):
+                rec = sample_coalescence(d, cap, seed=seed + 9, walkers=walkers)
+                assert (rec.tau, rec.censored) == coalescence_oracle(d, cap, seed + 9, walkers)
+
+
+@pytest.mark.parametrize("chunk", [7, simulate.COLOR_CHUNK])
+def test_sync_tau_is_first_singleton_image_of_block_word(monkeypatch, chunk):
+    """The sync sampler stops where the oracle's image of the block-drawn word is one vertex."""
+    monkeypatch.setattr(simulate, "COLOR_CHUNK", chunk)
+    for n, r, cap in ((2, 2, 5), (17, 3, 1000), (40, 2, 3), (60, 2, 2000), (60, 5, 400)):
+        for seed in range(8):
+            d = generate_dfa(n, r, seed)
+            rec = sample_sync(d, cap, seed=seed + 50)
+            rng = np.random.default_rng(seed + 50)
+            blocks = -(-cap // chunk)
+            word = np.concatenate([rng.integers(0, r, size=chunk) for _ in range(blocks)])[:cap]
+            sizes = sync_image_sizes(d, word)
+            hits = [t for t, size in enumerate(sizes) if size == 1]
+            assert (rec.tau, rec.censored) == ((hits[0], False) if hits else (cap, True))
+
+
+def test_coalescence_rejects_walkers_outside_the_vertex_set():
+    d = generate_dfa(20, 2, seed=0)
+    for walkers in ([-1, 5], [5, 20], [3, 2**40]):
+        with pytest.raises(ValueError, match="start vertex .* outside \\[0, 20\\)"):
+            sample_coalescence(d, 100, seed=1, walkers=walkers)
+    with pytest.raises(ValueError, match="at least one"):
+        sample_coalescence(d, 100, seed=1, walkers=[])
+    with pytest.raises(TypeError):
+        sample_coalescence(d, 100, seed=1, walkers=[1.5, 3])
+    assert sample_coalescence(d, 100, seed=1, walkers=[19, 5, 19]) == sample_coalescence(
+        d, 100, seed=1, walkers=np.array([5, 19]))
+    assert sample_coalescence(d, 100, seed=1, walkers=[7]).tau == 0
+
+
 def test_batch_sampler_matches_per_trial_distribution():
     from dfa_meet.stats import EmpiricalDist, ks_two_sample
 
@@ -162,6 +227,34 @@ def test_run_experiment_deterministic_and_worker_independent(tmp_path):
     write_records_csv(a, p1)
     write_records_csv(b, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_spawned_workers_write_the_serial_bytes(tmp_path, monkeypatch):
+    """Workers in clean interpreters reproduce a serial run, fresh and fixed DFA."""
+    from dfa_meet.dfa import serialize_dfa
+
+    dfa_path = tmp_path / "dfa.json"
+    dfa_path.write_text(serialize_dfa(generate_dfa(40, 2, seed=3)))
+    manifests = [
+        RunManifest(master_seed=8, mode=mode, n=40, r=2, trials=24, dfa_policy=policy,
+                    dfa_path=str(dfa_path) if policy == "fixed" else None)
+        for mode in ("coalescing", "sync") for policy in ("fresh", "fixed")
+    ]
+    serial = [run_experiment(m, workers=1) for m in manifests]
+    spawn = multiprocessing.get_context("spawn")
+    pools = []
+
+    def spawn_pool(processes):
+        pools.append(processes)
+        return spawn.Pool(processes)
+
+    monkeypatch.setattr(multiprocessing, "Pool", spawn_pool)
+    for i, (manifest, expected) in enumerate(zip(manifests, serial)):
+        one, two = tmp_path / f"{i}-serial.csv", tmp_path / f"{i}-spawn.csv"
+        write_records_csv(expected, one)
+        write_records_csv(run_experiment(manifest, workers=2), two)
+        assert one.read_bytes() == two.read_bytes()
+    assert pools == [2] * len(manifests)
 
 
 def test_trial_replay_from_derived_seed():

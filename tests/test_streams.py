@@ -1,9 +1,10 @@
 """Golden digests that pin the DFA generator stream and the per-mode trial streams.
 
 A fast path that changes one output byte fails here. The goldens were
-written by the reference implementation; to see what a change computes,
-run ``PYTHONPATH=src python -m tests.test_streams`` and compare its JSON
-with the files under ``tests/data``.
+written by the one-vertex-at-a-time swap loop and the per-step
+``np.unique`` samplers that the fast paths replaced. To see what the
+current code computes, run ``PYTHONPATH=src python -m tests.test_streams``
+and compare its JSON with the files under ``tests/data``.
 """
 
 import hashlib

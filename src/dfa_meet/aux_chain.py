@@ -16,13 +16,19 @@ step is ``K^T M K`` followed by ``diag <- trace * w``: two
 sparse-times-dense products regardless of alphabet size. In this form
 ``pi_tilde`` is ``outer(pi, pi)``. An explicit sparse kernel over the
 ``n*(n-1) + 1`` states is also available for small instances.
+
+Event scans stop a pair-chain run once its total-variation distance to
+``pi_tilde`` is certified small (:func:`_certified_scan`). The distance to
+the exact stationary law never increases along a run, so, up to the
+distance between that law and the computed ``outer(pi, pi)``, it bounds
+the distance, and the error of the diagonal mass, at every later step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,6 +47,14 @@ KERNEL_NNZ_CAP = 30_000_000
 A4_EXACT_LIMIT = 60
 A4_SAMPLES = 200
 A4_SEED = 0
+# Above the rounding floor of the pair-chain TV (about 4e-15 at n = 1000),
+# and small enough that (T - t0) * TV_STOP_LEVEL stays far below 1e-9 * R.
+TV_STOP_LEVEL = 1e-12
+TV_CHECK_EVERY = 8
+# Scans stop early only if outer(pi, pi) misses stationarity by at most this
+# in L1 after one step. The rounding floor of that residual is 3e-15 at
+# n = 150 and 5e-15 to 1e-14 at n = 1000 (r = 2, 20).
+STOP_RESIDUAL_LEVEL = 1e-13
 
 
 class AuxChainError(Exception):
@@ -78,12 +92,6 @@ class AuxChain:
     def pair_index(self, x, xp):
         """Index of ``(x, xp)``, ``delta_index`` if ``x == xp``; takes ints or int arrays."""
         return np.where(x == xp, self.delta_index, x * (self.n - 1) + xp - (xp > x))
-
-    def index_pair(self, i: int) -> tuple[int, int]:
-        if i == self.delta_index:
-            raise ValueError("index refers to the collapsed diagonal state")
-        x, k = divmod(i, self.n - 1)
-        return x, k if k < x else k + 1
 
     def left_step(self, m: np.ndarray) -> np.ndarray:
         """One step of ``nu -> nu @ P_tilde`` on a pair-matrix state ``m``.
@@ -139,6 +147,16 @@ class AuxChain:
         """L1 residual of the closed-form law under one exact step."""
         m = self.pi_tilde_pair_form()
         return float(np.abs(self.left_step(m) - m).sum())
+
+    @cached_property
+    def scan_stop_level(self) -> float:
+        """TV level at which event scans stop: ``TV_STOP_LEVEL``, or -1 (never).
+
+        It is -1 when :meth:`stationarity_residual` exceeds
+        ``STOP_RESIDUAL_LEVEL``: ``pi`` is then too inexact for the
+        certificate, and every scan runs to its horizon. Computed once per chain.
+        """
+        return TV_STOP_LEVEL if self.stationarity_residual() <= STOP_RESIDUAL_LEVEL else -1.0
 
     def kernel_matrix(self) -> sp.csr_array:
         """Explicit sparse kernel over the ``n*(n-1) + 1`` states.
@@ -212,7 +230,7 @@ def build_aux_chain(c: ChainSpec, pi: np.ndarray | None = None) -> AuxChain:
         n=n,
         r=r,
         kernel=kernel,
-        kernel_t=kernel.T.tocsr(),
+        kernel_t=c.kernel_t,
         pi=pi,
         reentry=weights / total,
     )
@@ -249,9 +267,51 @@ def exit_measure(a: AuxChain) -> ExitMeasure:
     return ExitMeasure(mu_plus=sp.csr_array(mu))
 
 
-def return_mass(a: AuxChain, t_horizon: int) -> float:
-    """``R = sum_{t=0}^{T} P_tilde^t(DELTA, DELTA)`` by exact iteration."""
-    return float(np.sum(list(islice(return_series(a), t_horizon + 1))))
+def _certified_scan(a: AuxChain, m: np.ndarray, horizon: int) -> tuple[int, float, float]:
+    """Run the pair state ``m`` for up to ``horizon`` steps, stopping at a certified TV level.
+
+    The TV distance to ``pi_tilde`` is measured at every multiple of
+    ``TV_CHECK_EVERY`` and at ``horizon``; the run stops at the first such
+    step ``t0`` where it is at most ``a.scan_stop_level``, or at ``horizon``.
+    Returns ``t0``, ``TV(t0)`` and the diagonal masses of steps
+    ``0..t0`` summed.
+
+    ``pi_tilde`` is built from a computed ``pi``, so it sits some distance
+    ``e`` from the exact stationary law of the chain, and the distance to
+    the exact law is the one that never increases. For ``t >= t0`` the
+    distance to ``pi_tilde`` is therefore at most ``TV(t0) + 2e``, and so is
+    ``|P^t(DELTA, DELTA) - pi_tilde(DELTA)|``. ``e`` is at most half the
+    one-step residual times the summed contraction coefficients of the
+    chain; the code does not compute the latter, but it stops only when the
+    residual is at most ``STOP_RESIDUAL_LEVEL``, a tenth of the stop level.
+    """
+    if horizon < 0:
+        raise ValueError(f"horizon must be at least 0, got {horizon}")
+    pi_tilde = a.pi_tilde_pair_form()
+    level = a.scan_stop_level
+    head = a.target_mass(m)
+    t = 0
+    while True:
+        if t == horizon or t % TV_CHECK_EVERY == 0:
+            tv = 0.5 * float(np.abs(m - pi_tilde).sum())
+            if t == horizon or tv <= level:
+                return t, tv, head
+        m = a.left_step(m)
+        t += 1
+        head += a.target_mass(m)
+
+
+def return_mass(a: AuxChain, t_horizon: int) -> tuple[float, int]:
+    """``R = sum_{t=0}^{T} P_tilde^t(DELTA, DELTA)``, iterated up to a certified stop.
+
+    Returns ``(R, t0)``, where ``t0`` is the step at which the scan from
+    ``DELTA`` stopped (see :func:`_certified_scan`), ``T`` if it did not.
+    The remaining terms are taken as ``pi_tilde(DELTA)``:
+    ``R = R(t0) + (T - t0) * pi_tilde(DELTA)``, with an error of at most
+    ``(T - t0) * (TV(t0) + 2e)`` for the stationary-law error ``e``.
+    """
+    t0, _, head = _certified_scan(a, a.start(), t_horizon)
+    return head + (t_horizon - t0) * a.pi_tilde_delta, t0
 
 
 def auto_return_horizon(a: AuxChain) -> int:
@@ -305,6 +365,15 @@ class AuxEventReport:
     The events bound the stationary extremes, the diagonal mass, the
     mixing of the auxiliary chain within ``S`` steps, and the diagonal
     return mass within ``T`` steps. All thresholds use the natural log.
+
+    ``tv_mode`` is ``"exact"`` (all starts, to ``S``), ``"sampled"``
+    (sampled starts, each run to ``S``) or ``"sampled-bound"`` (sampled
+    starts, of which ``a4_stopped_starts`` stopped at a certified level
+    before ``S`` and report their TV there, so ``max_tv_at_s`` is an upper
+    bound on the sampled maximum, up to twice the distance ``e`` between
+    ``pi_tilde`` and the exact stationary law; see :func:`_certified_scan`).
+    ``return_stop_step`` is the step at which the return-mass scan stopped,
+    ``t_horizon`` if it did not.
     """
 
     n: int
@@ -317,7 +386,9 @@ class AuxEventReport:
     n_pi_tilde_delta: float
     max_tv_at_s: float
     tv_mode: str
+    a4_stopped_starts: int
     return_mass: float
+    return_stop_step: int
     a1: bool
     a2: bool
     a3: bool
@@ -349,7 +420,12 @@ def check_events(
     The mixing event is evaluated exactly (all starts) when ``n`` is at
     most ``A4_EXACT_LIMIT`` and otherwise estimated from ``A4_SAMPLES``
     uniform pair starts (seed ``A4_SEED``) plus the diagonal state; the
-    sampled mode is an estimate of the max, not the exact max.
+    sampled mode is an estimate of the max, not the exact max. Sampled
+    starts and the return mass stop at the certified TV level (see
+    :class:`AuxEventReport`), so A4 and A5 can differ from the verdicts of
+    full runs only when ``eps`` lies within ``TV_STOP_LEVEL + 2e`` of
+    ``max_tv_at_s``, or within ``(T - t0) * (TV_STOP_LEVEL + 2e)`` of
+    ``|R - r/(r-1)|``.
     """
     n, r = a.n, a.r
     if t_horizon is None:
@@ -362,11 +438,12 @@ def check_events(
 
     if n <= A4_EXACT_LIMIT:
         profile = mixing_profile(a.to_chain_spec(), s_horizon)
-        max_tv, tv_mode = float(profile.d_tv[s_horizon]), "exact"
+        max_tv, stopped, tv_mode = float(profile.d_tv[s_horizon]), 0, "exact"
     else:
-        max_tv, tv_mode = _max_tv_sampled(a, s_horizon), "sampled"
+        max_tv, stopped = _max_tv_sampled(a, s_horizon)
+        tv_mode = "sampled-bound" if stopped else "sampled"
 
-    r_mass = return_mass(a, t_horizon)
+    r_mass, r_stop = return_mass(a, t_horizon)
     log_n = math.log(n)
     return AuxEventReport(
         n=n,
@@ -379,7 +456,9 @@ def check_events(
         n_pi_tilde_delta=n_pi_delta,
         max_tv_at_s=max_tv,
         tv_mode=tv_mode,
+        a4_stopped_starts=stopped,
         return_mass=r_mass,
+        return_stop_step=r_stop,
         a1=min_pt >= n**-3.6,
         a2=max_pt <= log_n**8 / n,
         a3=abs(n_pi_delta - ratio) < eps,
@@ -388,9 +467,13 @@ def check_events(
     )
 
 
-def _max_tv_sampled(a: AuxChain, s_horizon: int) -> float:
+def _max_tv_sampled(a: AuxChain, s_horizon: int) -> tuple[float, int]:
+    """Largest TV to ``pi_tilde`` at ``s_horizon`` over the sampled starts, and how many stopped early.
+
+    A start that stops early contributes its TV at the stop, an upper
+    bound on its TV at ``s_horizon``.
+    """
     rng = np.random.default_rng(A4_SEED)
-    pi_tilde = a.pi_tilde_pair_form()
 
     def starts():
         yield a.start()
@@ -401,9 +484,9 @@ def _max_tv_sampled(a: AuxChain, s_horizon: int) -> float:
             m[x, xp + (xp >= x)] = 1.0
             yield m
 
-    worst = 0.0
+    worst, stopped = 0.0, 0
     for m in starts():
-        for _ in range(s_horizon):
-            m = a.left_step(m)
-        worst = max(worst, 0.5 * float(np.abs(m - pi_tilde).sum()))
-    return worst
+        t0, tv, _ = _certified_scan(a, m, s_horizon)
+        worst = max(worst, tv)
+        stopped += t0 < s_horizon
+    return worst, stopped

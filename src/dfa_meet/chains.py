@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -74,6 +75,16 @@ class ChainSpec:
     @property
     def size(self) -> int:
         return self.kernel.shape[0]
+
+    @cached_property
+    def kernel_t(self) -> sp.csr_array:
+        """``kernel`` transposed, as CSR, built on first use and kept.
+
+        Every left propagation ``nu P`` is ``kernel_t @ nu``, with the same
+        terms summed in the same order as ``nu @ kernel``; the latter would
+        build a transposed copy on each call.
+        """
+        return self.kernel.T.tocsr()
 
     def validate(self) -> None:
         """Check row-stochasticity within ``ROW_SUM_TOL``; raise on violation."""
@@ -155,10 +166,10 @@ def stationary_distribution(c: ChainSpec, method: str = "auto") -> np.ndarray:
     if method == "direct":
         pi_supp = _stationary_direct(c.kernel, support)
     else:
-        pi_supp = _stationary_power(c.kernel, support)
+        pi_supp = _stationary_power(c.kernel_t, support)
     pi = np.zeros(c.size)
     pi[support] = pi_supp
-    residual = float(np.abs(pi @ c.kernel - pi).sum())
+    residual = float(np.abs(c.kernel_t @ pi - pi).sum())
     if residual > STATIONARY_RESIDUAL_TOL:
         raise StationaryResidualError(0, residual)
     c.stationary = pi
@@ -177,16 +188,16 @@ def _stationary_direct(kernel: sp.csr_array, support: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-def _stationary_power(kernel, support):
-    sub = kernel[np.ix_(support, support)].tocsr()
+def _stationary_power(kernel_t: sp.csr_array, support: np.ndarray) -> np.ndarray:
+    sub_t = kernel_t[np.ix_(support, support)].tocsr()
     x = np.full(len(support), 1.0 / len(support))
     # Half-lazy iteration keeps periodic classes convergent; the residual is
     # still measured against the original kernel.
     residual = math.inf
     for _ in range(POWER_MAX_ITER):
-        x_next = 0.5 * (x + x @ sub)
+        x_next = 0.5 * (x + sub_t @ x)
         x_next /= x_next.sum()
-        residual = float(np.abs(x_next @ sub - x_next).sum())
+        residual = float(np.abs(sub_t @ x_next - x_next).sum())
         if residual <= POWER_ITERATION_TOL:
             return x_next
         x = x_next
@@ -241,20 +252,26 @@ def mixing_profile(c: ChainSpec, t_cap: int) -> MixingProfile:
     """Compute ``d_tv(t) = max_x TV(P^t(x, .), pi)`` for ``t = 0..t_cap``.
 
     ``t_mix`` is the first ``t`` with ``d_tv(t) <= 1/(2e)``, or ``None``
-    when the cap is exhausted first (flagged, not fatal). Memory stays at
-    ``MIXING_BATCH_SIZE * N`` floats: start states are processed in row batches.
+    when the cap is exhausted first (flagged, not fatal). Start states are
+    processed in batches of ``MIXING_BATCH_SIZE``; a batch is held
+    column-wise, one column per start, so a step is ``kernel_t @ block``,
+    and memory stays at two blocks plus one TV buffer of
+    ``MIXING_BATCH_SIZE * N`` floats each.
     """
-    pi = stationary_distribution(c)
+    pi = stationary_distribution(c)[:, None]
     n = c.size
     d_tv = np.zeros(t_cap + 1)
     for start in range(0, n, MIXING_BATCH_SIZE):
         stop = min(start + MIXING_BATCH_SIZE, n)
-        block = np.zeros((stop - start, n))
-        block[np.arange(stop - start), np.arange(start, stop)] = 1.0
-        d_tv[0] = max(d_tv[0], 0.5 * float(np.abs(block - pi).sum(axis=1).max()))
-        for t in range(1, t_cap + 1):
-            block = block @ c.kernel
-            d_tv[t] = max(d_tv[t], 0.5 * float(np.abs(block - pi).sum(axis=1).max()))
+        block = np.zeros((n, stop - start))
+        block[np.arange(start, stop), np.arange(stop - start)] = 1.0
+        buf = np.empty_like(block)
+        for t in range(t_cap + 1):
+            if t:
+                block = c.kernel_t @ block
+            np.subtract(block, pi, out=buf)
+            np.abs(buf, out=buf)
+            d_tv[t] = max(d_tv[t], 0.5 * float(buf.sum(axis=0).max()))
     below = np.flatnonzero(d_tv <= MIXING_THRESHOLD)
     t_mix = int(below[0]) if below.size else None
     return MixingProfile(d_tv=d_tv, t_mix=t_mix)
@@ -302,7 +319,7 @@ def hitting_time_expectation(c: ChainSpec, start: np.ndarray, target_set) -> flo
     if not targets.any():
         raise ValueError("target set is empty")
 
-    reach = _backward_reachable(c.kernel, targets)
+    reach = _backward_reachable(c.kernel_t, targets)
     solvable = reach & ~targets
     bad_mass = float(start[~reach & ~targets].sum())
     if bad_mass > 0:
@@ -322,13 +339,12 @@ def hitting_time_expectation(c: ChainSpec, start: np.ndarray, target_set) -> flo
     return float(start[idx] @ h)
 
 
-def _backward_reachable(kernel: sp.csr_array, targets: np.ndarray) -> np.ndarray:
+def _backward_reachable(kernel_t: sp.csr_array, targets: np.ndarray) -> np.ndarray:
     """States from which the target set is reachable (targets included)."""
-    rt = kernel.T.tocsr()
     reach = targets.copy()
     frontier = np.flatnonzero(targets)
     while frontier.size:
-        neighbors = np.unique(rt[frontier].indices)
+        neighbors = np.unique(kernel_t[frontier].indices)
         new = neighbors[~reach[neighbors]]
         reach[new] = True
         frontier = new

@@ -141,7 +141,7 @@ class TargetWalk:
         return v
 
     def step(self, v: np.ndarray) -> np.ndarray:
-        return v @ self.chain.kernel
+        return self.chain.kernel_t @ v
 
     def target_mass(self, v: np.ndarray) -> float:
         return float(v[self.target])
@@ -152,7 +152,7 @@ class TargetWalk:
         return v
 
     def killed_step(self, v: np.ndarray) -> np.ndarray:
-        w = v @ self.chain.kernel
+        w = self.chain.kernel_t @ v
         w[self.target] = 0.0
         return w
 

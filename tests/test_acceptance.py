@@ -41,7 +41,7 @@ def aux_scan():
             dm.stationary_distribution(chain, method="power")
             aux = dm.build_aux_chain(chain)
             horizon = dm.auto_return_horizon(aux)
-            r_mass = dm.return_mass(aux, horizon)
+            r_mass, _ = dm.return_mass(aux, horizon)
             rows.append({
                 "seed": seed,
                 "resamples": resamples,

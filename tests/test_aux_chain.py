@@ -32,6 +32,19 @@ from dfa_meet.fvtl import (
 from tests.test_chains import full_image_dfa
 
 
+def index_pair(aux, i):
+    """Ordered pair ``(x, x')`` of off-diagonal state ``i``; inverse of ``aux.pair_index``."""
+    x, k = divmod(i, aux.n - 1)
+    return x, k if k < x else k + 1
+
+
+def full_horizon_tv(aux, m, horizon):
+    """TV to ``pi_tilde`` after ``horizon`` full steps from pair state ``m``."""
+    for _ in range(horizon):
+        m = aux.left_step(m)
+    return 0.5 * float(np.abs(m - aux.pi_tilde_pair_form()).sum())
+
+
 def small_aux(n=8, r=2, seed=7):
     d, chain, _ = ergodic_walk_chain(n, r, seed)
     stationary_distribution(chain)
@@ -107,7 +120,7 @@ def test_left_and_killed_step_match_explicit_kernel():
     nu = rng.dirichlet(np.ones(aux.size))
     pair = np.zeros((aux.n, aux.n))
     for i in range(aux.size - 1):
-        pair[aux.index_pair(i)] = nu[i]
+        pair[index_pair(aux, i)] = nu[i]
     stepped = aux.left_step(pair + np.diag(nu[-1] * aux.reentry))
     expected = nu @ kernel
     assert np.abs(aux.flatten_pair_form(stepped) - expected).max() < 1e-14
@@ -159,7 +172,7 @@ def test_exit_measure_max_reported_against_threshold():
 def test_return_mass_lower_bound_and_oracle():
     aux = small_aux(8, 2, seed=7)
     t_horizon = 40
-    r_mass = return_mass(aux, t_horizon)
+    r_mass, _ = return_mass(aux, t_horizon)
     geometric = sum((1 / aux.r) ** t for t in range(t_horizon + 1))
     assert r_mass >= geometric - 1e-12
 
@@ -181,7 +194,7 @@ def test_return_mass_uniform_chain_oracle():
     for _ in range(101):
         total += power[aux.delta_index, aux.delta_index]
         power = power @ kernel
-    assert return_mass(aux, 100) == pytest.approx(total, abs=1e-9)
+    assert return_mass(aux, 100)[0] == pytest.approx(total, abs=1e-9)
 
 
 def test_auto_return_horizon_relaxes():
@@ -240,7 +253,116 @@ def test_sampled_tv_matches_explicit_chain(monkeypatch):
         nu = nu @ chain.kernel
     expected = 0.5 * np.abs(nu - chain.stationary).sum(axis=1).max()
     assert expected > 1e-3  # not yet mixed, so the comparison has teeth
-    assert _max_tv_sampled(aux, s_horizon) == pytest.approx(expected, abs=1e-12)
+    worst, stopped = _max_tv_sampled(aux, s_horizon)
+    assert stopped == 0
+    assert worst == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def aux150():
+    return small_aux(150, 2, seed=0)
+
+
+def test_certified_return_mass_matches_brute_force(aux150):
+    """At n = 150 and T = ceil(log^5 n) the scan stops long before T, and
+    the closed-form tail keeps R within the certified error of the full sum."""
+    aux = aux150
+    t_horizon = log_power_horizon(aux.n, 5)
+    assert aux.stationarity_residual() <= aux_chain.STOP_RESIDUAL_LEVEL
+    assert aux.scan_stop_level == aux_chain.TV_STOP_LEVEL
+    r_mass, t0 = return_mass(aux, t_horizon)
+    assert 0 < t0 < t_horizon and t0 % aux_chain.TV_CHECK_EVERY == 0
+    brute = sum(islice(return_series(aux), t_horizon + 1))
+    assert abs(r_mass - brute) <= (t_horizon - t0) * aux_chain.TV_STOP_LEVEL
+    assert r_mass == pytest.approx(brute, rel=1e-9)
+
+
+def test_return_mass_runs_to_short_horizons():
+    aux = small_aux(30, 2, seed=1)
+    for t_horizon in (0, 1, 7, 13):
+        r_mass, t0 = return_mass(aux, t_horizon)
+        assert t0 == t_horizon
+        assert r_mass == pytest.approx(sum(islice(return_series(aux), t_horizon + 1)),
+                                       abs=1e-14)
+
+
+def test_negative_horizons_are_rejected():
+    aux = small_aux(70, 2, seed=0)
+    with pytest.raises(ValueError, match="horizon must be at least 0, got -1"):
+        return_mass(aux, -1)
+    with pytest.raises(ValueError, match="horizon must be at least 0, got -3"):
+        _max_tv_sampled(aux, -3)
+
+
+def test_stopped_sampled_tv_bounds_the_full_horizon_oracle(aux150, monkeypatch):
+    """A start that stops early reports its TV at the stop, which never
+    falls below its TV after all S steps by more than the stop level."""
+    aux = aux150
+    s_horizon, samples = log_power_horizon(aux.n, 3), 12
+    monkeypatch.setattr(aux_chain, "A4_SAMPLES", samples)
+    worst, stopped = _max_tv_sampled(aux, s_horizon)
+    assert stopped == samples + 1  # every start, DELTA included, stops before S
+
+    rng = np.random.default_rng(aux_chain.A4_SEED)
+    oracle = full_horizon_tv(aux, aux.start(), s_horizon)
+    for _ in range(samples):
+        x = int(rng.integers(0, aux.n))
+        xp = int(rng.integers(0, aux.n - 1))
+        m = np.zeros((aux.n, aux.n))
+        m[x, xp + (xp >= x)] = 1.0
+        oracle = max(oracle, full_horizon_tv(aux, m, s_horizon))
+    assert worst >= oracle - aux_chain.TV_STOP_LEVEL
+    assert worst <= aux_chain.TV_STOP_LEVEL
+
+
+def test_check_events_records_the_certified_stops(aux150, monkeypatch):
+    monkeypatch.setattr(aux_chain, "A4_SAMPLES", 5)
+    report = check_events(aux150, eps=0.15)
+    assert report.tv_mode == "sampled-bound"
+    assert report.a4_stopped_starts == 6
+    assert report.max_tv_at_s <= aux_chain.TV_STOP_LEVEL
+    assert report.return_stop_step < report.t_horizon
+    assert report.return_stop_step % aux_chain.TV_CHECK_EVERY == 0
+    assert {"a4_stopped_starts", "return_stop_step"} <= set(report.as_dict())
+
+    # a horizon shorter than the first check runs in full
+    report = check_events(aux150, eps=0.15, t_horizon=5, s_horizon=5)
+    assert report.tv_mode == "sampled" and report.a4_stopped_starts == 0
+    assert report.return_stop_step == 5
+
+
+def test_scans_run_in_full_when_pi_tilde_misses_the_residual_level(monkeypatch):
+    """The stop is trusted only when outer(pi, pi) is stationary to within
+    STOP_RESIDUAL_LEVEL; otherwise every scan runs to its horizon."""
+    monkeypatch.setattr(aux_chain, "STOP_RESIDUAL_LEVEL", 0.0)
+    monkeypatch.setattr(aux_chain, "A4_SAMPLES", 3)
+    aux = small_aux(70, 2, seed=0)
+    assert aux.stationarity_residual() > 0.0
+    assert aux.scan_stop_level < 0
+    t_horizon = log_power_horizon(aux.n, 5)
+    r_mass, t0 = return_mass(aux, t_horizon)
+    assert t0 == t_horizon
+    assert r_mass == pytest.approx(sum(islice(return_series(aux), t_horizon + 1)), rel=1e-14)
+    report = check_events(aux, eps=0.15, t_horizon=40)
+    assert report.tv_mode == "sampled" and report.a4_stopped_starts == 0
+    assert report.return_stop_step == 40
+
+
+def test_build_aux_chain_reuses_the_cached_transpose(monkeypatch):
+    d, chain, _ = ergodic_walk_chain(20, 3, seed=2)
+    calls = [0]
+    tocsr = sp.csc_array.tocsr
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return tocsr(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.csc_array, "tocsr", counted)
+    stationary_distribution(chain, method="power")
+    aux = build_aux_chain(chain)
+    assert aux.kernel_t is chain.kernel_t
+    assert calls[0] == 1
+    assert np.array_equal(aux.kernel_t.toarray(), chain.kernel.toarray().T)
 
 
 def test_geometric_sojourn_at_delta():
@@ -354,11 +476,11 @@ def test_asymptotic_horizon_overshoots_at_desk_scale():
     ratio = 2.0  # r/(r-1) at r=2
 
     t_adaptive = auto_return_horizon(aux)
-    r_adaptive = return_mass(aux, t_adaptive)
+    r_adaptive, _ = return_mass(aux, t_adaptive)
     assert abs(r_adaptive - ratio) < 0.15 * ratio
 
     t_paper = log_power_horizon(200, 5)
-    r_paper = return_mass(aux, t_paper)
+    r_paper, _ = return_mass(aux, t_paper)
     assert r_paper > 1.075 * ratio  # outside the window by construction
     drift = (t_paper - t_adaptive) * aux.pi_tilde_delta
     assert r_paper == pytest.approx(r_adaptive + drift, rel=0.05)

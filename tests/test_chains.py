@@ -20,6 +20,7 @@ from dfa_meet.chains import (
     walk_matrix,
 )
 from dfa_meet.dfa import Dfa, generate_dfa
+from dfa_meet.fvtl import random_ergodic_chain
 
 
 def full_image_dfa(n):
@@ -197,6 +198,54 @@ def test_mixing_profile_cap_exhaustion_flagged():
     chain.stationary = np.array([0.5, 0.5])
     prof = mixing_profile(chain, t_cap=5)
     assert prof.t_mix is None and not prof.mixed
+
+
+def mixing_profile_row_oracle(c, t_cap):
+    """``d_tv`` and ``t_mix`` with every start a row, stepped by ``block @ kernel``."""
+    pi = stationary_distribution(c)
+    block = np.eye(c.size)
+    d_tv = [0.5 * np.abs(block - pi).sum(axis=1).max()]
+    for _ in range(t_cap):
+        block = block @ c.kernel
+        d_tv.append(0.5 * np.abs(block - pi).sum(axis=1).max())
+    below = np.flatnonzero(np.array(d_tv) <= chains.MIXING_THRESHOLD)
+    return np.array(d_tv), int(below[0]) if below.size else None
+
+
+@pytest.mark.parametrize("batch", [chains.MIXING_BATCH_SIZE, 7])
+def test_mixing_profile_matches_row_layout_oracle(monkeypatch, batch):
+    monkeypatch.setattr(chains, "MIXING_BATCH_SIZE", batch)
+    rng = np.random.default_rng(5)
+    cases = [random_ergodic_chain(rng) for _ in range(10)]
+    cases += [ergodic_walk_chain(40, 2, seed=3)[1], ergodic_walk_chain(60, 3, seed=1)[1]]
+    for c in cases:
+        prof = mixing_profile(c, t_cap=60)
+        d_tv, t_mix = mixing_profile_row_oracle(c, 60)
+        assert np.abs(prof.d_tv - d_tv).max() <= 1e-15
+        assert prof.t_mix == t_mix
+
+
+def stationary_power_row_oracle(kernel, support):
+    """The half-lazy power iteration in row form, ``x @ sub`` on the untransposed kernel."""
+    sub = kernel[np.ix_(support, support)].tocsr()
+    x = np.full(len(support), 1.0 / len(support))
+    for _ in range(chains.POWER_MAX_ITER):
+        x_next = 0.5 * (x + x @ sub)
+        x_next /= x_next.sum()
+        if np.abs(x_next @ sub - x_next).sum() <= chains.POWER_ITERATION_TOL:
+            return x_next
+        x = x_next
+    raise AssertionError("oracle did not converge")
+
+
+def test_stationary_power_matches_row_form_oracle():
+    rng = np.random.default_rng(11)
+    cases = [random_ergodic_chain(rng) for _ in range(20)]
+    cases += [ergodic_walk_chain(50, 2, seed=s)[1] for s in range(3)]
+    for c in cases:
+        support = c.recurrent_classes[0]
+        got = chains._stationary_power(c.kernel_t, support)
+        assert np.array_equal(got, stationary_power_row_oracle(c.kernel, support))
 
 
 def test_mixing_cutoff_scale_at_n1000():

@@ -23,6 +23,20 @@ from dfa_meet.fvtl import (
 )
 
 
+def test_target_walk_steps_match_row_vector_oracle():
+    """``kernel_t @ v`` sums the same terms in the same order as ``v @ kernel``."""
+    rng = np.random.default_rng(3)
+    for _ in range(30):
+        c = random_ergodic_chain(rng)
+        target = int(rng.integers(0, c.size))
+        walk = TargetWalk(c, target)
+        v = rng.dirichlet(np.ones(c.size))
+        assert np.array_equal(walk.step(v), v @ c.kernel)
+        killed = v @ c.kernel
+        killed[target] = 0.0
+        assert np.array_equal(walk.killed_step(v), killed)
+
+
 def test_two_state_closed_forms():
     """Target = state 1: [Q] = (1-p), lambda_star = p, mu(target) = p/(p+q),
     Z(1,1)/mu(1) = q / (p (p+q))."""

@@ -101,7 +101,8 @@ def test_events_recipe(tmp_path):
     assert len(rows) == 3
     for row in rows:
         assert {"a1", "a2", "a3", "a4", "a5", "n_pi_tilde_delta"} <= set(row)
-        assert row["tv_mode"] == "exact"
+        assert row["tv_mode"] == "exact" and row["a4_stopped_starts"] == 0
+        assert 0 < row["return_stop_step"] <= row["t_horizon"]
 
 
 def test_recipe_reruns_are_byte_identical(tmp_path):

@@ -17,11 +17,13 @@ sparse-times-dense products regardless of alphabet size. In this form
 ``pi_tilde`` is ``outer(pi, pi)``. An explicit sparse kernel over the
 ``n*(n-1) + 1`` states is also available for small instances.
 
-Event scans stop a pair-chain run once its total-variation distance to
-``pi_tilde`` is certified small (:func:`_certified_scan`). The distance to
-the exact stationary law never increases along a run, so, up to the
-distance between that law and the computed ``outer(pi, pi)``, it bounds
-the distance, and the error of the diagonal mass, at every later step.
+Pair-chain scans stop once their total-variation distance to
+``pi_tilde`` is certified small: the return series through
+:func:`~dfa_meet.fvtl.return_sums`, the sampled A4 starts through
+:func:`_certified_scan`. The distance to the exact stationary law never
+increases along a run, so, up to the distance between that law and the
+computed ``outer(pi, pi)``, it bounds the distance, and the error of the
+diagonal mass, at every later step.
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ import scipy.sparse as sp
 
 from .chains import ChainSpec, make_chain, mixing_profile, stationary_distribution
 from .fvtl import (
+    TV_CHECK_EVERY,
     FvtlReport,
+    certified_stop_level,
     log_power_horizon,
     perron_pair,
     relaxation_horizon,
@@ -47,14 +51,6 @@ KERNEL_NNZ_CAP = 30_000_000
 A4_EXACT_LIMIT = 60
 A4_SAMPLES = 200
 A4_SEED = 0
-# Above the rounding floor of the pair-chain TV (about 4e-15 at n = 1000),
-# and small enough that (T - t0) * TV_STOP_LEVEL stays far below 1e-9 * R.
-TV_STOP_LEVEL = 1e-12
-TV_CHECK_EVERY = 8
-# Scans stop early only if outer(pi, pi) misses stationarity by at most this
-# in L1 after one step. The rounding floor of that residual is 3e-15 at
-# n = 150 and 5e-15 to 1e-14 at n = 1000 (r = 2, 20).
-STOP_RESIDUAL_LEVEL = 1e-13
 
 
 class AuxChainError(Exception):
@@ -122,6 +118,12 @@ class AuxChain:
     def target_mass(self, m: np.ndarray) -> float:
         return float(np.trace(m))
 
+    def tv_to_stationary(self, m: np.ndarray) -> float:
+        """``0.5 * |m - outer(pi, pi)|_1``, built in one temporary and not kept."""
+        d = np.outer(self.pi, self.pi)
+        np.subtract(m, d, out=d)
+        return 0.5 * float(np.abs(d, out=d).sum())
+
     def killed_start(self) -> np.ndarray:
         v = np.full((self.n, self.n), 1.0 / (self.n * (self.n - 1)))
         np.fill_diagonal(v, 0.0)
@@ -150,13 +152,11 @@ class AuxChain:
 
     @cached_property
     def scan_stop_level(self) -> float:
-        """TV level at which event scans stop: ``TV_STOP_LEVEL``, or -1 (never).
+        """:func:`~dfa_meet.fvtl.certified_stop_level` of :meth:`stationarity_residual`.
 
-        It is -1 when :meth:`stationarity_residual` exceeds
-        ``STOP_RESIDUAL_LEVEL``: ``pi`` is then too inexact for the
-        certificate, and every scan runs to its horizon. Computed once per chain.
+        Computed once per chain, at the cost of one pair step.
         """
-        return TV_STOP_LEVEL if self.stationarity_residual() <= STOP_RESIDUAL_LEVEL else -1.0
+        return certified_stop_level(self.stationarity_residual())
 
     def kernel_matrix(self) -> sp.csr_array:
         """Explicit sparse kernel over the ``n*(n-1) + 1`` states.
@@ -267,51 +267,40 @@ def exit_measure(a: AuxChain) -> ExitMeasure:
     return ExitMeasure(mu_plus=sp.csr_array(mu))
 
 
-def _certified_scan(a: AuxChain, m: np.ndarray, horizon: int) -> tuple[int, float, float]:
+def _certified_scan(a: AuxChain, m: np.ndarray, horizon: int) -> tuple[int, float]:
     """Run the pair state ``m`` for up to ``horizon`` steps, stopping at a certified TV level.
 
     The TV distance to ``pi_tilde`` is measured at every multiple of
     ``TV_CHECK_EVERY`` and at ``horizon``; the run stops at the first such
     step ``t0`` where it is at most ``a.scan_stop_level``, or at ``horizon``.
-    Returns ``t0``, ``TV(t0)`` and the diagonal masses of steps
-    ``0..t0`` summed.
-
-    ``pi_tilde`` is built from a computed ``pi``, so it sits some distance
-    ``e`` from the exact stationary law of the chain, and the distance to
-    the exact law is the one that never increases. For ``t >= t0`` the
-    distance to ``pi_tilde`` is therefore at most ``TV(t0) + 2e``, and so is
-    ``|P^t(DELTA, DELTA) - pi_tilde(DELTA)|``. ``e`` is at most half the
-    one-step residual times the summed contraction coefficients of the
-    chain; the code does not compute the latter, but it stops only when the
-    residual is at most ``STOP_RESIDUAL_LEVEL``, a tenth of the stop level.
+    Returns ``t0`` and ``TV(t0)``. For ``t >= t0`` the TV distance to
+    ``pi_tilde`` is at most ``TV(t0) + 2e``, where ``e`` is the distance
+    from ``pi_tilde`` to the exact stationary law (see
+    :func:`~dfa_meet.fvtl.certified_stop_level`).
     """
     if horizon < 0:
         raise ValueError(f"horizon must be at least 0, got {horizon}")
-    pi_tilde = a.pi_tilde_pair_form()
     level = a.scan_stop_level
-    head = a.target_mass(m)
     t = 0
     while True:
-        if t == horizon or t % TV_CHECK_EVERY == 0:
-            tv = 0.5 * float(np.abs(m - pi_tilde).sum())
+        if t == horizon or (level >= 0 and t % TV_CHECK_EVERY == 0):
+            tv = a.tv_to_stationary(m)
             if t == horizon or tv <= level:
-                return t, tv, head
+                return t, tv
         m = a.left_step(m)
         t += 1
-        head += a.target_mass(m)
 
 
 def return_mass(a: AuxChain, t_horizon: int) -> tuple[float, int]:
-    """``R = sum_{t=0}^{T} P_tilde^t(DELTA, DELTA)``, iterated up to a certified stop.
+    """``R = sum_{t=0}^{T} P_tilde^t(DELTA, DELTA)`` and the stop step ``t0`` of its pass.
 
-    Returns ``(R, t0)``, where ``t0`` is the step at which the scan from
-    ``DELTA`` stopped (see :func:`_certified_scan`), ``T`` if it did not.
-    The remaining terms are taken as ``pi_tilde(DELTA)``:
-    ``R = R(t0) + (T - t0) * pi_tilde(DELTA)``, with an error of at most
-    ``(T - t0) * (TV(t0) + 2e)`` for the stationary-law error ``e``.
+    The :func:`~dfa_meet.fvtl.return_sums` pass from ``DELTA``, without
+    ``Z``, so ``t0`` is at most ``T``; when it stops before ``T``, the
+    remaining terms are taken as ``pi_tilde(DELTA)``, with an error of at
+    most ``(T - t0) * (TV(t0) + 2e)``.
     """
-    t0, _, head = _certified_scan(a, a.start(), t_horizon)
-    return head + (t_horizon - t0) * a.pi_tilde_delta, t0
+    sums = return_sums(a, t_horizon, sum_z=False)
+    return sums.return_mass, sums.stop_step
 
 
 def auto_return_horizon(a: AuxChain) -> int:
@@ -337,21 +326,24 @@ def aux_fvtl_report(
     ``mu_target`` and the expected hitting time from stationarity come
     from the closed-form law (the latter through the exact
     fundamental-matrix identity ``E = Z / mu``); the horizon, return mass
-    and ``Z`` come from one pass over the return series. ``t_horizon``
-    defaults to the adaptive relaxation horizon of
+    and ``Z`` come from one pass over the return series, which stops at a
+    certified TV level (see :func:`~dfa_meet.fvtl.return_sums`).
+    ``t_horizon`` defaults to the adaptive relaxation horizon of
     :func:`auto_return_horizon`. The quasi-stationary pair is optional
     because it is the one genuinely iterative quantity at scale.
     """
-    t_horizon, r_mass, z_dd = return_sums(a, t_horizon)
+    sums = return_sums(a, t_horizon)
     mu_delta = a.mu_target
     report = FvtlReport(
         target=a.delta_index,
         mu_target=mu_delta,
-        t_horizon=t_horizon,
-        return_mass=r_mass,
-        z_dd=z_dd,
-        predicted_lambda=mu_delta / r_mass,
-        expected_hitting_from_mu=z_dd / mu_delta,
+        t_horizon=sums.t_horizon,
+        return_mass=sums.return_mass,
+        z_dd=sums.z,
+        predicted_lambda=mu_delta / sums.return_mass,
+        expected_hitting_from_mu=sums.z / mu_delta,
+        z_stop_step=sums.stop_step,
+        z_stop=sums.stop,
     )
     if compute_quasi_stationary:
         report.quasi = perron_pair(a)
@@ -372,8 +364,9 @@ class AuxEventReport:
     before ``S`` and report their TV there, so ``max_tv_at_s`` is an upper
     bound on the sampled maximum, up to twice the distance ``e`` between
     ``pi_tilde`` and the exact stationary law; see :func:`_certified_scan`).
-    ``return_stop_step`` is the step at which the return-mass scan stopped,
-    ``t_horizon`` if it did not.
+    ``return_stop_step`` is the step ``t0`` at which the return-mass pass
+    stopped, at most ``max(t_horizon, s_horizon)``; when it is below
+    ``t_horizon`` the later terms were taken as ``pi_tilde(DELTA)``.
     """
 
     n: int
@@ -420,12 +413,13 @@ def check_events(
     The mixing event is evaluated exactly (all starts) when ``n`` is at
     most ``A4_EXACT_LIMIT`` and otherwise estimated from ``A4_SAMPLES``
     uniform pair starts (seed ``A4_SEED``) plus the diagonal state; the
-    sampled mode is an estimate of the max, not the exact max. Sampled
-    starts and the return mass stop at the certified TV level (see
-    :class:`AuxEventReport`), so A4 and A5 can differ from the verdicts of
-    full runs only when ``eps`` lies within ``TV_STOP_LEVEL + 2e`` of
-    ``max_tv_at_s``, or within ``(T - t0) * (TV_STOP_LEVEL + 2e)`` of
-    ``|R - r/(r-1)|``.
+    sampled mode is an estimate of the max, not the exact max. The
+    diagonal start is the return-mass pass itself, which records its TV at
+    ``S``. Sampled starts and the return mass stop at the certified TV
+    level (see :class:`AuxEventReport`), so A4 and A5 can differ from the
+    verdicts of full runs only when ``eps`` lies within
+    ``TV_STOP_LEVEL + 2e`` of ``max_tv_at_s``, or within
+    ``(T - t0) * (TV_STOP_LEVEL + 2e)`` of ``|R - r/(r-1)|``.
     """
     n, r = a.n, a.r
     if t_horizon is None:
@@ -436,14 +430,16 @@ def check_events(
     n_pi_delta = n * a.pi_tilde_delta
     ratio = r / (r - 1.0)
 
+    sums = return_sums(a, t_horizon, tv_at=s_horizon, sum_z=False)
     if n <= A4_EXACT_LIMIT:
         profile = mixing_profile(a.to_chain_spec(), s_horizon)
         max_tv, stopped, tv_mode = float(profile.d_tv[s_horizon]), 0, "exact"
     else:
         max_tv, stopped = _max_tv_sampled(a, s_horizon)
+        max_tv = max(sums.tv, max_tv)
+        stopped += sums.stop_step < s_horizon
         tv_mode = "sampled-bound" if stopped else "sampled"
 
-    r_mass, r_stop = return_mass(a, t_horizon)
     log_n = math.log(n)
     return AuxEventReport(
         n=n,
@@ -457,36 +453,31 @@ def check_events(
         max_tv_at_s=max_tv,
         tv_mode=tv_mode,
         a4_stopped_starts=stopped,
-        return_mass=r_mass,
-        return_stop_step=r_stop,
+        return_mass=sums.return_mass,
+        return_stop_step=sums.stop_step,
         a1=min_pt >= n**-3.6,
         a2=max_pt <= log_n**8 / n,
         a3=abs(n_pi_delta - ratio) < eps,
         a4=max_tv < eps,
-        a5=abs(r_mass - ratio) < eps,
+        a5=abs(sums.return_mass - ratio) < eps,
     )
 
 
 def _max_tv_sampled(a: AuxChain, s_horizon: int) -> tuple[float, int]:
-    """Largest TV to ``pi_tilde`` at ``s_horizon`` over the sampled starts, and how many stopped early.
+    """Largest TV to ``pi_tilde`` at ``s_horizon`` over the sampled pair starts, and how many stopped early.
 
     A start that stops early contributes its TV at the stop, an upper
-    bound on its TV at ``s_horizon``.
+    bound on its TV at ``s_horizon``. The diagonal start is not run here:
+    :func:`check_events` takes it from the return-mass pass.
     """
     rng = np.random.default_rng(A4_SEED)
-
-    def starts():
-        yield a.start()
-        for _ in range(A4_SAMPLES):
-            x = int(rng.integers(0, a.n))
-            xp = int(rng.integers(0, a.n - 1))
-            m = np.zeros((a.n, a.n))
-            m[x, xp + (xp >= x)] = 1.0
-            yield m
-
     worst, stopped = 0.0, 0
-    for m in starts():
-        t0, tv, _ = _certified_scan(a, m, s_horizon)
+    for _ in range(A4_SAMPLES):
+        x = int(rng.integers(0, a.n))
+        xp = int(rng.integers(0, a.n - 1))
+        m = np.zeros((a.n, a.n))
+        m[x, xp + (xp >= x)] = 1.0
+        t0, tv = _certified_scan(a, m, s_horizon)
         worst = max(worst, tv)
         stopped += t0 < s_horizon
     return worst, stopped

@@ -143,6 +143,8 @@ def _cmd_fvtl(args) -> int:
         "predicted_lambda": report.predicted_lambda,
         "n_predicted_lambda": d.n * report.predicted_lambda,
         "expected_hitting_from_mu": report.expected_hitting_from_mu,
+        "z_stop_step": report.z_stop_step,
+        "z_stop": report.z_stop,
         "lambda_star": report.quasi.lambda_star if report.quasi else None,
     }
     if not args.skip_events:

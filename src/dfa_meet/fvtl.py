@@ -18,13 +18,17 @@ Perron iteration) is written once over a :class:`Propagator`.
 :class:`TargetWalk` is the propagator of a generic chain;
 :class:`~dfa_meet.aux_chain.AuxChain` is the propagator of the collapsed
 pair chain, whose every state is one ``(n, n)`` pair matrix.
+
+The return pass stops once its total-variation (TV) distance to
+stationarity is certified small; that distance never increases along a
+run (Levin, Peres & Wilmer, *Markov Chains and Mixing Times*, ch. 4). See
+:func:`return_sums` and :func:`certified_stop_level`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import tee
 from typing import Iterator, Protocol
 
 import numpy as np
@@ -48,6 +52,15 @@ PERRON_MAX_ITER = 10**6
 ROOT_TIE_REL_TOL = 1e-9
 RELAX_FACTOR = 1.5
 RANDOM_CHAIN_MAX_STATES = 40
+# Above the rounding floor of the pair-chain TV (about 4e-15 at n = 1000),
+# and small enough that (T - t0) * TV_STOP_LEVEL stays far below 1e-9 * R.
+TV_STOP_LEVEL = 1e-12
+TV_CHECK_EVERY = 8
+# Scans stop early only if the computed stationary law misses stationarity
+# by at most this in L1 after one step. For the pair chain the rounding
+# floor of that residual is 3e-15 at n = 150 and 5e-15 to 1e-14 at
+# n = 1000 (r = 2, 20).
+STOP_RESIDUAL_LEVEL = 1e-13
 
 
 class PerronConvergenceError(ConvergenceError):
@@ -76,7 +89,11 @@ class QuasiStationaryPair:
 
 @dataclass
 class FvtlReport:
-    """Exact finite-chain quantities behind the geometric rate prediction."""
+    """Exact finite-chain quantities behind the geometric rate prediction.
+
+    ``z_stop_step`` and ``z_stop`` say where and why the ``Z`` series
+    stopped (see :class:`ReturnSums`).
+    """
 
     target: int
     mu_target: float
@@ -85,7 +102,30 @@ class FvtlReport:
     z_dd: float
     predicted_lambda: float
     expected_hitting_from_mu: float
+    z_stop_step: int
+    z_stop: str
     quasi: QuasiStationaryPair | None = None
+
+
+@dataclass
+class ReturnSums:
+    """One pass over the return series: horizon, ``R(T)``, ``Z`` and where the pass stopped.
+
+    ``stop_step`` is the last step taken, ``t0``. ``stop`` is
+    ``"certified"`` when the TV distance to stationarity was at most the
+    propagator's ``scan_stop_level`` there, ``"consecutive"`` when
+    ``Z_CONSECUTIVE_SMALL`` successive terms were below ``Z_TERM_TOL``, and
+    ``"horizon"`` when a pass without ``Z`` (then None) reached its last step.
+    ``tv`` is the TV distance at the requested step ``tv_at``, or at
+    ``t0`` if the pass stopped before it; None when no step was requested.
+    """
+
+    t_horizon: int
+    return_mass: float
+    z: float | None
+    stop_step: int
+    stop: str
+    tv: float | None
 
 
 class Propagator(Protocol):
@@ -100,14 +140,19 @@ class Propagator(Protocol):
     step of the target-deleted sub-kernel ``[Q]_target``; killed states are
     arrays whose sum is the surviving mass. ``mu_target`` is the stationary
     mass of the target and ``horizon_cap`` the longest relaxation horizon.
+    ``tv_to_stationary`` is the TV distance from a state to the computed
+    stationary law, and ``scan_stop_level`` the TV level at which a scan
+    may stop, from :func:`certified_stop_level`.
     """
 
     mu_target: float
     horizon_cap: int
+    scan_stop_level: float
 
     def start(self): ...
     def step(self, state): ...
     def target_mass(self, state) -> float: ...
+    def tv_to_stationary(self, state) -> float: ...
     def killed_start(self) -> np.ndarray: ...
     def killed_step(self, killed: np.ndarray) -> np.ndarray: ...
 
@@ -115,6 +160,19 @@ class Propagator(Protocol):
 def log_power_horizon(n: int, power: int) -> int:
     """``ceil(log(n)**power)`` with the natural log (the asymptotic schedule)."""
     return math.ceil(math.log(n) ** power)
+
+
+def certified_stop_level(residual: float) -> float:
+    """``TV_STOP_LEVEL`` if the stationary law's one-step L1 ``residual`` is at most ``STOP_RESIDUAL_LEVEL``, else -1.
+
+    A scan stops when its TV distance to the computed law ``pi`` is at
+    most the level. Bounds drawn from that stop hold against the exact law
+    up to ``2e``, where ``e`` is the distance from ``pi`` to it: at most
+    half the residual times the summed contraction coefficients of the
+    chain. Those are not computed, so the gate asks for a residual of a
+    tenth of the stop level; a less exact ``pi`` gets -1, which never stops.
+    """
+    return TV_STOP_LEVEL if residual <= STOP_RESIDUAL_LEVEL else -1.0
 
 
 @dataclass(eq=False)
@@ -135,10 +193,18 @@ class TargetWalk:
     def horizon_cap(self) -> int:
         return log_power_horizon(max(self.chain.size, 2), 5)
 
+    @property
+    def scan_stop_level(self) -> float:
+        mu = stationary_distribution(self.chain)
+        return certified_stop_level(float(np.abs(self.chain.kernel_t @ mu - mu).sum()))
+
     def start(self) -> np.ndarray:
         v = np.zeros(self.chain.size)
         v[self.target] = 1.0
         return v
+
+    def tv_to_stationary(self, v: np.ndarray) -> float:
+        return 0.5 * float(np.abs(v - stationary_distribution(self.chain)).sum())
 
     def step(self, v: np.ndarray) -> np.ndarray:
         return self.chain.kernel_t @ v
@@ -165,42 +231,85 @@ def return_series(p: Propagator) -> Iterator[float]:
         state = p.step(state)
 
 
+def _is_horizon(t: int, q: float, level: float, cap: int) -> bool:
+    return t >= 1 and (q <= level or t == cap)
+
+
 def relaxation_horizon(p: Propagator, terms: Iterator[float]) -> int:
     """Smallest ``t >= 1`` whose term is at most ``RELAX_FACTOR * mu(target)``, or ``horizon_cap``.
 
     Reads ``terms`` (``p``'s :func:`return_series`) up to and including term ``t``.
     """
     level, cap = RELAX_FACTOR * p.mu_target, p.horizon_cap
-    return next(t for t, q in enumerate(terms) if t >= 1 and (q <= level or t == cap))
+    return next(t for t, q in enumerate(terms) if _is_horizon(t, q, level, cap))
 
 
-def return_sums(p: Propagator, t_horizon: int | None = None) -> tuple[int, float, float]:
+def return_sums(p: Propagator, t_horizon: int | None = None,
+                tv_at: int | None = None, sum_z: bool = True) -> ReturnSums:
     """Horizon ``T``, return mass ``R(T)`` and ``Z(target, target)`` in one pass.
 
-    ``R(T) = sum_{t<=T} Q^t(target, target)``, with ``T`` defaulting to the
-    :func:`relaxation_horizon`.
     ``Z = sum_t (Q^t(target, target) - mu(target))`` is the
-    fundamental-matrix entry; the series is summed until ``t >= T`` and
-    ``Z_CONSECUTIVE_SMALL`` successive terms fall below ``Z_TERM_TOL`` in
-    magnitude. After mixing the terms decay geometrically, so the
-    truncated tail is negligible at that point.
+    fundamental-matrix entry and ``T`` defaults to the
+    :func:`relaxation_horizon`. Once ``T`` is known (from step 0 when it is
+    given) the pass measures the TV distance to stationarity at every
+    multiple of ``TV_CHECK_EVERY``, and stops at the first such step ``t0``
+    where it is at most ``p.scan_stop_level``, or at the first
+    ``t0 >= max(T, tv_at)`` that ends ``Z_CONSECUTIVE_SMALL`` successive
+    terms below ``Z_TERM_TOL`` in magnitude, whichever comes first. ``Z``
+    sums the terms up to ``t0``, and
+    ``R(T) = sum_{t <= min(T, t0)} Q^t(target, target) + max(0, T - t0) * mu(target)``.
+
+    The target mass is part of the state's TV distance, and that distance
+    never increases. So after a certified stop at ``TV(t0)``, every later
+    term is within ``TV(t0) + 2e`` of ``mu(target)``, where ``e`` is the
+    distance from the computed to the exact stationary law (see
+    :func:`certified_stop_level`), and ``R`` is off by at most
+    ``(T - t0) * (TV(t0) + 2e)``. Writing the tail of ``Z`` through the
+    fundamental matrix gives
+    ``|Z - Z(t0)| <= (TV(t0) + 2e) * (1 + mu(target) * max_a E_a[tau_target])``.
+    ``tv_at`` asks for the TV distance at that step as well (see
+    :class:`ReturnSums`). A pass with ``sum_z`` False, for callers that need
+    only ``R``, also stops at ``max(T, tv_at)``.
     """
-    mu = p.mu_target
-    # the horizon scan reads ahead; tee replays its terms without stepping again
-    stream, scan = tee(return_series(p))
-    if t_horizon is None:
-        t_horizon = relaxation_horizon(p, scan)
+    for h in (t_horizon, tv_at):
+        if h is not None and h < 0:
+            raise ValueError(f"horizon must be at least 0, got {h}")
+    mu, level = p.mu_target, p.scan_stop_level
+    relax, cap = RELAX_FACTOR * mu, p.horizon_cap
+    state = p.start()
     terms: list[float] = []
-    small = 0
-    for t, q in enumerate(stream):
+    small, t, tv = 0, 0, None
+    while True:
+        q = p.target_mass(state)
         terms.append(q)
+        if t_horizon is None and _is_horizon(t, q, relax, cap):
+            t_horizon = t
         small = small + 1 if abs(q - mu) < Z_TERM_TOL else 0
-        if t >= t_horizon and small >= Z_CONSECUTIVE_SMALL:
-            break
+        check = t_horizon is not None and level >= 0 and t % TV_CHECK_EVERY == 0
+        if check or t == tv_at:
+            tv_t = p.tv_to_stationary(state)
+            if tv_at is not None and t <= tv_at:
+                tv = tv_t
+            if check and tv_t <= level:
+                stop = "certified"
+                break
+        if t_horizon is not None and t >= max(t_horizon, tv_at or 0):
+            if not sum_z:
+                stop = "horizon"
+                break
+            if small >= Z_CONSECUTIVE_SMALL:
+                stop = "consecutive"
+                break
         if t >= Z_MAX_STEPS:
             raise ConvergenceError(t, abs(q - mu))
+        state = p.step(state)
+        t += 1
     series = np.array(terms)
-    return t_horizon, float(series[: t_horizon + 1].sum()), float((series - mu).sum())
+    r_mass = series[: t_horizon + 1].sum()
+    if t < t_horizon:
+        r_mass += (t_horizon - t) * mu
+    z = float((series - mu).sum()) if sum_z else None
+    return ReturnSums(t_horizon, float(r_mass), z, t, stop, tv)
 
 
 def perron_pair(p: Propagator) -> QuasiStationaryPair:
@@ -265,16 +374,18 @@ def fvtl_quantities(c: ChainSpec, target: int) -> FvtlReport:
     mu = stationary_distribution(c)
     if mu[target] <= 0:
         raise ValueError(f"target {target} is outside the support of the stationary law")
-    t_horizon, r_mass, z_dd = return_sums(TargetWalk(c, target))
+    sums = return_sums(TargetWalk(c, target))
     expected = hitting_time_expectation(c, mu, [target])
     return FvtlReport(
         target=target,
         mu_target=float(mu[target]),
-        t_horizon=t_horizon,
-        return_mass=r_mass,
-        z_dd=z_dd,
-        predicted_lambda=float(mu[target] / r_mass),
+        t_horizon=sums.t_horizon,
+        return_mass=sums.return_mass,
+        z_dd=sums.z,
+        predicted_lambda=float(mu[target] / sums.return_mass),
         expected_hitting_from_mu=float(expected),
+        z_stop_step=sums.stop_step,
+        z_stop=sums.stop,
         quasi=quasi_stationary_pair(c, target),
     )
 

@@ -291,6 +291,8 @@ def _fvtl_identity_row(chain, target: int, label: str) -> dict:
         "qs_mean_dev": abs(pair.lambda_star * qs_hitting - 1.0),
         "predicted_lambda": report.predicted_lambda,
         "return_horizon": report.t_horizon,
+        "z_stop_step": report.z_stop_step,
+        "z_stop": report.z_stop,
     }
 
 

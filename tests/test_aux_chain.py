@@ -251,11 +251,17 @@ def test_sampled_tv_matches_explicit_chain(monkeypatch):
     nu[np.arange(len(starts)), starts] = 1.0
     for _ in range(s_horizon):
         nu = nu @ chain.kernel
-    expected = 0.5 * np.abs(nu - chain.stationary).sum(axis=1).max()
-    assert expected > 1e-3  # not yet mixed, so the comparison has teeth
+    tv = 0.5 * np.abs(nu - chain.stationary).sum(axis=1)
+    assert tv[1:].max() > 1e-3  # not yet mixed, so the comparison has teeth
     worst, stopped = _max_tv_sampled(aux, s_horizon)
     assert stopped == 0
-    assert worst == pytest.approx(expected, abs=1e-12)
+    assert worst == pytest.approx(tv[1:].max(), abs=1e-12)
+
+    # check_events adds the diagonal start from its return-mass pass
+    monkeypatch.setattr(aux_chain, "A4_EXACT_LIMIT", 0)
+    report = check_events(aux, eps=0.5, s_horizon=s_horizon)
+    assert report.tv_mode == "sampled" and report.a4_stopped_starts == 0
+    assert report.max_tv_at_s == pytest.approx(tv.max(), abs=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -268,12 +274,12 @@ def test_certified_return_mass_matches_brute_force(aux150):
     the closed-form tail keeps R within the certified error of the full sum."""
     aux = aux150
     t_horizon = log_power_horizon(aux.n, 5)
-    assert aux.stationarity_residual() <= aux_chain.STOP_RESIDUAL_LEVEL
-    assert aux.scan_stop_level == aux_chain.TV_STOP_LEVEL
+    assert aux.stationarity_residual() <= fvtl.STOP_RESIDUAL_LEVEL
+    assert aux.scan_stop_level == fvtl.TV_STOP_LEVEL
     r_mass, t0 = return_mass(aux, t_horizon)
-    assert 0 < t0 < t_horizon and t0 % aux_chain.TV_CHECK_EVERY == 0
+    assert 0 < t0 < t_horizon and t0 % fvtl.TV_CHECK_EVERY == 0
     brute = sum(islice(return_series(aux), t_horizon + 1))
-    assert abs(r_mass - brute) <= (t_horizon - t0) * aux_chain.TV_STOP_LEVEL
+    assert abs(r_mass - brute) <= (t_horizon - t0) * fvtl.TV_STOP_LEVEL
     assert r_mass == pytest.approx(brute, rel=1e-9)
 
 
@@ -284,6 +290,8 @@ def test_return_mass_runs_to_short_horizons():
         assert t0 == t_horizon
         assert r_mass == pytest.approx(sum(islice(return_series(aux), t_horizon + 1)),
                                        abs=1e-14)
+        sums = return_sums(aux, t_horizon, sum_z=False)
+        assert (sums.stop, sums.z) == ("horizon", None)
 
 
 def test_negative_horizons_are_rejected():
@@ -301,18 +309,24 @@ def test_stopped_sampled_tv_bounds_the_full_horizon_oracle(aux150, monkeypatch):
     s_horizon, samples = log_power_horizon(aux.n, 3), 12
     monkeypatch.setattr(aux_chain, "A4_SAMPLES", samples)
     worst, stopped = _max_tv_sampled(aux, s_horizon)
-    assert stopped == samples + 1  # every start, DELTA included, stops before S
+    assert stopped == samples  # every start stops before S
 
     rng = np.random.default_rng(aux_chain.A4_SEED)
-    oracle = full_horizon_tv(aux, aux.start(), s_horizon)
+    oracle = 0.0
     for _ in range(samples):
         x = int(rng.integers(0, aux.n))
         xp = int(rng.integers(0, aux.n - 1))
         m = np.zeros((aux.n, aux.n))
         m[x, xp + (xp >= x)] = 1.0
         oracle = max(oracle, full_horizon_tv(aux, m, s_horizon))
-    assert worst >= oracle - aux_chain.TV_STOP_LEVEL
-    assert worst <= aux_chain.TV_STOP_LEVEL
+    assert worst >= oracle - fvtl.TV_STOP_LEVEL
+    assert worst <= fvtl.TV_STOP_LEVEL
+
+    # the diagonal start is the return-mass pass, which stops before S too
+    sums = return_sums(aux, log_power_horizon(aux.n, 5), tv_at=s_horizon, sum_z=False)
+    assert sums.stop_step < s_horizon and sums.stop == "certified"
+    assert sums.tv >= full_horizon_tv(aux, aux.start(), s_horizon) - fvtl.TV_STOP_LEVEL
+    assert sums.tv <= fvtl.TV_STOP_LEVEL
 
 
 def test_check_events_records_the_certified_stops(aux150, monkeypatch):
@@ -320,9 +334,9 @@ def test_check_events_records_the_certified_stops(aux150, monkeypatch):
     report = check_events(aux150, eps=0.15)
     assert report.tv_mode == "sampled-bound"
     assert report.a4_stopped_starts == 6
-    assert report.max_tv_at_s <= aux_chain.TV_STOP_LEVEL
+    assert report.max_tv_at_s <= fvtl.TV_STOP_LEVEL
     assert report.return_stop_step < report.t_horizon
-    assert report.return_stop_step % aux_chain.TV_CHECK_EVERY == 0
+    assert report.return_stop_step % fvtl.TV_CHECK_EVERY == 0
     assert {"a4_stopped_starts", "return_stop_step"} <= set(report.as_dict())
 
     # a horizon shorter than the first check runs in full
@@ -331,10 +345,25 @@ def test_check_events_records_the_certified_stops(aux150, monkeypatch):
     assert report.return_stop_step == 5
 
 
+def test_check_events_takes_the_diagonal_start_from_the_return_pass(aux150, monkeypatch):
+    """The A4 value of DELTA equals a separate certified scan from DELTA to S."""
+    monkeypatch.setattr(aux_chain, "A4_SAMPLES", 4)
+    s_horizon = log_power_horizon(aux150.n, 3)
+    delta_t0, _ = aux_chain._certified_scan(aux150, aux150.start(), s_horizon)
+    _, stopped = _max_tv_sampled(aux150, s_horizon)
+    for s in (s_horizon, delta_t0, delta_t0 - 1):
+        report = check_events(aux150, eps=0.15, s_horizon=s)
+        t0, tv = aux_chain._certified_scan(aux150, aux150.start(), s)
+        pairs_tv, pairs_stopped = _max_tv_sampled(aux150, s)
+        assert report.max_tv_at_s == max(tv, pairs_tv)
+        assert report.a4_stopped_starts == pairs_stopped + (t0 < s)
+    assert delta_t0 < s_horizon and stopped == 4
+
+
 def test_scans_run_in_full_when_pi_tilde_misses_the_residual_level(monkeypatch):
     """The stop is trusted only when outer(pi, pi) is stationary to within
     STOP_RESIDUAL_LEVEL; otherwise every scan runs to its horizon."""
-    monkeypatch.setattr(aux_chain, "STOP_RESIDUAL_LEVEL", 0.0)
+    monkeypatch.setattr(fvtl, "STOP_RESIDUAL_LEVEL", 0.0)
     monkeypatch.setattr(aux_chain, "A4_SAMPLES", 3)
     aux = small_aux(70, 2, seed=0)
     assert aux.stationarity_residual() > 0.0
@@ -345,7 +374,8 @@ def test_scans_run_in_full_when_pi_tilde_misses_the_residual_level(monkeypatch):
     assert r_mass == pytest.approx(sum(islice(return_series(aux), t_horizon + 1)), rel=1e-14)
     report = check_events(aux, eps=0.15, t_horizon=40)
     assert report.tv_mode == "sampled" and report.a4_stopped_starts == 0
-    assert report.return_stop_step == 40
+    # the pass runs on to S for the A4 value of DELTA
+    assert report.return_stop_step == max(40, report.s_horizon)
 
 
 def test_build_aux_chain_reuses_the_cached_transpose(monkeypatch):
@@ -433,11 +463,28 @@ def test_aux_fvtl_report_keeps_the_perron_pair():
 
 def test_return_sums_pair_form_matches_explicit_chain():
     aux = small_aux()
-    t_aux, r_aux, z_aux = return_sums(aux)
-    t_gen, r_gen, z_gen = return_sums(TargetWalk(aux.to_chain_spec(), aux.delta_index))
-    assert t_aux == t_gen
-    assert r_aux == pytest.approx(r_gen, rel=1e-12)
-    assert z_aux == pytest.approx(z_gen, rel=1e-12)
+    pair = return_sums(aux)
+    gen = return_sums(TargetWalk(aux.to_chain_spec(), aux.delta_index))
+    assert pair.t_horizon == gen.t_horizon
+    assert pair.return_mass == pytest.approx(gen.return_mass, rel=1e-12)
+    assert pair.z == pytest.approx(gen.z, rel=1e-12)
+
+
+def fifty_term_pass(p):
+    """``(T, R, Z)`` of the pass without a certified stop, from :func:`return_series`.
+
+    It ends at the first ``t >= T`` whose last ``Z_CONSECUTIVE_SMALL``
+    centered terms are all below ``Z_TERM_TOL``.
+    """
+    t_horizon = fvtl.relaxation_horizon(p, return_series(p))
+    terms, small = [], 0
+    for t, q in enumerate(return_series(p)):
+        terms.append(q)
+        small = small + 1 if abs(q - p.mu_target) < Z_TERM_TOL else 0
+        if t >= t_horizon and small >= Z_CONSECUTIVE_SMALL:
+            break
+    series = np.array(terms)
+    return t_horizon, float(series[:t_horizon + 1].sum()), float((series - p.mu_target).sum())
 
 
 def test_aux_fvtl_report_walks_the_return_series_once(monkeypatch):
@@ -454,14 +501,59 @@ def test_aux_fvtl_report_walks_the_return_series_once(monkeypatch):
     steps = calls[0]
     monkeypatch.undo()
 
-    # one step per term, none repeated: the pass ends at the first t >= T
-    # whose last Z_CONSECUTIVE_SMALL centered terms are all below Z_TERM_TOL
-    small = np.abs(np.array(list(islice(return_series(aux), steps + 1))) - aux.mu_target)
+    # one step per term, none repeated, plus the one step of the residual
+    # gate: the pass ends at the first multiple of TV_CHECK_EVERY at or
+    # after the horizon whose TV is at most the stop level, which here
+    # comes before Z_CONSECUTIVE_SMALL centered terms fall below Z_TERM_TOL
+    t_horizon, _, _ = fifty_term_pass(aux)
+    m, t = aux.start(), 0
+    while t < t_horizon or t % fvtl.TV_CHECK_EVERY or full_horizon_tv(aux, m, 0) > fvtl.TV_STOP_LEVEL:
+        m, t = aux.left_step(m), t + 1
+    assert aux.scan_stop_level == fvtl.TV_STOP_LEVEL
+    assert (report.z_stop, report.z_stop_step) == ("certified", t)
+    assert steps == t + 1
+
+    small = np.abs(np.array(list(islice(return_series(aux), t + 1))) - aux.mu_target)
     small = small < Z_TERM_TOL
     k = Z_CONSECUTIVE_SMALL
-    first = max(report.t_horizon, k - 1)
-    ends = [t for t in range(first, steps + 1) if small[t - k + 1:t + 1].all()]
-    assert ends[:1] == [steps]
+    assert not any(small[e - k + 1:e + 1].all() for e in range(max(t_horizon, k - 1), t))
+
+
+def random_target_walks(count, seed=0):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        c = fvtl.random_ergodic_chain(rng)
+        stationary_distribution(c)
+        yield TargetWalk(c, int(rng.integers(0, c.size)))
+
+
+def test_closed_gate_return_sums_is_the_fifty_term_pass(monkeypatch):
+    """With the residual gate shut, the pass is the one without a certified
+    stop, bit for bit."""
+    monkeypatch.setattr(fvtl, "STOP_RESIDUAL_LEVEL", 0.0)
+    for p in [small_aux(30, 2, seed=1), small_aux(150, 2, seed=0), *random_target_walks(12)]:
+        assert p.scan_stop_level < 0
+        sums = return_sums(p)
+        assert sums.stop == "consecutive"
+        assert (sums.t_horizon, sums.return_mass, sums.z) == fifty_term_pass(p)
+
+
+def test_certified_stop_keeps_t_and_r_and_bounds_z(aux150, monkeypatch):
+    """An open gate shortens the pass; T and R stay put when t0 >= T, and
+    Z moves by at most 3 TV_STOP_LEVEL (1 + r/(r-1) at r = 2 bounds the
+    tail factor of the certificate on the pair chain)."""
+    walks = list(random_target_walks(12))
+    opened = [return_sums(p) for p in [aux150, *walks]]
+    monkeypatch.setattr(fvtl, "STOP_RESIDUAL_LEVEL", 0.0)
+    closed = [return_sums(p) for p in [small_aux(150, 2, seed=0), *walks]]
+    assert opened[0].stop == "certified"
+    assert all(s.stop == "certified" for s in opened)
+    for o, c in zip(opened, closed):
+        assert o.stop_step <= c.stop_step
+        assert o.t_horizon == c.t_horizon
+        if o.stop_step >= o.t_horizon:
+            assert o.return_mass == c.return_mass
+        assert abs(o.z - c.z) <= 3 * fvtl.TV_STOP_LEVEL
 
 
 def test_asymptotic_horizon_overshoots_at_desk_scale():

@@ -53,6 +53,8 @@ def test_fvtl_emits_report_and_events(dfa_file, tmp_path):
     assert events["t_horizon"] == 40 and events["s_horizon"] == 12
     assert events["tv_mode"] == "exact" and events["a4_stopped_starts"] == 0
     assert 0 < events["return_stop_step"] <= 40
+    assert payload["z_stop"] == "certified"
+    assert payload["z_stop_step"] % 8 == 0 and payload["z_stop_step"] >= payload["t_horizon"]
 
 
 def test_simulate_and_verify_round_trip(tmp_path, dfa_file):

@@ -47,7 +47,7 @@ def test_two_state_closed_forms():
         pair = quasi_stationary_pair(chain, 1)
         assert pair.lambda_star == pytest.approx(p, abs=1e-13)
         assert pair.mu_star[0] == pytest.approx(1.0)
-        _, _, z11 = return_sums(TargetWalk(chain, 1))
+        z11 = return_sums(TargetWalk(chain, 1)).z
         expected = hitting_time_expectation(chain, mu, [1])
         assert z11 / mu[1] == pytest.approx(expected, abs=1e-10)
         assert expected == pytest.approx(q / (p * (p + q)), abs=1e-10)
@@ -67,7 +67,7 @@ def test_fundamental_identity_random_chains():
         chain = random_ergodic_chain(rng)
         target = int(rng.integers(0, chain.size))
         mu = stationary_distribution(chain)
-        _, _, z = return_sums(TargetWalk(chain, target))
+        z = return_sums(TargetWalk(chain, target)).z
         expected = hitting_time_expectation(chain, mu, [target])
         assert abs(expected - z / mu[target]) <= 1e-8
 

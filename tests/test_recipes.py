@@ -82,6 +82,9 @@ def test_fvtl_suite_recipe(tmp_path):
     assert result.summary["max_qs_mean_dev"] <= 1e-8
     report = json.loads((tmp_path / "thm-fvtl-suite-report.json").read_text())
     assert report["chains"] == 6 + 5  # random chains plus the two-state family
+    for row in report["rows"]:
+        assert row["z_stop"] in ("certified", "consecutive")
+        assert row["z_stop_step"] >= row["return_horizon"]
 
 
 def test_recipes_reject_overrides_they_do_not_read():

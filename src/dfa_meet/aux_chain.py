@@ -95,8 +95,18 @@ class AuxChain:
         ``K^T m K`` moves both walks; its diagonal, the mass that met, is
         collapsed onto ``DELTA`` and spread over ``reentry``. From ``DELTA``
         this re-emits by ``sum_z w(z) K(z, y) K(z, y')``, self-loop ``1/r``.
+
+        ``M -> K^T M K`` commutes with transposition, so the step runs on
+        the C-ordered buffer ``s`` of ``m`` (``m`` or ``m.T``) as
+        ``kernel_t @ ascontiguousarray((kernel_t @ s).T)``, with one
+        transpose copy. That is the step of ``m`` when ``s = m.T``, and
+        its transpose when ``s = m``, which comes back as an F-ordered
+        ``.T`` view; either way the result is the state the right way round.
         """
-        w = self.kernel_t @ (self.kernel_t @ m.T).T
+        s = m.T if m.flags.f_contiguous and not m.flags.c_contiguous else m
+        w = self.kernel_t @ np.ascontiguousarray((self.kernel_t @ s).T)
+        if s is m:
+            w = w.T
         w[np.diag_indices(self.n)] = np.trace(w) * self.reentry
         return w
 

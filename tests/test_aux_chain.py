@@ -133,6 +133,23 @@ def test_left_and_killed_step_match_explicit_kernel():
     assert np.abs(aux.flatten_pair_form(killed) - expected).max() < 1e-14
 
 
+def test_left_step_keeps_the_pair_orientation_in_either_memory_order():
+    """The step transposes internally; C- and F-ordered inputs, and the
+    step's own outputs, must all come back as the pair (x, x'), not (x', x)."""
+    aux = small_aux(9, 3, seed=4)
+    kernel = aux.kernel_matrix()
+    start = np.zeros((aux.n, aux.n))
+    start[1, 5] = 1.0
+    for first in (start, np.asfortranarray(start)):
+        m, nu = first, aux.flatten_pair_form(first)
+        for _ in range(3):
+            m = aux.left_step(m)
+            nu = nu @ kernel
+            assert np.abs(aux.flatten_pair_form(m) - nu).max() <= 1e-15
+            assert np.abs(aux.flatten_pair_form(m.T) - nu).max() > 1e-3  # asymmetric
+        assert m.flags.f_contiguous != first.flags.f_contiguous  # orders alternate
+
+
 def test_exit_measure_total_and_support():
     aux = small_aux(10, 2, seed=2)
     mu = exit_measure(aux)

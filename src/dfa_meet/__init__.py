@@ -4,12 +4,10 @@ from .aux_chain import (
     AuxChain,
     AuxChainError,
     AuxEventReport,
-    ExitMeasure,
     aux_fvtl_report,
     auto_return_horizon,
     build_aux_chain,
     check_events,
-    exit_measure,
     return_mass,
 )
 from .chains import (
@@ -26,16 +24,12 @@ from .chains import (
     mixing_profile,
     product_matrix,
     stationary_distribution,
-    tv_distance,
     walk_matrix,
 )
 from .dfa import (
     Dfa,
-    DfaDiagnostics,
     DfaError,
     DfaFormatError,
-    apply_word,
-    diagnostics,
     generate_dfa,
     parse_dfa,
     serialize_dfa,
@@ -48,7 +42,6 @@ from .fvtl import (
     quasi_stationary_pair,
     quasi_stationary_tail_check,
     two_state_chain,
-    uniform_start_ratio,
 )
 from .recipes import Recipe, RecipeResult, run_recipe
 from .seeds import seed_split

@@ -20,10 +20,10 @@ sparse-times-dense products regardless of alphabet size. In this form
 Pair-chain scans stop once their total-variation distance to
 ``pi_tilde`` is certified small: the return series through
 :func:`~dfa_meet.fvtl.return_sums`, the sampled A4 starts through
-:func:`_certified_scan`. The distance to the exact stationary law never
-increases along a run, so, up to the distance between that law and the
-computed ``outer(pi, pi)``, it bounds the distance, and the error of the
-diagonal mass, at every later step.
+:func:`~dfa_meet.fvtl.certified_scan`. The distance to the exact
+stationary law never increases along a run, so, up to the distance
+between that law and the computed ``outer(pi, pi)``, it bounds the
+distance, and the error of the diagonal mass, at every later step.
 """
 
 from __future__ import annotations
@@ -37,13 +37,11 @@ import scipy.sparse as sp
 
 from .chains import ChainSpec, make_chain, mixing_profile, stationary_distribution
 from .fvtl import (
-    TV_CHECK_EVERY,
     FvtlReport,
+    certified_scan,
     certified_stop_level,
     log_power_horizon,
     perron_pair,
-    relaxation_horizon,
-    return_series,
     return_sums,
 )
 
@@ -246,61 +244,6 @@ def build_aux_chain(c: ChainSpec, pi: np.ndarray | None = None) -> AuxChain:
     )
 
 
-@dataclass
-class ExitMeasure:
-    """Law of the first state entered when leaving the collapsed diagonal.
-
-    ``mu_plus[x, x']`` is the probability of exiting to the ordered pair
-    ``(x, x')``; the matrix has zero diagonal and total mass 1, and its
-    support is exactly the pairs with a common in-neighbor inside the
-    support of ``pi``.
-    """
-
-    mu_plus: sp.csr_array
-
-    @property
-    def total(self) -> float:
-        return float(self.mu_plus.sum())
-
-    @property
-    def max_value(self) -> float:
-        return float(self.mu_plus.data.max()) if self.mu_plus.nnz else 0.0
-
-    def support_pairs(self) -> list[tuple[int, int]]:
-        coo = self.mu_plus.tocoo()
-        return [(int(x), int(y)) for x, y, v in zip(coo.row, coo.col, coo.data) if v > 0]
-
-
-def exit_measure(a: AuxChain) -> ExitMeasure:
-    """Exit law from the diagonal: ``r/(r-1)`` times the mass that leaves it in one step."""
-    mu = a.killed_step(a.start()) * (a.r / (a.r - 1.0))
-    return ExitMeasure(mu_plus=sp.csr_array(mu))
-
-
-def _certified_scan(a: AuxChain, m: np.ndarray, horizon: int) -> tuple[int, float]:
-    """Run the pair state ``m`` for up to ``horizon`` steps, stopping at a certified TV level.
-
-    The TV distance to ``pi_tilde`` is measured at every multiple of
-    ``TV_CHECK_EVERY`` and at ``horizon``; the run stops at the first such
-    step ``t0`` where it is at most ``a.scan_stop_level``, or at ``horizon``.
-    Returns ``t0`` and ``TV(t0)``. For ``t >= t0`` the TV distance to
-    ``pi_tilde`` is at most ``TV(t0) + 2e``, where ``e`` is the distance
-    from ``pi_tilde`` to the exact stationary law (see
-    :func:`~dfa_meet.fvtl.certified_stop_level`).
-    """
-    if horizon < 0:
-        raise ValueError(f"horizon must be at least 0, got {horizon}")
-    level = a.scan_stop_level
-    t = 0
-    while True:
-        if t == horizon or (level >= 0 and t % TV_CHECK_EVERY == 0):
-            tv = a.tv_to_stationary(m)
-            if t == horizon or tv <= level:
-                return t, tv
-        m = a.left_step(m)
-        t += 1
-
-
 def return_mass(a: AuxChain, t_horizon: int) -> tuple[float, int]:
     """``R = sum_{t=0}^{T} P_tilde^t(DELTA, DELTA)`` and the stop step ``t0`` of its pass.
 
@@ -316,14 +259,15 @@ def return_mass(a: AuxChain, t_horizon: int) -> tuple[float, int]:
 def auto_return_horizon(a: AuxChain) -> int:
     """Adaptive horizon for the diagonal return mass.
 
-    Iterates the return series until ``P_tilde^t(DELTA, DELTA)`` has
-    relaxed to within ``fvtl.RELAX_FACTOR`` of its stationary value
-    ``pi_tilde(DELTA)``, capped at ``ceil(log(n)**5)``. Past this point
-    every further step inflates ``R`` by roughly ``pi_tilde(DELTA)``,
-    which at finite ``n`` swamps the head sum the rate prediction needs;
-    the cap recovers the asymptotic schedule for very large ``n``.
+    Runs the :func:`~dfa_meet.fvtl.return_sums` pass without ``Z`` until
+    ``P_tilde^t(DELTA, DELTA)`` has relaxed to within
+    ``fvtl.RELAX_FACTOR`` of its stationary value ``pi_tilde(DELTA)``,
+    capped at ``ceil(log(n)**5)``. Past this point every further step
+    inflates ``R`` by roughly ``pi_tilde(DELTA)``, which at finite ``n``
+    swamps the head sum the rate prediction needs; the cap recovers the
+    asymptotic schedule for very large ``n``.
     """
-    return relaxation_horizon(a, return_series(a))
+    return return_sums(a, sum_z=False).t_horizon
 
 
 def aux_fvtl_report(
@@ -373,7 +317,8 @@ class AuxEventReport:
     starts, of which ``a4_stopped_starts`` stopped at a certified level
     before ``S`` and report their TV there, so ``max_tv_at_s`` is an upper
     bound on the sampled maximum, up to twice the distance ``e`` between
-    ``pi_tilde`` and the exact stationary law; see :func:`_certified_scan`).
+    ``pi_tilde`` and the exact stationary law; see
+    :func:`~dfa_meet.fvtl.certified_scan`).
     ``return_stop_step`` is the step ``t0`` at which the return-mass pass
     stopped, at most ``max(t_horizon, s_horizon)``; when it is below
     ``t_horizon`` the later terms were taken as ``pi_tilde(DELTA)``.
@@ -431,6 +376,8 @@ def check_events(
     ``TV_STOP_LEVEL + 2e`` of ``max_tv_at_s``, or within
     ``(T - t0) * (TV_STOP_LEVEL + 2e)`` of ``|R - r/(r-1)|``.
     """
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     n, r = a.n, a.r
     if t_horizon is None:
         t_horizon = log_power_horizon(n, 5)
@@ -487,7 +434,7 @@ def _max_tv_sampled(a: AuxChain, s_horizon: int) -> tuple[float, int]:
         xp = int(rng.integers(0, a.n - 1))
         m = np.zeros((a.n, a.n))
         m[x, xp + (xp >= x)] = 1.0
-        t0, tv = _certified_scan(a, m, s_horizon)
+        t0, tv = certified_scan(a, m, s_horizon)
         worst = max(worst, tv)
         stopped += t0 < s_horizon
     return worst, stopped

@@ -227,15 +227,6 @@ def ergodic_walk_chain(n: int, r: int, seed: int):
     raise MultipleRecurrentClassesError(chain.recurrent_classes)
 
 
-def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Total-variation distance ``0.5 * sum |p_i - q_i|``."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
-    return 0.5 * float(np.abs(p - q).sum())
-
-
 @dataclass
 class MixingProfile:
     """Worst-start TV distance to stationarity per step, up to a cap."""
@@ -258,6 +249,8 @@ def mixing_profile(c: ChainSpec, t_cap: int) -> MixingProfile:
     and memory stays at two blocks plus one TV buffer of
     ``MIXING_BATCH_SIZE * N`` floats each.
     """
+    if t_cap < 0:
+        raise ValueError(f"horizon must be at least 0, got {t_cap}")
     pi = stationary_distribution(c)[:, None]
     n = c.size
     d_tv = np.zeros(t_cap + 1)

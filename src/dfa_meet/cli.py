@@ -195,13 +195,13 @@ def _cmd_verify(args) -> int:
         fit = stats.exponential_fit(dist, mean)
     elif ref == "kingman":
         dist = stats.EmpiricalDist.from_samples(taus / n, censored_count=censored)
-        ref = sample_kingman_reference(n, args.seed, size=recipes.KINGMAN_REFERENCE_SIZE)
-        fit = stats.sample_fit(dist, ref, "kingman", {"n": n, "seed": args.seed})
+        sample = sample_kingman_reference(n, args.seed, size=recipes.KINGMAN_REFERENCE_SIZE)
+        fit = stats.sample_fit(dist, sample, "kingman", {"n": n, "seed": args.seed})
     else:
         raise ValueError(f"unknown reference {ref!r}")
     payload = {
         "results": str(args.results),
-        "against": ref,
+        "against": args.against,
         "count": dist.count,
         "censored_count": censored,
         "reference": fit.reference,

@@ -9,13 +9,9 @@ exactly ``r`` out-edges with pairwise distinct targets, one per color.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
-
-Word = Sequence[int]
 
 
 class DfaError(ValueError):
@@ -78,22 +74,6 @@ class Dfa:
         return self.n == other.n and self.r == other.r and np.array_equal(self.out, other.out)
 
 
-@dataclass
-class DfaDiagnostics:
-    """Structural counts from the reversed adjacency of a DFA.
-
-    ``common_in_neighbor_pairs`` counts unordered pairs of distinct vertices
-    sharing at least one in-neighbor; ``max_common_in_neighbors`` is the
-    largest number of shared in-neighbors over such pairs.
-    ``in_degree_histogram`` maps in-degree to vertex count; its
-    degree-weighted sum equals the edge count ``r * n``.
-    """
-
-    common_in_neighbor_pairs: int
-    max_common_in_neighbors: int
-    in_degree_histogram: dict[int, int]
-
-
 def generate_dfa(n: int, r: int, seed) -> Dfa:
     """Draw a DFA uniformly at random among all one-to-one out-maps.
 
@@ -145,41 +125,6 @@ def generate_dfa(n: int, r: int, seed) -> Dfa:
         flat[there[:, k]] = scratch[:, k]
         scratch[:, k] = moved
     return Dfa(n=n, r=r, out=scratch[:, :r])
-
-
-def apply_word(d: Dfa, v: int, w: Word) -> int:
-    """Return the vertex reached from ``v`` by reading ``w`` left to right."""
-    if not 0 <= v < d.n:
-        raise DfaError(f"vertex {v} outside [0, {d.n})")
-    out = d.out
-    for c in w:
-        if not 0 <= c < d.r:
-            raise DfaError(f"letter {c} outside [0, {d.r})")
-        v = int(out[v, c])
-    return v
-
-
-def diagnostics(d: Dfa) -> DfaDiagnostics:
-    """Exact common-in-neighbor and in-degree counts.
-
-    Any two distinct targets of the same vertex ``z`` share ``z`` as an
-    in-neighbor, so shared-in-neighbor multiplicities are accumulated by
-    scanning each out-neighborhood once.
-    """
-    pair_counts: Counter = Counter()
-    for z in range(d.n):
-        targets = sorted(d.out[z].tolist())
-        for i in range(d.r):
-            a = targets[i]
-            for j in range(i + 1, d.r):
-                pair_counts[(a, targets[j])] += 1
-    in_degrees = np.bincount(d.out.ravel(), minlength=d.n)
-    histogram = Counter(in_degrees.tolist())
-    return DfaDiagnostics(
-        common_in_neighbor_pairs=len(pair_counts),
-        max_common_in_neighbors=max(pair_counts.values(), default=0),
-        in_degree_histogram=dict(sorted(histogram.items())),
-    )
 
 
 def serialize_dfa(d: Dfa) -> str:

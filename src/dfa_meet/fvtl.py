@@ -13,8 +13,9 @@ within a short horizon. The exact finite-chain identities behind this are
 These identities are what the test suite verifies to near machine
 precision; the geometric rate prediction itself is asymptotic.
 
-Each algorithm (return series, relaxation horizon, ``R`` and ``Z`` sums,
-Perron iteration) is written once over a :class:`Propagator`.
+Each algorithm (the relaxation horizon with the ``R`` and ``Z`` sums, the
+certified scan of one start, Perron iteration) is written once over a
+:class:`Propagator`.
 :class:`TargetWalk` is the propagator of a generic chain;
 :class:`~dfa_meet.aux_chain.AuxChain` is the propagator of the collapsed
 pair chain, whose every state is one ``(n, n)`` pair matrix.
@@ -22,14 +23,14 @@ pair chain, whose every state is one ``(n, n)`` pair matrix.
 The return pass stops once its total-variation (TV) distance to
 stationarity is certified small; that distance never increases along a
 run (Levin, Peres & Wilmer, *Markov Chains and Mixing Times*, ch. 4). See
-:func:`return_sums` and :func:`certified_stop_level`.
+:func:`return_sums`, :func:`certified_scan` and :func:`certified_stop_level`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Protocol
+from typing import Protocol
 
 import numpy as np
 import scipy.sparse as sp
@@ -223,25 +224,27 @@ class TargetWalk:
         return w
 
 
-def return_series(p: Propagator) -> Iterator[float]:
-    """``Q^t(target, target)`` for ``t = 0, 1, 2, ...``; term ``t`` costs ``t`` steps."""
-    state = p.start()
-    while True:
-        yield p.target_mass(state)
-        state = p.step(state)
+def certified_scan(p: Propagator, state, horizon: int) -> tuple[int, float]:
+    """Run ``state`` for up to ``horizon`` steps, stopping at a certified TV level.
 
-
-def _is_horizon(t: int, q: float, level: float, cap: int) -> bool:
-    return t >= 1 and (q <= level or t == cap)
-
-
-def relaxation_horizon(p: Propagator, terms: Iterator[float]) -> int:
-    """Smallest ``t >= 1`` whose term is at most ``RELAX_FACTOR * mu(target)``, or ``horizon_cap``.
-
-    Reads ``terms`` (``p``'s :func:`return_series`) up to and including term ``t``.
+    The TV distance to stationarity is measured at every multiple of
+    ``TV_CHECK_EVERY`` and at ``horizon``; the run stops at the first such
+    step ``t0`` where it is at most ``p.scan_stop_level``, or at ``horizon``.
+    Returns ``t0`` and ``TV(t0)``. For ``t >= t0`` the TV distance to the
+    computed stationary law is at most ``TV(t0) + 2e``, where ``e`` is its
+    distance to the exact one (see :func:`certified_stop_level`).
     """
-    level, cap = RELAX_FACTOR * p.mu_target, p.horizon_cap
-    return next(t for t, q in enumerate(terms) if _is_horizon(t, q, level, cap))
+    if horizon < 0:
+        raise ValueError(f"horizon must be at least 0, got {horizon}")
+    level = p.scan_stop_level
+    t = 0
+    while True:
+        if t == horizon or (level >= 0 and t % TV_CHECK_EVERY == 0):
+            tv = p.tv_to_stationary(state)
+            if t == horizon or tv <= level:
+                return t, tv
+        state = p.step(state)
+        t += 1
 
 
 def return_sums(p: Propagator, t_horizon: int | None = None,
@@ -249,9 +252,10 @@ def return_sums(p: Propagator, t_horizon: int | None = None,
     """Horizon ``T``, return mass ``R(T)`` and ``Z(target, target)`` in one pass.
 
     ``Z = sum_t (Q^t(target, target) - mu(target))`` is the
-    fundamental-matrix entry and ``T`` defaults to the
-    :func:`relaxation_horizon`. Once ``T`` is known (from step 0 when it is
-    given) the pass measures the TV distance to stationarity at every
+    fundamental-matrix entry and ``T`` defaults to the relaxation horizon:
+    the smallest ``t >= 1`` whose term is at most
+    ``RELAX_FACTOR * mu(target)``, or ``p.horizon_cap``. Once ``T`` is
+    known (from step 0 when it is given) the pass measures the TV distance to stationarity at every
     multiple of ``TV_CHECK_EVERY``, and stops at the first such step ``t0``
     where it is at most ``p.scan_stop_level``, or at the first
     ``t0 >= max(T, tv_at)`` that ends ``Z_CONSECUTIVE_SMALL`` successive
@@ -282,7 +286,7 @@ def return_sums(p: Propagator, t_horizon: int | None = None,
     while True:
         q = p.target_mass(state)
         terms.append(q)
-        if t_horizon is None and _is_horizon(t, q, relax, cap):
+        if t_horizon is None and t >= 1 and (q <= relax or t == cap):
             t_horizon = t
         small = small + 1 if abs(q - mu) < Z_TERM_TOL else 0
         check = t_horizon is not None and level >= 0 and t % TV_CHECK_EVERY == 0
@@ -408,32 +412,6 @@ def quasi_stationary_tail_check(c: ChainSpec, target: int, pair: QuasiStationary
     for _ in range(t_max):
         v = walk.killed_step(v) / scale
         worst = max(worst, abs(float(v.sum()) - 1.0))
-    return worst
-
-
-def uniform_start_ratio(c: ChainSpec, target: int, horizons) -> float:
-    """``sup_t max_x P_x(tau > t) / P_mu(tau > t)`` over a horizon grid.
-
-    Exact survival vectors from every start are compared against the
-    stationary-start tail at each requested horizon.
-    """
-    horizons = sorted(set(int(t) for t in horizons))
-    if not horizons or horizons[0] < 0:
-        raise ValueError("horizons must be nonnegative integers")
-    mu = stationary_distribution(c)
-    survival = np.ones(c.size)
-    survival[target] = 0.0
-    worst = 0.0
-    t = 0
-    for horizon in horizons:
-        while t < horizon:
-            survival = c.kernel @ survival
-            survival[target] = 0.0
-            t += 1
-        from_mu = float(mu @ survival)
-        if from_mu <= 0:
-            raise ValueError(f"stationary-start tail vanished at t={t}")
-        worst = max(worst, float(survival.max()) / from_mu)
     return worst
 
 

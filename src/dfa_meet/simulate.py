@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 import os
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -155,25 +154,15 @@ def sample_meeting_coupled(d: Dfa, x: int, y: int, cap: int, seed, trial: int = 
     return _record("coupled", d, x, y, tau, censored, seed, trial)
 
 
-def sample_coalescence(d: Dfa, cap: int, seed, trial: int = 0, walkers=None) -> TrialRecord:
+def sample_coalescence(d: Dfa, cap: int, seed, trial: int = 0) -> TrialRecord:
     """Time for independent walks, merged on meeting, to become one cluster.
 
-    Walks start from every vertex; ``walkers`` restricts the start set
-    (debug mode: with two walkers this has the law of the independent
-    meeting time). Clusters take colors in increasing order of their
-    current position, from ``COLOR_CHUNK`` blocks that equal one draw per
-    step; the last block may run past the stopping step.
+    Walks start from every vertex. Clusters take colors in increasing order
+    of their current position, from ``COLOR_CHUNK`` blocks that equal one
+    draw per step; the last block may run past the stopping step.
     """
-    if walkers is None:
-        starts = range(d.n)
-    else:
-        starts = [operator.index(v) for v in walkers]
-        if not starts:
-            raise ValueError("walkers must name at least one start vertex")
-        for v in starts:
-            _check_start(d, v)
     rng = np.random.default_rng(seed)
-    tau, censored = _coalesce(d, cap, rng, starts)
+    tau, censored = _coalesce(d, cap, rng, range(d.n))
     return _record("coalescing", d, None, None, tau, censored, seed, trial)
 
 

@@ -184,6 +184,8 @@ def geometric_tail_fit(e: EmpiricalDist, lam: float) -> FitReport:
 
 def exponential_fit(e: EmpiricalDist, mean: float) -> FitReport:
     """KS and W1 distances of a sample against Exp(mean)."""
+    if not 0 < mean < math.inf:
+        raise ValueError(f"mean must be finite and positive, got {mean}")
     m, var, sem = _moments(e)
     return FitReport(
         reference="exponential",

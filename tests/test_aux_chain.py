@@ -14,7 +14,6 @@ from dfa_meet.aux_chain import (
     auto_return_horizon,
     build_aux_chain,
     check_events,
-    exit_measure,
     log_power_horizon,
     return_mass,
 )
@@ -26,10 +25,10 @@ from dfa_meet.fvtl import (
     TargetWalk,
     perron_pair,
     quasi_stationary_pair,
-    return_series,
     return_sums,
 )
 from tests.test_chains import full_image_dfa
+from tests.test_fvtl import relaxation_horizon, return_series
 
 
 def index_pair(aux, i):
@@ -150,11 +149,19 @@ def test_left_step_keeps_the_pair_orientation_in_either_memory_order():
         assert m.flags.f_contiguous != first.flags.f_contiguous  # orders alternate
 
 
+def exit_law(aux):
+    """Law of the first pair entered on leaving DELTA.
+
+    It is r/(r-1) times the mass that leaves DELTA in one step.
+    """
+    return aux.killed_step(aux.start()) * (aux.r / (aux.r - 1))
+
+
 def test_exit_measure_total_and_support():
     aux = small_aux(10, 2, seed=2)
-    mu = exit_measure(aux)
-    assert mu.total == pytest.approx(1.0, abs=1e-12)
-    assert mu.mu_plus[aux.delta_index % aux.n, aux.delta_index % aux.n] == 0  # zero diagonal
+    mu = exit_law(aux)
+    assert mu.sum() == pytest.approx(1.0, abs=1e-12)
+    assert not np.diagonal(mu).any()  # zero diagonal
 
     support_pi = set(np.flatnonzero(aux.pi > 0).tolist())
     targets = aux.kernel.indices.reshape(aux.n, aux.r)
@@ -164,7 +171,7 @@ def test_exit_measure_total_and_support():
             for b in targets[z]:
                 if a != b:
                     common_in.add((int(a), int(b)))
-    assert set(mu.support_pairs()) == common_in
+    assert {(int(x), int(y)) for x, y in zip(*np.nonzero(mu > 0))} == common_in
 
 
 def test_exit_measure_is_the_reentry_law_through_two_kernel_steps():
@@ -175,15 +182,13 @@ def test_exit_measure_is_the_reentry_law_through_two_kernel_steps():
     w = aux.pi**2 / (aux.pi @ aux.pi)
     exit_mass = (aux.kernel.T @ sp.diags_array(w) @ aux.kernel).toarray()
     np.fill_diagonal(exit_mass, 0.0)
-    mu_plus = exit_measure(aux).mu_plus.toarray()
-    assert np.abs(mu_plus - aux.r / (aux.r - 1) * exit_mass).max() <= 1e-15
+    assert np.abs(exit_law(aux) - aux.r / (aux.r - 1) * exit_mass).max() <= 1e-15
 
 
 def test_exit_measure_max_reported_against_threshold():
     # log^17(n)/n is vacuous at accessible sizes; just check the value is sane
     aux = small_aux(60, 2, seed=0)
-    mu = exit_measure(aux)
-    assert 0 < mu.max_value <= math.log(60) ** 17 / 60
+    assert 0 < exit_law(aux).max() <= math.log(60) ** 17 / 60
 
 
 def test_return_mass_lower_bound_and_oracle():
@@ -224,6 +229,16 @@ def test_auto_return_horizon_relaxes():
     # uniform chain relaxes immediately: P(D,D) = 1/n = pi_tilde(D)
     uniform_aux = build_aux_chain(walk_matrix(full_image_dfa(12)))
     assert auto_return_horizon(uniform_aux) == 1
+
+
+def test_auto_return_horizon_is_the_relaxation_horizon_oracle(aux150):
+    """The horizon of the return pass is the first relaxed term of the
+    return series, on pair chains and on generic chains."""
+    for aux in (small_aux(30, 2, seed=1), aux150):
+        assert auto_return_horizon(aux) == relaxation_horizon(aux, return_series(aux))
+    for walk in random_target_walks(200, seed=1):
+        assert return_sums(walk, sum_z=False).t_horizon == relaxation_horizon(
+            walk, return_series(walk))
 
 
 def test_check_events_uniform_chain_closed_forms():
@@ -366,11 +381,11 @@ def test_check_events_takes_the_diagonal_start_from_the_return_pass(aux150, monk
     """The A4 value of DELTA equals a separate certified scan from DELTA to S."""
     monkeypatch.setattr(aux_chain, "A4_SAMPLES", 4)
     s_horizon = log_power_horizon(aux150.n, 3)
-    delta_t0, _ = aux_chain._certified_scan(aux150, aux150.start(), s_horizon)
+    delta_t0, _ = fvtl.certified_scan(aux150, aux150.start(), s_horizon)
     _, stopped = _max_tv_sampled(aux150, s_horizon)
     for s in (s_horizon, delta_t0, delta_t0 - 1):
         report = check_events(aux150, eps=0.15, s_horizon=s)
-        t0, tv = aux_chain._certified_scan(aux150, aux150.start(), s)
+        t0, tv = fvtl.certified_scan(aux150, aux150.start(), s)
         pairs_tv, pairs_stopped = _max_tv_sampled(aux150, s)
         assert report.max_tv_at_s == max(tv, pairs_tv)
         assert report.a4_stopped_starts == pairs_stopped + (t0 < s)
@@ -493,7 +508,7 @@ def fifty_term_pass(p):
     It ends at the first ``t >= T`` whose last ``Z_CONSECUTIVE_SMALL``
     centered terms are all below ``Z_TERM_TOL``.
     """
-    t_horizon = fvtl.relaxation_horizon(p, return_series(p))
+    t_horizon = relaxation_horizon(p, return_series(p))
     terms, small = [], 0
     for t, q in enumerate(return_series(p)):
         terms.append(q)

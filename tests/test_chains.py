@@ -16,7 +16,6 @@ from dfa_meet.chains import (
     mixing_profile,
     product_matrix,
     stationary_distribution,
-    tv_distance,
     walk_matrix,
 )
 from dfa_meet.dfa import Dfa, generate_dfa
@@ -164,14 +163,6 @@ def test_ergodic_walk_chain_out_of_resamples_is_typed(monkeypatch):
     assert len(err.value.classes) == 2
 
 
-def test_tv_distance_basics():
-    assert tv_distance([0.5, 0.5], [0.5, 0.5]) == 0.0
-    assert tv_distance([1.0, 0.0], [0.0, 1.0]) == 1.0
-    assert tv_distance([0.5, 0.5], [1.0, 0.0]) == 0.5
-    with pytest.raises(ValueError):
-        tv_distance([1.0], [0.5, 0.5])
-
-
 def test_mixing_profile_uniform_chain():
     c = walk_matrix(full_image_dfa(10))
     prof = mixing_profile(c, t_cap=3)
@@ -198,6 +189,13 @@ def test_mixing_profile_cap_exhaustion_flagged():
     chain.stationary = np.array([0.5, 0.5])
     prof = mixing_profile(chain, t_cap=5)
     assert prof.t_mix is None and not prof.mixed
+
+
+def test_mixing_profile_rejects_a_negative_cap():
+    chain = walk_matrix(full_image_dfa(4))
+    with pytest.raises(ValueError, match="horizon must be at least 0, got -1"):
+        mixing_profile(chain, t_cap=-1)
+    assert mixing_profile(chain, t_cap=0).d_tv.shape == (1,)
 
 
 def mixing_profile_row_oracle(c, t_cap):

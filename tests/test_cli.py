@@ -94,6 +94,51 @@ def test_verify_exp_reference(tmp_path, dfa_file):
     assert payload["reference"] == "exponential"
 
 
+@pytest.fixture
+def coalescing_csv(tmp_path):
+    path = tmp_path / "coalescing.csv"
+    assert main(["simulate", "--mode", "coalescing", "--n", "20", "--r", "2",
+                 "--trials", "30", "--seed", "1", "--threads", "1", "--out", str(path)]) == 0
+    return path
+
+
+def test_verify_kingman_reference(tmp_path, coalescing_csv):
+    report_path = tmp_path / "verify.json"
+    assert main(["verify", "--results", str(coalescing_csv), "--against", "kingman",
+                 "--report", str(report_path)]) == 0
+    payload = json.loads(report_path.read_text())
+    assert payload["against"] == "kingman" and payload["reference"] == "kingman"
+    assert payload["count"] + payload["censored_count"] == 30
+
+
+@pytest.mark.parametrize("mean", ["-1", "0", "nan", "inf"])
+def test_verify_rejects_an_exponential_mean_outside_zero_to_infinity(
+        tmp_path, coalescing_csv, capsys, mean):
+    report_path = tmp_path / "verify.json"
+    assert main(["verify", "--results", str(coalescing_csv), "--against", f"exp:{mean}",
+                 "--report", str(report_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: mean must be finite and positive") and "Traceback" not in err
+    assert not report_path.exists()
+
+
+def test_exact_rejects_a_negative_cap(dfa_file, tmp_path, capsys):
+    out = tmp_path / "exact.json"
+    assert main(["exact", "--dfa", str(dfa_file), "--t-cap", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: horizon must be at least 0, got -1") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps", ["nan", "-1", "0", "inf"])
+def test_fvtl_rejects_an_eps_that_is_not_finite_and_positive(dfa_file, tmp_path, capsys, eps):
+    out = tmp_path / "fvtl.json"
+    assert main(["fvtl", "--dfa", str(dfa_file), "--eps", eps, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: eps must be finite and positive") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_unknown_recipe_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["recipe", "no-such-recipe"])

@@ -19,8 +19,44 @@ from dfa_meet.fvtl import (
     random_ergodic_chain,
     return_sums,
     two_state_chain,
-    uniform_start_ratio,
 )
+
+
+def return_series(p):
+    """``Q^t(target, target)`` for ``t = 0, 1, 2, ...``; term ``t`` costs ``t`` steps."""
+    state = p.start()
+    while True:
+        yield p.target_mass(state)
+        state = p.step(state)
+
+
+def relaxation_horizon(p, terms):
+    """Smallest ``t >= 1`` whose term is at most ``RELAX_FACTOR * mu(target)``, or ``horizon_cap``.
+
+    Reads ``terms`` (``p``'s :func:`return_series`) up to and including term ``t``.
+    """
+    level, cap = fvtl.RELAX_FACTOR * p.mu_target, p.horizon_cap
+    return next(t for t, q in enumerate(terms) if t >= 1 and (q <= level or t == cap))
+
+
+def uniform_start_ratio(c, target, horizons):
+    """``sup_t max_x P_x(tau > t) / P_mu(tau > t)`` over a horizon grid.
+
+    Exact survival vectors from every start are compared against the
+    stationary-start tail at each requested horizon.
+    """
+    mu = stationary_distribution(c)
+    survival = np.ones(c.size)
+    survival[target] = 0.0
+    worst = 0.0
+    t = 0
+    for horizon in sorted(set(horizons)):
+        while t < horizon:
+            survival = c.kernel @ survival
+            survival[target] = 0.0
+            t += 1
+        worst = max(worst, float(survival.max()) / float(mu @ survival))
+    return worst
 
 
 def test_target_walk_steps_match_row_vector_oracle():

@@ -104,7 +104,7 @@ def test_coalescence_debug_pair_matches_independent_meeting():
 
     d = generate_dfa(100, 2, seed=5)
     coal = np.array([
-        sample_coalescence(d, 10**5, seed=seed_split(1, i, "pair"), walkers=[3, 77]).tau
+        simulate._coalesce(d, 10**5, np.random.default_rng(seed_split(1, i, "pair")), [3, 77])[0]
         for i in range(10_000)
     ])
     meet = np.array([
@@ -125,10 +125,10 @@ def test_sync_image_sizes_non_increasing():
         assert all(b <= a for a, b in zip(sizes, sizes[1:]))
 
 
-def coalescence_oracle(d, cap, seed, walkers=None):
+def coalescence_oracle(d, cap, seed, starts=None):
     """Reference: one numpy draw per step, one color per cluster in increasing position."""
     rng = np.random.default_rng(seed)
-    positions = np.unique(np.arange(d.n) if walkers is None else np.asarray(walkers))
+    positions = np.unique(np.arange(d.n) if starts is None else np.asarray(starts))
     if positions.size == 1:
         return 0, False
     for t in range(1, cap + 1):
@@ -144,9 +144,12 @@ def test_coalescence_matches_per_step_draw_oracle(monkeypatch, chunk):
     for n, r, cap in ((2, 2, 4), (5, 3, 1), (17, 3, 3), (17, 2, 1000), (60, 5, 5000)):
         for seed in range(6):
             d = generate_dfa(n, r, seed)
-            for walkers in (None, [0, n - 1], list(range(1, n, 3))):
-                rec = sample_coalescence(d, cap, seed=seed + 9, walkers=walkers)
-                assert (rec.tau, rec.censored) == coalescence_oracle(d, cap, seed + 9, walkers)
+            rec = sample_coalescence(d, cap, seed=seed + 9)
+            assert (rec.tau, rec.censored) == coalescence_oracle(d, cap, seed + 9)
+            for starts in ([0, n - 1], list(range(1, n, 3)), [n // 2]):
+                rng = np.random.default_rng(seed + 9)
+                got = simulate._coalesce(d, cap, rng, starts)
+                assert got == coalescence_oracle(d, cap, seed + 9, starts)
 
 
 @pytest.mark.parametrize("chunk", [7, simulate.COLOR_CHUNK])
@@ -163,20 +166,6 @@ def test_sync_tau_is_first_singleton_image_of_block_word(monkeypatch, chunk):
             sizes = sync_image_sizes(d, word)
             hits = [t for t, size in enumerate(sizes) if size == 1]
             assert (rec.tau, rec.censored) == ((hits[0], False) if hits else (cap, True))
-
-
-def test_coalescence_rejects_walkers_outside_the_vertex_set():
-    d = generate_dfa(20, 2, seed=0)
-    for walkers in ([-1, 5], [5, 20], [3, 2**40]):
-        with pytest.raises(ValueError, match="start vertex .* outside \\[0, 20\\)"):
-            sample_coalescence(d, 100, seed=1, walkers=walkers)
-    with pytest.raises(ValueError, match="at least one"):
-        sample_coalescence(d, 100, seed=1, walkers=[])
-    with pytest.raises(TypeError):
-        sample_coalescence(d, 100, seed=1, walkers=[1.5, 3])
-    assert sample_coalescence(d, 100, seed=1, walkers=[19, 5, 19]) == sample_coalescence(
-        d, 100, seed=1, walkers=np.array([5, 19]))
-    assert sample_coalescence(d, 100, seed=1, walkers=[7]).tau == 0
 
 
 def test_batch_sampler_matches_per_trial_distribution():

@@ -139,6 +139,12 @@ def test_exponential_fit_report_fields():
     assert fit.sem == pytest.approx(np.sqrt(fit.sample_variance / 5000))
 
 
+@pytest.mark.parametrize("mean", [-1.0, 0.0, float("nan"), float("inf")])
+def test_exponential_fit_rejects_a_mean_outside_zero_to_infinity(mean):
+    with pytest.raises(ValueError, match="mean must be finite and positive"):
+        exponential_fit(EmpiricalDist.from_samples([0.5, 1.0, 2.0]), mean)
+
+
 def test_sample_fit_two_sample():
     rng = np.random.default_rng(8)
     a = rng.exponential(size=2000)

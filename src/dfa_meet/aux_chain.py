@@ -19,11 +19,12 @@ sparse-times-dense products regardless of alphabet size. In this form
 
 Pair-chain scans stop once their total-variation distance to
 ``pi_tilde`` is certified small: the return series through
-:func:`~dfa_meet.fvtl.return_sums`, the sampled A4 starts through
-:func:`~dfa_meet.fvtl.certified_scan`. The distance to the exact
-stationary law never increases along a run, so, up to the distance
-between that law and the computed ``outer(pi, pi)``, it bounds the
-distance, and the error of the diagonal mass, at every later step.
+:func:`~dfa_meet.fvtl.return_sums`, the A4 starts (``DELTA`` and the
+sampled pairs) through :func:`~dfa_meet.fvtl.certified_scan`. The
+distance to the exact stationary law never increases along a run, so, up
+to the distance between that law and the computed ``outer(pi, pi)``, it
+bounds the distance, and the error of the diagonal mass, at every later
+step.
 """
 
 from __future__ import annotations
@@ -210,13 +211,14 @@ class AuxChain:
         return chain
 
 
-def build_aux_chain(c: ChainSpec, pi: np.ndarray | None = None) -> AuxChain:
+def build_aux_chain(c: ChainSpec) -> AuxChain:
     """Assemble the auxiliary chain for a DFA walk kernel.
 
     Requires every row of ``c`` to hold exactly ``r`` entries equal to
     ``1/r`` (the one-to-one out-map shape); this is what makes the
     diagonal self-transition exactly ``1/r`` and the closed-form law
-    stationary. Computes ``pi`` if not supplied, propagating
+    stationary. Reads the chain's stationary law, computing and caching it
+    if needed, which propagates
     :class:`~dfa_meet.chains.MultipleRecurrentClassesError`.
     """
     kernel = c.kernel
@@ -227,9 +229,7 @@ def build_aux_chain(c: ChainSpec, pi: np.ndarray | None = None) -> AuxChain:
         raise AuxChainError("walk kernel must have the same out-degree r >= 2 in every row")
     if kernel.nnz and not (kernel.data == 1.0 / r).all():
         raise AuxChainError("walk kernel entries must all equal 1/r (one-to-one out-map)")
-    if pi is None:
-        pi = stationary_distribution(c)
-    pi = np.asarray(pi, dtype=float)
+    pi = stationary_distribution(c)
     weights = pi * pi
     total = weights.sum()
     if total <= 0:
@@ -313,15 +313,15 @@ class AuxEventReport:
     return mass within ``T`` steps. All thresholds use the natural log.
 
     ``tv_mode`` is ``"exact"`` (all starts, to ``S``), ``"sampled"``
-    (sampled starts, each run to ``S``) or ``"sampled-bound"`` (sampled
-    starts, of which ``a4_stopped_starts`` stopped at a certified level
-    before ``S`` and report their TV there, so ``max_tv_at_s`` is an upper
-    bound on the sampled maximum, up to twice the distance ``e`` between
-    ``pi_tilde`` and the exact stationary law; see
-    :func:`~dfa_meet.fvtl.certified_scan`).
+    (``DELTA`` and the sampled pair starts, each run to ``S``) or
+    ``"sampled-bound"`` (the same starts, of which ``a4_stopped_starts``
+    stopped at a certified level before ``S`` and report their TV there,
+    so ``max_tv_at_s`` is an upper bound on the sampled maximum, up to
+    twice the distance ``e`` between ``pi_tilde`` and the exact
+    stationary law; see :func:`~dfa_meet.fvtl.certified_scan`).
     ``return_stop_step`` is the step ``t0`` at which the return-mass pass
-    stopped, at most ``max(t_horizon, s_horizon)``; when it is below
-    ``t_horizon`` the later terms were taken as ``pi_tilde(DELTA)``.
+    stopped, at most ``t_horizon``; when it is below ``t_horizon`` the
+    later terms were taken as ``pi_tilde(DELTA)``.
     """
 
     n: int
@@ -368,12 +368,11 @@ def check_events(
     The mixing event is evaluated exactly (all starts) when ``n`` is at
     most ``A4_EXACT_LIMIT`` and otherwise estimated from ``A4_SAMPLES``
     uniform pair starts (seed ``A4_SEED``) plus the diagonal state; the
-    sampled mode is an estimate of the max, not the exact max. The
-    diagonal start is the return-mass pass itself, which records its TV at
-    ``S``. Sampled starts and the return mass stop at the certified TV
-    level (see :class:`AuxEventReport`), so A4 and A5 can differ from the
-    verdicts of full runs only when ``eps`` lies within
-    ``TV_STOP_LEVEL + 2e`` of ``max_tv_at_s``, or within
+    sampled mode is an estimate of the max, not the exact max. Each start
+    is its own scan, and the return-mass pass computes only ``R``. Both
+    stop at the certified TV level (see :class:`AuxEventReport`), so A4
+    and A5 can differ from the verdicts of full runs only when ``eps``
+    lies within ``TV_STOP_LEVEL + 2e`` of ``max_tv_at_s``, or within
     ``(T - t0) * (TV_STOP_LEVEL + 2e)`` of ``|R - r/(r-1)|``.
     """
     if not 0 < eps < math.inf:
@@ -387,14 +386,12 @@ def check_events(
     n_pi_delta = n * a.pi_tilde_delta
     ratio = r / (r - 1.0)
 
-    sums = return_sums(a, t_horizon, tv_at=s_horizon, sum_z=False)
+    sums = return_sums(a, t_horizon, sum_z=False)
     if n <= A4_EXACT_LIMIT:
         profile = mixing_profile(a.to_chain_spec(), s_horizon)
         max_tv, stopped, tv_mode = float(profile.d_tv[s_horizon]), 0, "exact"
     else:
         max_tv, stopped = _max_tv_sampled(a, s_horizon)
-        max_tv = max(sums.tv, max_tv)
-        stopped += sums.stop_step < s_horizon
         tv_mode = "sampled-bound" if stopped else "sampled"
 
     log_n = math.log(n)
@@ -421,14 +418,16 @@ def check_events(
 
 
 def _max_tv_sampled(a: AuxChain, s_horizon: int) -> tuple[float, int]:
-    """Largest TV to ``pi_tilde`` at ``s_horizon`` over the sampled pair starts, and how many stopped early.
+    """Largest TV to ``pi_tilde`` at ``s_horizon`` over the A4 starts, and how many stopped early.
 
-    A start that stops early contributes its TV at the stop, an upper
-    bound on its TV at ``s_horizon``. The diagonal start is not run here:
-    :func:`check_events` takes it from the return-mass pass.
+    The starts are ``DELTA``, then the sampled pairs, each run through one
+    :func:`~dfa_meet.fvtl.certified_scan`. A start that stops early
+    contributes its TV at the stop, an upper bound on its TV at
+    ``s_horizon``.
     """
+    t0, worst = certified_scan(a, a.start(), s_horizon)
+    stopped = int(t0 < s_horizon)
     rng = np.random.default_rng(A4_SEED)
-    worst, stopped = 0.0, 0
     for _ in range(A4_SAMPLES):
         x = int(rng.integers(0, a.n))
         xp = int(rng.integers(0, a.n - 1))

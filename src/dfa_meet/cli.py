@@ -130,6 +130,10 @@ def _cmd_fvtl(args) -> int:
     stationary_distribution(chain)
     aux = aux_chain.build_aux_chain(chain)
     t_horizon = None if args.T == "auto" else int(args.T)
+    # events first, so that check_events rejects a bad --eps before the report runs
+    events = None if args.skip_events else aux_chain.check_events(
+        aux, eps=args.eps, t_horizon=args.events_T, s_horizon=args.events_S
+    )
     report = aux_chain.aux_fvtl_report(
         aux, t_horizon=t_horizon, compute_quasi_stationary=args.quasi
     )
@@ -147,10 +151,7 @@ def _cmd_fvtl(args) -> int:
         "z_stop": report.z_stop,
         "lambda_star": report.quasi.lambda_star if report.quasi else None,
     }
-    if not args.skip_events:
-        events = aux_chain.check_events(
-            aux, eps=args.eps, t_horizon=args.events_T, s_horizon=args.events_S
-        )
+    if events is not None:
         payload["events"] = events.as_dict()
     _emit(payload, args.out)
     return 0
@@ -178,10 +179,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     records = read_records_csv(args.results)
-    if not records:
-        raise ValueError("no records to verify")
-    n = records[0].n
     taus = np.array([rec.tau for rec in records if not rec.censored], dtype=float)
+    if not taus.size:
+        raise ValueError(f"no uncensored records to verify in {args.results}")
+    n = records[0].n
     censored = sum(rec.censored for rec in records)
     ref = args.against
     if ref.startswith("geom:"):

@@ -116,9 +116,7 @@ class ReturnSums:
     ``"certified"`` when the TV distance to stationarity was at most the
     propagator's ``scan_stop_level`` there, ``"consecutive"`` when
     ``Z_CONSECUTIVE_SMALL`` successive terms were below ``Z_TERM_TOL``, and
-    ``"horizon"`` when a pass without ``Z`` (then None) reached its last step.
-    ``tv`` is the TV distance at the requested step ``tv_at``, or at
-    ``t0`` if the pass stopped before it; None when no step was requested.
+    ``"horizon"`` when a pass without ``Z`` (then None) reached ``T``.
     """
 
     t_horizon: int
@@ -126,7 +124,6 @@ class ReturnSums:
     z: float | None
     stop_step: int
     stop: str
-    tv: float | None
 
 
 class Propagator(Protocol):
@@ -247,20 +244,19 @@ def certified_scan(p: Propagator, state, horizon: int) -> tuple[int, float]:
         t += 1
 
 
-def return_sums(p: Propagator, t_horizon: int | None = None,
-                tv_at: int | None = None, sum_z: bool = True) -> ReturnSums:
+def return_sums(p: Propagator, t_horizon: int | None = None, sum_z: bool = True) -> ReturnSums:
     """Horizon ``T``, return mass ``R(T)`` and ``Z(target, target)`` in one pass.
 
     ``Z = sum_t (Q^t(target, target) - mu(target))`` is the
     fundamental-matrix entry and ``T`` defaults to the relaxation horizon:
     the smallest ``t >= 1`` whose term is at most
     ``RELAX_FACTOR * mu(target)``, or ``p.horizon_cap``. Once ``T`` is
-    known (from step 0 when it is given) the pass measures the TV distance to stationarity at every
-    multiple of ``TV_CHECK_EVERY``, and stops at the first such step ``t0``
-    where it is at most ``p.scan_stop_level``, or at the first
-    ``t0 >= max(T, tv_at)`` that ends ``Z_CONSECUTIVE_SMALL`` successive
-    terms below ``Z_TERM_TOL`` in magnitude, whichever comes first. ``Z``
-    sums the terms up to ``t0``, and
+    known (from step 0 when it is given) the pass measures the TV distance
+    to stationarity at every multiple of ``TV_CHECK_EVERY``, and stops at
+    the first such step ``t0`` where it is at most ``p.scan_stop_level``,
+    or at the first ``t0 >= T`` that ends ``Z_CONSECUTIVE_SMALL``
+    successive terms below ``Z_TERM_TOL`` in magnitude, whichever comes
+    first. ``Z`` sums the terms up to ``t0``, and
     ``R(T) = sum_{t <= min(T, t0)} Q^t(target, target) + max(0, T - t0) * mu(target)``.
 
     The target mass is part of the state's TV distance, and that distance
@@ -271,18 +267,16 @@ def return_sums(p: Propagator, t_horizon: int | None = None,
     ``(T - t0) * (TV(t0) + 2e)``. Writing the tail of ``Z`` through the
     fundamental matrix gives
     ``|Z - Z(t0)| <= (TV(t0) + 2e) * (1 + mu(target) * max_a E_a[tau_target])``.
-    ``tv_at`` asks for the TV distance at that step as well (see
-    :class:`ReturnSums`). A pass with ``sum_z`` False, for callers that need
-    only ``R``, also stops at ``max(T, tv_at)``.
+    A pass with ``sum_z`` False, for callers that need only ``R``, also
+    stops at ``T``.
     """
-    for h in (t_horizon, tv_at):
-        if h is not None and h < 0:
-            raise ValueError(f"horizon must be at least 0, got {h}")
+    if t_horizon is not None and t_horizon < 0:
+        raise ValueError(f"horizon must be at least 0, got {t_horizon}")
     mu, level = p.mu_target, p.scan_stop_level
     relax, cap = RELAX_FACTOR * mu, p.horizon_cap
     state = p.start()
     terms: list[float] = []
-    small, t, tv = 0, 0, None
+    small, t = 0, 0
     while True:
         q = p.target_mass(state)
         terms.append(q)
@@ -290,14 +284,10 @@ def return_sums(p: Propagator, t_horizon: int | None = None,
             t_horizon = t
         small = small + 1 if abs(q - mu) < Z_TERM_TOL else 0
         check = t_horizon is not None and level >= 0 and t % TV_CHECK_EVERY == 0
-        if check or t == tv_at:
-            tv_t = p.tv_to_stationary(state)
-            if tv_at is not None and t <= tv_at:
-                tv = tv_t
-            if check and tv_t <= level:
-                stop = "certified"
-                break
-        if t_horizon is not None and t >= max(t_horizon, tv_at or 0):
+        if check and p.tv_to_stationary(state) <= level:
+            stop = "certified"
+            break
+        if t_horizon is not None and t >= t_horizon:
             if not sum_z:
                 stop = "horizon"
                 break
@@ -313,7 +303,7 @@ def return_sums(p: Propagator, t_horizon: int | None = None,
     if t < t_horizon:
         r_mass += (t_horizon - t) * mu
     z = float((series - mu).sum()) if sum_z else None
-    return ReturnSums(t_horizon, float(r_mass), z, t, stop, tv)
+    return ReturnSums(t_horizon, float(r_mass), z, t, stop)
 
 
 def perron_pair(p: Propagator) -> QuasiStationaryPair:

@@ -4,11 +4,11 @@ Every stopping-time sampler consumes randomness from a single
 ``numpy.random.Generator`` in a frozen order, so a trial is replayable
 from its derived seed alone and results are independent of worker count:
 
-* pair walks draw colors in flat blocks of ``2 * COLOR_CHUNK`` (step-major,
-  first walk then second walk within a step); coupled walks and the
-  synchronization mode draw blocks of ``COLOR_CHUNK`` single colors;
-* the coalescing mode reads one color per cluster per step, clusters
-  ordered by increasing current position;
+* every mode reads one stream of colors, drawn in blocks of
+  ``COLOR_CHUNK``: independent walks read two colors per step (first walk,
+  then second walk), coupled walks and the synchronization mode one, and
+  the coalescing mode one per cluster, clusters ordered by increasing
+  current position;
 * uniform-random-distinct starts cost two integer draws (second shifted
   around the first);
 * with a fresh automaton per trial, the automaton is generated from the
@@ -16,11 +16,11 @@ from its derived seed alone and results are independent of worker count:
 
 Successive ``Generator.integers(0, r, size=k)`` calls return the values
 of one block draw of the summed size (``tests/test_streams.py`` checks
-this). So the coalescing mode reads its colors from ``COLOR_CHUNK`` blocks
-and still sees the values of one ``k``-color draw per step for ``k``
-clusters. Every sampler may draw past its stopping step: where the
-generator stands after a sampler returns is not part of the contract, and
-nothing draws from a trial stream after its sampler.
+this). So each mode sees the values of one draw per step of the colors
+that step reads, whatever ``COLOR_CHUNK`` is. Every sampler may draw past
+its stopping step: where the generator stands after a sampler returns is
+not part of the contract, and nothing draws from a trial stream after its
+sampler.
 """
 
 from __future__ import annotations
@@ -182,34 +182,24 @@ def sample_sync(d: Dfa, cap: int, seed, trial: int = 0) -> TrialRecord:
 def _meet_independent(out_flat: list, r: int, x: int, y: int, cap: int, rng) -> tuple[int, bool]:
     if x == y:
         return 0, False
-    t = 0
-    while t < cap:
-        m = min(COLOR_CHUNK, cap - t)
-        colors = rng.integers(0, r, size=2 * m).tolist()
-        idx = 0
-        for _ in range(m):
-            x = out_flat[x * r + colors[idx]]
-            y = out_flat[y * r + colors[idx + 1]]
-            idx += 2
-            t += 1
-            if x == y:
-                return t, False
+    colors = _colors(rng, r)
+    # one iterator passed twice: each step takes the first walk's color, then the second's
+    for t, c, cp in zip(range(1, cap + 1), colors, colors):
+        x = out_flat[x * r + c]
+        y = out_flat[y * r + cp]
+        if x == y:
+            return t, False
     return cap, True
 
 
 def _meet_coupled(out_flat: list, r: int, x: int, y: int, cap: int, rng) -> tuple[int, bool]:
     if x == y:
         return 0, False
-    t = 0
-    while t < cap:
-        m = min(COLOR_CHUNK, cap - t)
-        colors = rng.integers(0, r, size=m).tolist()
-        for c in colors:
-            x = out_flat[x * r + c]
-            y = out_flat[y * r + c]
-            t += 1
-            if x == y:
-                return t, False
+    for t, c in zip(range(1, cap + 1), _colors(rng, r)):
+        x = out_flat[x * r + c]
+        y = out_flat[y * r + c]
+        if x == y:
+            return t, False
     return cap, True
 
 

@@ -44,6 +44,18 @@ def full_horizon_tv(aux, m, horizon):
     return 0.5 * float(np.abs(m - aux.pi_tilde_pair_form()).sum())
 
 
+def a4_starts(aux, samples):
+    """``DELTA``, then ``samples`` uniform pair starts drawn from seed ``A4_SEED``."""
+    yield aux.start()
+    rng = np.random.default_rng(aux_chain.A4_SEED)
+    for _ in range(samples):
+        x = int(rng.integers(0, aux.n))
+        xp = int(rng.integers(0, aux.n - 1))
+        m = np.zeros((aux.n, aux.n))
+        m[x, xp + (xp >= x)] = 1.0
+        yield m
+
+
 def small_aux(n=8, r=2, seed=7):
     d, chain, _ = ergodic_walk_chain(n, r, seed)
     stationary_distribution(chain)
@@ -287,9 +299,8 @@ def test_sampled_tv_matches_explicit_chain(monkeypatch):
     assert tv[1:].max() > 1e-3  # not yet mixed, so the comparison has teeth
     worst, stopped = _max_tv_sampled(aux, s_horizon)
     assert stopped == 0
-    assert worst == pytest.approx(tv[1:].max(), abs=1e-12)
+    assert worst == pytest.approx(tv.max(), abs=1e-12)
 
-    # check_events adds the diagonal start from its return-mass pass
     monkeypatch.setattr(aux_chain, "A4_EXACT_LIMIT", 0)
     report = check_events(aux, eps=0.5, s_horizon=s_horizon)
     assert report.tv_mode == "sampled" and report.a4_stopped_starts == 0
@@ -341,24 +352,17 @@ def test_stopped_sampled_tv_bounds_the_full_horizon_oracle(aux150, monkeypatch):
     s_horizon, samples = log_power_horizon(aux.n, 3), 12
     monkeypatch.setattr(aux_chain, "A4_SAMPLES", samples)
     worst, stopped = _max_tv_sampled(aux, s_horizon)
-    assert stopped == samples  # every start stops before S
+    assert stopped == samples + 1  # every start, DELTA included, stops before S
 
-    rng = np.random.default_rng(aux_chain.A4_SEED)
-    oracle = 0.0
-    for _ in range(samples):
-        x = int(rng.integers(0, aux.n))
-        xp = int(rng.integers(0, aux.n - 1))
-        m = np.zeros((aux.n, aux.n))
-        m[x, xp + (xp >= x)] = 1.0
-        oracle = max(oracle, full_horizon_tv(aux, m, s_horizon))
+    oracle = max(full_horizon_tv(aux, m, s_horizon) for m in a4_starts(aux, samples))
     assert worst >= oracle - fvtl.TV_STOP_LEVEL
     assert worst <= fvtl.TV_STOP_LEVEL
 
-    # the diagonal start is the return-mass pass, which stops before S too
-    sums = return_sums(aux, log_power_horizon(aux.n, 5), tv_at=s_horizon, sum_z=False)
-    assert sums.stop_step < s_horizon and sums.stop == "certified"
-    assert sums.tv >= full_horizon_tv(aux, aux.start(), s_horizon) - fvtl.TV_STOP_LEVEL
-    assert sums.tv <= fvtl.TV_STOP_LEVEL
+    # the diagonal start on its own
+    t0, tv = fvtl.certified_scan(aux, aux.start(), s_horizon)
+    assert t0 < s_horizon
+    assert tv >= full_horizon_tv(aux, aux.start(), s_horizon) - fvtl.TV_STOP_LEVEL
+    assert tv <= fvtl.TV_STOP_LEVEL
 
 
 def test_check_events_records_the_certified_stops(aux150, monkeypatch):
@@ -377,19 +381,22 @@ def test_check_events_records_the_certified_stops(aux150, monkeypatch):
     assert report.return_stop_step == 5
 
 
-def test_check_events_takes_the_diagonal_start_from_the_return_pass(aux150, monkeypatch):
-    """The A4 value of DELTA equals a separate certified scan from DELTA to S."""
+def test_check_events_runs_the_diagonal_start_as_one_more_scan(aux150, monkeypatch):
+    """The A4 values are certified scans to S from DELTA and the sampled
+    starts, and the return-mass pass does not depend on S."""
     monkeypatch.setattr(aux_chain, "A4_SAMPLES", 4)
     s_horizon = log_power_horizon(aux150.n, 3)
     delta_t0, _ = fvtl.certified_scan(aux150, aux150.start(), s_horizon)
-    _, stopped = _max_tv_sampled(aux150, s_horizon)
+    assert delta_t0 < s_horizon
+    r_mass, r_t0 = return_mass(aux150, log_power_horizon(aux150.n, 5))
     for s in (s_horizon, delta_t0, delta_t0 - 1):
         report = check_events(aux150, eps=0.15, s_horizon=s)
-        t0, tv = fvtl.certified_scan(aux150, aux150.start(), s)
-        pairs_tv, pairs_stopped = _max_tv_sampled(aux150, s)
-        assert report.max_tv_at_s == max(tv, pairs_tv)
-        assert report.a4_stopped_starts == pairs_stopped + (t0 < s)
-    assert delta_t0 < s_horizon and stopped == 4
+        scans = [fvtl.certified_scan(aux150, m, s) for m in a4_starts(aux150, 4)]
+        assert report.max_tv_at_s == max(tv for _, tv in scans)
+        assert report.a4_stopped_starts == sum(t0 < s for t0, _ in scans)
+        assert (report.return_mass, report.return_stop_step) == (r_mass, r_t0)
+        if s == s_horizon:
+            assert report.a4_stopped_starts == 5
 
 
 def test_scans_run_in_full_when_pi_tilde_misses_the_residual_level(monkeypatch):
@@ -406,8 +413,8 @@ def test_scans_run_in_full_when_pi_tilde_misses_the_residual_level(monkeypatch):
     assert r_mass == pytest.approx(sum(islice(return_series(aux), t_horizon + 1)), rel=1e-14)
     report = check_events(aux, eps=0.15, t_horizon=40)
     assert report.tv_mode == "sampled" and report.a4_stopped_starts == 0
-    # the pass runs on to S for the A4 value of DELTA
-    assert report.return_stop_step == max(40, report.s_horizon)
+    # the return pass stops at T, whatever S is
+    assert 40 < report.s_horizon and report.return_stop_step == 40
 
 
 def test_build_aux_chain_reuses_the_cached_transpose(monkeypatch):

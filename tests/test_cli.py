@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,25 @@ def test_verify_rejects_an_exponential_mean_outside_zero_to_infinity(
     assert not report_path.exists()
 
 
+@pytest.mark.parametrize("against", ["geom:auto", "kingman"])
+def test_verify_rejects_a_csv_whose_every_record_is_censored(tmp_path, capsys, against):
+    csv_path = tmp_path / "censored.csv"
+    assert main(["simulate", "--mode", "coalescing", "--n", "50", "--r", "2", "--trials", "5",
+                 "--seed", "0", "--cap", "1", "--threads", "1", "--out", str(csv_path)]) == 0
+    assert all(rec.censored for rec in read_records_csv(csv_path))
+    capsys.readouterr()
+    report_path = tmp_path / "verify.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["verify", "--results", str(csv_path), "--against", against,
+                     "--report", str(report_path)])
+    assert code == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.startswith("error: no uncensored records to verify") and "Traceback" not in err
+    assert not report_path.exists()
+
+
 def test_exact_rejects_a_negative_cap(dfa_file, tmp_path, capsys):
     out = tmp_path / "exact.json"
     assert main(["exact", "--dfa", str(dfa_file), "--t-cap", "-1", "--out", str(out)]) == 1
@@ -137,6 +157,17 @@ def test_fvtl_rejects_an_eps_that_is_not_finite_and_positive(dfa_file, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: eps must be finite and positive") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_fvtl_rejects_a_bad_eps_before_the_report(dfa_file, monkeypatch, capsys):
+    from dfa_meet import aux_chain
+
+    def no_report(*args, **kwargs):
+        raise AssertionError("aux_fvtl_report ran before check_events")
+
+    monkeypatch.setattr(aux_chain, "aux_fvtl_report", no_report)
+    assert main(["fvtl", "--dfa", str(dfa_file), "--eps", "nan"]) == 1
+    assert capsys.readouterr().err.startswith("error: eps must be finite and positive")
 
 
 def test_unknown_recipe_is_usage_error(capsys):

@@ -152,6 +152,55 @@ def test_coalescence_matches_per_step_draw_oracle(monkeypatch, chunk):
                 assert got == coalescence_oracle(d, cap, seed + 9, starts)
 
 
+def meeting_oracle(d, x, y, cap, seed, coupled):
+    """Reference: one numpy draw per step of one color (coupled) or two (first walk, second walk)."""
+    rng = np.random.default_rng(seed)
+    if x == y:
+        return 0, False
+    for t in range(1, cap + 1):
+        c = rng.integers(0, d.r, size=1 if coupled else 2)
+        x, y = d.out[x, c[0]], d.out[y, c[-1]]
+        if x == y:
+            return t, False
+    return cap, True
+
+
+def slow_meeting_dfa(n):
+    """Color 0 turns a cycle; color 1 fixes every vertex but ``n - 1``, which it sends to 1.
+
+    Walks meet only by a move off or onto the fixed points. From opposite
+    sides of the cycle, independent walks take thousands of steps to meet
+    at ``n = 97``, and coupled walks at ``n = 23``.
+    """
+    out = np.empty((n, 2), dtype=np.int64)
+    out[:, 0] = (np.arange(n) + 1) % n
+    out[:, 1] = np.arange(n)
+    out[n - 1, 1] = 1
+    return Dfa(n=n, r=2, out=out)
+
+
+@pytest.mark.parametrize("chunk", [7, simulate.COLOR_CHUNK])
+def test_pair_meeting_matches_per_step_draw_oracle(monkeypatch, chunk):
+    """Both pair samplers stop where the per-step oracle does, for caps
+    below, at and above the block size, and for walks that cross it."""
+    monkeypatch.setattr(simulate, "COLOR_CHUNK", chunk)
+    dfas = [generate_dfa(n, r, seed) for n, r, seed in ((2, 2, 0), (17, 3, 1), (60, 5, 2))]
+    dfas += [slow_meeting_dfa(23), slow_meeting_dfa(97)]
+    caps = (1, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 5)
+    crossed = {True: 0, False: 0}
+    for d in dfas:
+        for x, y in ((0, d.n - 1), (d.n // 2, 0), (1, 1)):
+            for cap in caps:
+                for seed in range(3):
+                    for coupled in (False, True):
+                        sampler = sample_meeting_coupled if coupled else sample_meeting_independent
+                        rec = sampler(d, x, y, cap, seed=seed + 21)
+                        expected = meeting_oracle(d, x, y, cap, seed + 21, coupled)
+                        assert (rec.tau, rec.censored) == expected
+                        crossed[coupled] += chunk < rec.tau and not rec.censored
+    assert min(crossed.values()) > 0  # some walks meet after the first block
+
+
 @pytest.mark.parametrize("chunk", [7, simulate.COLOR_CHUNK])
 def test_sync_tau_is_first_singleton_image_of_block_word(monkeypatch, chunk):
     """The sync sampler stops where the oracle's image of the block-drawn word is one vertex."""

@@ -20,7 +20,6 @@ from .chains import (
     ergodic_walk_chain,
     hitting_time_expectation,
     make_chain,
-    measure_pi_extremes,
     mixing_profile,
     product_matrix,
     stationary_distribution,

@@ -289,7 +289,6 @@ def aux_fvtl_report(
     sums = return_sums(a, t_horizon)
     mu_delta = a.mu_target
     report = FvtlReport(
-        target=a.delta_index,
         mu_target=mu_delta,
         t_horizon=sums.t_horizon,
         return_mass=sums.return_mass,

@@ -270,31 +270,6 @@ def mixing_profile(c: ChainSpec, t_cap: int) -> MixingProfile:
     return MixingProfile(d_tv=d_tv, t_mix=t_mix)
 
 
-@dataclass
-class PiExtremes:
-    """Extremes of pi with the finite-n comparison thresholds."""
-
-    min_over_support: float
-    max_value: float
-    min_threshold: float
-    max_threshold: float
-
-
-def measure_pi_extremes(c: ChainSpec) -> PiExtremes:
-    """Report ``min_supp pi`` and ``max pi`` next to ``n^-1.8`` and ``log^8(n)/n``.
-
-    The thresholds use the natural log; they never change the measured values.
-    """
-    pi = stationary_distribution(c)
-    n = c.size
-    return PiExtremes(
-        min_over_support=float(pi[pi > 0].min()),
-        max_value=float(pi.max()),
-        min_threshold=n**-1.8,
-        max_threshold=math.log(n) ** 8 / n,
-    )
-
-
 def hitting_time_expectation(c: ChainSpec, start: np.ndarray, target_set) -> float:
     """Exact ``E[tau_target]`` by first-step analysis.
 

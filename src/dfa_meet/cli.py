@@ -13,7 +13,6 @@ from . import aux_chain, recipes, stats
 from .chains import (
     ConvergenceError,
     MultipleRecurrentClassesError,
-    measure_pi_extremes,
     mixing_profile,
     stationary_distribution,
     walk_matrix,
@@ -110,13 +109,12 @@ def _cmd_exact(args) -> int:
     chain = walk_matrix(d)
     pi = stationary_distribution(chain)
     profile = mixing_profile(chain, t_cap=args.t_cap)
-    extremes = measure_pi_extremes(chain)
     _emit({
         "n": d.n,
         "r": d.r,
         "pi": pi.tolist(),
-        "pi_min": extremes.min_over_support,
-        "pi_max": extremes.max_value,
+        "pi_min": float(pi[pi > 0].min()),
+        "pi_max": float(pi.max()),
         "t_mix": profile.t_mix,
         "mixed_by_cap": profile.mixed,
         "d_tv_series": profile.d_tv.tolist(),
@@ -187,15 +185,15 @@ def _cmd_verify(args) -> int:
     ref = args.against
     if ref.startswith("geom:"):
         arg = ref.split(":", 1)[1]
-        dist = stats.EmpiricalDist.from_samples(taus, censored_count=censored)
+        dist = stats.EmpiricalDist.from_samples(taus)
         lam = 1.0 / (1.0 + float(taus.mean())) if arg == "auto" else float(arg)
         fit = stats.geometric_tail_fit(dist, lam)
     elif ref.startswith("exp:"):
         mean = float(ref.split(":", 1)[1])
-        dist = stats.EmpiricalDist.from_samples(taus / n, censored_count=censored)
+        dist = stats.EmpiricalDist.from_samples(taus / n)
         fit = stats.exponential_fit(dist, mean)
     elif ref == "kingman":
-        dist = stats.EmpiricalDist.from_samples(taus / n, censored_count=censored)
+        dist = stats.EmpiricalDist.from_samples(taus / n)
         sample = sample_kingman_reference(n, args.seed, size=recipes.KINGMAN_REFERENCE_SIZE)
         fit = stats.sample_fit(dist, sample, "kingman", {"n": n, "seed": args.seed})
     else:

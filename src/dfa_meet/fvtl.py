@@ -39,7 +39,6 @@ from scipy.sparse.csgraph import connected_components
 from .chains import (
     ChainSpec,
     ConvergenceError,
-    _recurrent_classes,
     hitting_time_expectation,
     make_chain,
     stationary_distribution,
@@ -50,7 +49,6 @@ Z_CONSECUTIVE_SMALL = 50
 Z_MAX_STEPS = 10**6
 PERRON_TOL = 1e-13
 PERRON_MAX_ITER = 10**6
-ROOT_TIE_REL_TOL = 1e-9
 RELAX_FACTOR = 1.5
 RANDOM_CHAIN_MAX_STATES = 40
 # Above the rounding floor of the pair-chain TV (about 4e-15 at n = 1000),
@@ -76,16 +74,11 @@ class QuasiStationaryPair:
     normalized left Perron vector as a killed state: a full-chain vector
     with zero at the target, or a pair matrix with zero diagonal for the
     pair chain.
-    ``tied_closed_classes`` flags a non-unique pair: several closed
-    communicating classes of the sub-kernel share the dominant root. Only
-    :func:`quasi_stationary_pair` checks for such a tie; a pair from
-    :func:`perron_pair` alone leaves the flag False.
     """
 
     lambda_star: float
     mu_star: np.ndarray = field(repr=False)
     iterations: int
-    tied_closed_classes: bool = False
 
 
 @dataclass
@@ -96,7 +89,6 @@ class FvtlReport:
     stopped (see :class:`ReturnSums`).
     """
 
-    target: int
     mu_target: float
     t_horizon: int
     return_mass: float
@@ -311,7 +303,8 @@ def perron_pair(p: Propagator) -> QuasiStationaryPair:
 
     The sub-kernel is not assumed irreducible; iteration starts from the
     strictly positive ``killed_start`` and converges to the dominant closed
-    class. ``mu_star`` comes back in the propagator's killed-state form.
+    class; a tie for the root between closed classes is not detected.
+    ``mu_star`` comes back in the propagator's killed-state form.
     Stops once successive iterates are ``PERRON_TOL`` apart in L1, and raises
     :class:`PerronConvergenceError` after ``PERRON_MAX_ITER`` steps.
     """
@@ -333,30 +326,8 @@ def perron_pair(p: Propagator) -> QuasiStationaryPair:
 
 
 def quasi_stationary_pair(c: ChainSpec, target: int) -> QuasiStationaryPair:
-    """:func:`perron_pair` of the chain seen from ``target``.
-
-    A tie in the Perron root across several closed classes of the
-    sub-kernel is reported via ``tied_closed_classes``.
-    """
-    pair = perron_pair(TargetWalk(c, target))
-    keep = np.arange(c.size) != target
-    sub = c.kernel[np.ix_(keep, keep)].tocsr()
-    pair.tied_closed_classes = _closed_class_root_tie(sub, 1.0 - pair.lambda_star)
-    return pair
-
-
-def _closed_class_root_tie(sub: sp.csr_array, root: float) -> bool:
-    """True when several closed classes tie for the root, to ``ROOT_TIE_REL_TOL`` relative."""
-    closed = _recurrent_classes(sub)
-    if len(closed) <= 1:
-        return False
-    at_root = 0
-    for cls in closed:
-        block = sub[np.ix_(cls, cls)].toarray()
-        cls_root = float(np.max(np.abs(np.linalg.eigvals(block))))
-        if abs(cls_root - root) <= ROOT_TIE_REL_TOL * max(root, 1e-300):
-            at_root += 1
-    return at_root > 1
+    """:func:`perron_pair` of the chain seen from ``target``."""
+    return perron_pair(TargetWalk(c, target))
 
 
 def fvtl_quantities(c: ChainSpec, target: int) -> FvtlReport:
@@ -371,7 +342,6 @@ def fvtl_quantities(c: ChainSpec, target: int) -> FvtlReport:
     sums = return_sums(TargetWalk(c, target))
     expected = hitting_time_expectation(c, mu, [target])
     return FvtlReport(
-        target=target,
         mu_target=float(mu[target]),
         t_horizon=sums.t_horizon,
         return_mass=sums.return_mass,

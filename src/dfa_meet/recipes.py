@@ -92,7 +92,6 @@ class Recipe:
 class RecipeResult:
     name: str
     exit_code: int
-    artifacts: list[Path]
     summary: dict
 
 
@@ -145,7 +144,6 @@ def _run_figure_recipe(rec: Recipe, workers) -> RecipeResult:
     master = int(rec.param("seed", _DEFAULT_SEEDS[rec.name]))
     r_values = tuple(rec.param("r_values", (2, 20)))
 
-    artifacts: list[Path] = []
     per_r: dict[str, dict] = {}
     failures: list[str] = []
     kingman_ref = None
@@ -165,18 +163,14 @@ def _run_figure_recipe(rec: Recipe, workers) -> RecipeResult:
         )
         records = run_experiment(manifest, workers=workers)
         stem = f"{rec.name}-r{r}"
-        csv_path = rec.out_dir / f"{stem}.csv"
-        write_records_csv(records, csv_path)
-        manifest_path = rec.out_dir / f"{stem}-manifest.json"
-        _write_json(manifest_path, {"recipe": rec.name, **manifest.as_dict()})
-        artifacts += [csv_path, manifest_path]
+        write_records_csv(records, rec.out_dir / f"{stem}.csv")
+        _write_json(rec.out_dir / f"{stem}-manifest.json",
+                    {"recipe": rec.name, **manifest.as_dict()})
 
         taus = np.array([t.tau for t in records if not t.censored], dtype=float)
         censored = sum(t.censored for t in records)
-        dist = stats.EmpiricalDist.from_samples(taus / n, censored_count=censored)
-        hist_path = rec.out_dir / f"{stem}-hist.csv"
-        _write_histogram(hist_path, tau_histogram(dist.values))
-        artifacts.append(hist_path)
+        dist = stats.EmpiricalDist.from_samples(taus / n)
+        _write_histogram(rec.out_dir / f"{stem}-hist.csv", tau_histogram(dist.values))
 
         entry = {
             "r": r,
@@ -216,10 +210,8 @@ def _run_figure_recipe(rec: Recipe, workers) -> RecipeResult:
 
     summary = {"recipe": rec.name, "mode": mode, "n": n, "seed": master,
                "per_r": per_r, "failures": failures}
-    report_path = rec.out_dir / f"{rec.name}-verify.json"
-    _write_json(report_path, summary)
-    artifacts.append(report_path)
-    return RecipeResult(rec.name, 1 if failures else 0, artifacts, summary)
+    _write_json(rec.out_dir / f"{rec.name}-verify.json", summary)
+    return RecipeResult(rec.name, 1 if failures else 0, summary)
 
 
 def _check(failures: list[str], label: str, ok: bool, detail: str) -> None:
@@ -270,9 +262,8 @@ def _run_fvtl_suite(rec: Recipe) -> RecipeResult:
         "failures": failures,
         "rows": rows,
     }
-    report_path = rec.out_dir / f"{rec.name}-report.json"
-    _write_json(report_path, summary)
-    return RecipeResult(rec.name, 1 if failures else 0, [report_path], summary)
+    _write_json(rec.out_dir / f"{rec.name}-report.json", summary)
+    return RecipeResult(rec.name, 1 if failures else 0, summary)
 
 
 def _fvtl_identity_row(chain, target: int, label: str) -> dict:
@@ -320,6 +311,5 @@ def _run_events(rec: Recipe) -> RecipeResult:
             rows.append(row)
 
     summary = {"recipe": rec.name, "seed": master, "n": n, "eps": eps, "rows": rows}
-    report_path = rec.out_dir / f"{rec.name}-report.json"
-    _write_json(report_path, summary)
-    return RecipeResult(rec.name, 0, [report_path], summary)
+    _write_json(rec.out_dir / f"{rec.name}-report.json", summary)
+    return RecipeResult(rec.name, 0, summary)

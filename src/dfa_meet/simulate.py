@@ -26,6 +26,7 @@ sampler.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 from dataclasses import asdict, dataclass
@@ -205,8 +206,9 @@ def _meet_coupled(out_flat: list, r: int, x: int, y: int, cap: int, rng) -> tupl
 
 def _colors(rng, r: int):
     """Endless uniform colors from blocks of ``COLOR_CHUNK`` draws."""
-    while True:
-        yield from rng.integers(0, r, size=COLOR_CHUNK).tolist()
+    # a block is never None, so the sentinel never stops the stream
+    blocks = iter(lambda: rng.integers(0, r, size=COLOR_CHUNK).tolist(), None)
+    return itertools.chain.from_iterable(blocks)
 
 
 def _coalesce(d: Dfa, cap: int, rng, starts) -> tuple[int, bool]:
@@ -386,13 +388,26 @@ def write_records_csv(records, path) -> None:
 
 
 def read_records_csv(path) -> list[TrialRecord]:
+    """Read a trial CSV written by :func:`write_records_csv`.
+
+    An empty file, a wrong header, a row of the wrong width or a
+    ``censored`` value other than 0 or 1 is a ``ValueError`` naming the line.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}, line 1: empty file, expected the CSV header")
         if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header!r}")
+            raise ValueError(f"{path}, line 1: unexpected CSV header {header!r}")
         records = []
         for row in reader:
+            if len(row) != len(CSV_HEADER):
+                raise ValueError(f"{path}, line {reader.line_num}: "
+                                 f"{len(row)} fields, expected {len(CSV_HEADER)}")
+            if row[8] not in ("0", "1"):
+                raise ValueError(f"{path}, line {reader.line_num}: "
+                                 f"censored must be 0 or 1, got {row[8]!r}")
             records.append(TrialRecord(
                 trial=int(row[0]),
                 derived_seed=int(row[1]) if row[1] else None,
@@ -402,6 +417,6 @@ def read_records_csv(path) -> list[TrialRecord]:
                 x=int(row[5]) if row[5] else None,
                 y=int(row[6]) if row[6] else None,
                 tau=int(row[7]),
-                censored=bool(int(row[8])),
+                censored=row[8] == "1",
             ))
     return records

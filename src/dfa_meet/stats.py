@@ -1,8 +1,8 @@
 """Empirical-distribution summaries and distances against reference laws.
 
-Censored observations never enter a distance or a moment; they are counted
-separately, since hitting the step cap is an anomaly signal rather than
-distribution mass.
+Censored observations never enter a distance or a moment; callers count
+them separately, since hitting the step cap is an anomaly signal rather
+than distribution mass.
 """
 
 from __future__ import annotations
@@ -15,15 +15,14 @@ import numpy as np
 
 @dataclass
 class EmpiricalDist:
-    """A sorted sample with its censored-observation count."""
+    """A sorted sample."""
 
     values: np.ndarray = field(repr=False)
-    censored_count: int = 0
 
     @classmethod
-    def from_samples(cls, values, censored_count: int = 0) -> "EmpiricalDist":
+    def from_samples(cls, values) -> "EmpiricalDist":
         arr = np.sort(np.asarray(values, dtype=float))
-        return cls(values=arr, censored_count=censored_count)
+        return cls(values=arr)
 
     @property
     def count(self) -> int:
@@ -42,7 +41,6 @@ class FitReport:
     sample_variance: float
     sem: float
     sup_tail_ratio: float | None = None
-    censored_count: int = 0
 
 
 def _moments(e: EmpiricalDist) -> tuple[float, float, float]:
@@ -178,7 +176,6 @@ def geometric_tail_fit(e: EmpiricalDist, lam: float) -> FitReport:
         sample_variance=var,
         sem=sem,
         sup_tail_ratio=sup_ratio,
-        censored_count=e.censored_count,
     )
 
 
@@ -195,7 +192,6 @@ def exponential_fit(e: EmpiricalDist, mean: float) -> FitReport:
         sample_mean=m,
         sample_variance=var,
         sem=sem,
-        censored_count=e.censored_count,
     )
 
 
@@ -210,5 +206,4 @@ def sample_fit(e: EmpiricalDist, reference, name: str, params: dict | None = Non
         sample_mean=m,
         sample_variance=var,
         sem=sem,
-        censored_count=e.censored_count,
     )

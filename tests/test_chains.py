@@ -12,7 +12,6 @@ from dfa_meet.chains import (
     ergodic_walk_chain,
     hitting_time_expectation,
     make_chain,
-    measure_pi_extremes,
     mixing_profile,
     product_matrix,
     stationary_distribution,
@@ -256,18 +255,19 @@ def test_mixing_cutoff_scale_at_n1000():
         assert 0.5 <= ratio <= 2.0
 
 
-def test_measure_pi_extremes_uniform():
-    ext = measure_pi_extremes(walk_matrix(full_image_dfa(10)))
-    assert ext.min_over_support == pytest.approx(0.1)
-    assert ext.max_value == pytest.approx(0.1)
+def test_stationary_extremes_uniform():
+    pi = stationary_distribution(walk_matrix(full_image_dfa(10)))
+    assert pi[pi > 0].min() == pytest.approx(0.1)
+    assert pi.max() == pytest.approx(0.1)
 
 
-def test_measure_pi_extremes_thresholds_at_n1000():
-    inside = 0
+def test_stationary_extremes_within_thresholds_at_n1000():
+    # min over the support at least n^-1.8, max at most log(n)^8 / n (natural log)
+    n, inside = 1000, 0
     for seed in range(5):
-        d, chain, _ = ergodic_walk_chain(1000, 2, seed)
-        ext = measure_pi_extremes(chain)
-        if ext.min_over_support >= ext.min_threshold and ext.max_value <= ext.max_threshold:
+        d, chain, _ = ergodic_walk_chain(n, 2, seed)
+        pi = stationary_distribution(chain)
+        if pi[pi > 0].min() >= n**-1.8 and pi.max() <= math.log(n) ** 8 / n:
             inside += 1
     assert inside >= 4
 

@@ -142,6 +142,27 @@ def test_verify_rejects_a_csv_whose_every_record_is_censored(tmp_path, capsys, a
     assert not report_path.exists()
 
 
+CSV_HEADER_LINE = "trial,derived_seed,mode,n,r,x,y,tau,censored\r\n"
+CSV_GOOD_ROW = "0,12,independent,20,2,3,7,15,0\r\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (CSV_HEADER_LINE + CSV_GOOD_ROW + "1,13\r\n", "line 3: 2 fields, expected 9"),
+    ("", "line 1: empty file, expected the CSV header"),
+    (CSV_HEADER_LINE + CSV_GOOD_ROW.replace(",0\r\n", ",2\r\n"),
+     "line 2: censored must be 0 or 1, got '2'"),
+], ids=["short-row", "empty-file", "censored-2"])
+def test_verify_rejects_a_malformed_csv_naming_the_line(tmp_path, capsys, text, message):
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_bytes(text.encode())
+    report_path = tmp_path / "verify.json"
+    assert main(["verify", "--results", str(csv_path), "--against", "geom:auto",
+                 "--report", str(report_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {csv_path}, {message}"]
+    assert not report_path.exists()
+
+
 def test_exact_rejects_a_negative_cap(dfa_file, tmp_path, capsys):
     out = tmp_path / "exact.json"
     assert main(["exact", "--dfa", str(dfa_file), "--t-cap", "-1", "--out", str(out)]) == 1

@@ -164,8 +164,8 @@ def test_perron_error_carries_diagnostics(monkeypatch):
     assert err.value.last_delta > 0
 
 
-def test_tied_closed_classes_flagged():
-    # two absorbing-ish states with identical self-loop mass tie for the root
+def test_perron_pair_on_sub_kernel_with_two_closed_classes():
+    # deleting state 0 leaves two closed classes, {1} and {2}, with the same root 0.7
     kernel = sp.csr_array(np.array([
         [0.2, 0.4, 0.4],
         [0.3, 0.7, 0.0],
@@ -173,7 +173,6 @@ def test_tied_closed_classes_flagged():
     ]))
     chain = make_chain(kernel)
     pair = quasi_stationary_pair(chain, 0)
-    assert pair.tied_closed_classes
     assert pair.lambda_star == pytest.approx(0.3, abs=1e-12)
 
 

@@ -130,10 +130,9 @@ def test_geometric_fit_against_true_geometric_sample():
 
 def test_exponential_fit_report_fields():
     rng = np.random.default_rng(7)
-    dist = EmpiricalDist.from_samples(rng.exponential(size=5000), censored_count=3)
+    dist = EmpiricalDist.from_samples(rng.exponential(size=5000))
     fit = exponential_fit(dist, 1.0)
     assert fit.reference == "exponential"
-    assert fit.censored_count == 3
     assert fit.ks_distance <= 0.03
     assert fit.w1_distance <= 0.05
     assert fit.sem == pytest.approx(np.sqrt(fit.sample_variance / 5000))

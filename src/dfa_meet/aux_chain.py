@@ -14,17 +14,18 @@ holds the mass at ``DELTA`` spread over the re-entry law
 ``w = pi**2 / sum(pi**2)``, so the mass at ``DELTA`` is ``trace(M)``. One
 step is ``K^T M K`` followed by ``diag <- trace * w``: two
 sparse-times-dense products regardless of alphabet size. In this form
-``pi_tilde`` is ``outer(pi, pi)``. An explicit sparse kernel over the
-``n*(n-1) + 1`` states is also available for small instances.
+``pi_tilde`` is ``outer(pi, pi)``. The explicit sparse kernel over the
+``n*(n-1) + 1`` states (:meth:`AuxChain.kernel_matrix`) is there to check
+the structure on small instances; no scan runs on it.
 
 Pair-chain scans stop once their total-variation distance to
 ``pi_tilde`` is certified small: the return series through
-:func:`~dfa_meet.fvtl.return_sums`, the A4 starts (``DELTA`` and the
-sampled pairs) through :func:`~dfa_meet.fvtl.certified_scan`. The
-distance to the exact stationary law never increases along a run, so, up
-to the distance between that law and the computed ``outer(pi, pi)``, it
-bounds the distance, and the error of the diagonal mass, at every later
-step.
+:func:`~dfa_meet.fvtl.return_sums`, and every A4 start (``DELTA``, then
+every pair or the sampled pairs) through
+:func:`~dfa_meet.fvtl.certified_scan`. The distance to the exact
+stationary law never increases along a run, so, up to the distance
+between that law and the computed ``outer(pi, pi)``, it bounds the
+distance, and the error of the diagonal mass, at every later step.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .chains import ChainSpec, make_chain, mixing_profile, stationary_distribution
+from .chains import ChainSpec, stationary_distribution
 from .fvtl import (
     FvtlReport,
     certified_scan,
@@ -147,13 +148,6 @@ class AuxChain:
         """Closed-form stationary law as a pair-matrix state: ``outer(pi, pi)``."""
         return np.outer(self.pi, self.pi)
 
-    def pi_tilde_vector(self) -> np.ndarray:
-        """Closed-form stationary law as a flat vector over the state space."""
-        return self.flatten_pair_form(self.pi_tilde_pair_form())
-
-    def flatten_pair_form(self, m: np.ndarray) -> np.ndarray:
-        return np.concatenate([m[~np.eye(self.n, dtype=bool)], [np.trace(m)]])
-
     def stationarity_residual(self) -> float:
         """L1 residual of the closed-form law under one exact step."""
         m = self.pi_tilde_pair_form()
@@ -203,12 +197,6 @@ class AuxChain:
         data = np.concatenate([data, exit_mass[y, yp], [1.0 / r]])
         size = self.size
         return sp.csr_array((data, (rows, cols)), shape=(size, size))
-
-    def to_chain_spec(self) -> ChainSpec:
-        """Materialize as a generic chain with the closed-form stationary law."""
-        chain = make_chain(self.kernel_matrix())
-        chain.stationary = self.pi_tilde_vector()
-        return chain
 
 
 def build_aux_chain(c: ChainSpec) -> AuxChain:
@@ -311,13 +299,13 @@ class AuxEventReport:
     mixing of the auxiliary chain within ``S`` steps, and the diagonal
     return mass within ``T`` steps. All thresholds use the natural log.
 
-    ``tv_mode`` is ``"exact"`` (all starts, to ``S``), ``"sampled"``
-    (``DELTA`` and the sampled pair starts, each run to ``S``) or
-    ``"sampled-bound"`` (the same starts, of which ``a4_stopped_starts``
-    stopped at a certified level before ``S`` and report their TV there,
-    so ``max_tv_at_s`` is an upper bound on the sampled maximum, up to
-    twice the distance ``e`` between ``pi_tilde`` and the exact
-    stationary law; see :func:`~dfa_meet.fvtl.certified_scan`).
+    ``tv_mode`` is ``"exact"`` (``DELTA`` and every pair start, each run
+    to ``S``) or ``"sampled"`` (``DELTA`` and the sampled pair starts, each
+    run to ``S``), with ``"-bound"`` appended when ``a4_stopped_starts`` of
+    those starts stopped at a certified level before ``S`` and report
+    their TV there. ``max_tv_at_s`` is then an upper bound on the maximum
+    over the starts, up to twice the distance ``e`` between ``pi_tilde``
+    and the exact stationary law (see :func:`~dfa_meet.fvtl.certified_scan`).
     ``return_stop_step`` is the step ``t0`` at which the return-mass pass
     stopped, at most ``t_horizon``; when it is below ``t_horizon`` the
     later terms were taken as ``pi_tilde(DELTA)``.
@@ -364,12 +352,13 @@ def check_events(
 ) -> AuxEventReport:
     """Evaluate the five events at horizons ``T = ceil(log^5 n)``, ``S = ceil(log^3 n)``.
 
-    The mixing event is evaluated exactly (all starts) when ``n`` is at
-    most ``A4_EXACT_LIMIT`` and otherwise estimated from ``A4_SAMPLES``
-    uniform pair starts (seed ``A4_SEED``) plus the diagonal state; the
-    sampled mode is an estimate of the max, not the exact max. Each start
-    is its own scan, and the return-mass pass computes only ``R``. Both
-    stop at the certified TV level (see :class:`AuxEventReport`), so A4
+    The mixing event is the largest TV over the starts of
+    :func:`_a4_starts`, each run through its own
+    :func:`~dfa_meet.fvtl.certified_scan` to ``S``: every start when ``n``
+    is at most ``A4_EXACT_LIMIT``, otherwise ``DELTA`` and ``A4_SAMPLES``
+    uniform pair starts (seed ``A4_SEED``), an estimate of the max, not
+    the exact max. The return-mass pass computes only ``R``. Both stop at
+    the certified TV level (see :class:`AuxEventReport`), so A4
     and A5 can differ from the verdicts of full runs only when ``eps``
     lies within ``TV_STOP_LEVEL + 2e`` of ``max_tv_at_s``, or within
     ``(T - t0) * (TV_STOP_LEVEL + 2e)`` of ``|R - r/(r-1)|``.
@@ -386,12 +375,10 @@ def check_events(
     ratio = r / (r - 1.0)
 
     sums = return_sums(a, t_horizon, sum_z=False)
-    if n <= A4_EXACT_LIMIT:
-        profile = mixing_profile(a.to_chain_spec(), s_horizon)
-        max_tv, stopped, tv_mode = float(profile.d_tv[s_horizon]), 0, "exact"
-    else:
-        max_tv, stopped = _max_tv_sampled(a, s_horizon)
-        tv_mode = "sampled-bound" if stopped else "sampled"
+    scans = [certified_scan(a, m, s_horizon) for m in _a4_starts(a)]
+    max_tv = max(tv for _, tv in scans)
+    stopped = sum(t0 < s_horizon for t0, _ in scans)
+    tv_mode = ("exact" if n <= A4_EXACT_LIMIT else "sampled") + ("-bound" if stopped else "")
 
     log_n = math.log(n)
     return AuxEventReport(
@@ -416,23 +403,22 @@ def check_events(
     )
 
 
-def _max_tv_sampled(a: AuxChain, s_horizon: int) -> tuple[float, int]:
-    """Largest TV to ``pi_tilde`` at ``s_horizon`` over the A4 starts, and how many stopped early.
+def _a4_starts(a: AuxChain):
+    """The A4 starts as pair states: ``DELTA``, then the pair starts.
 
-    The starts are ``DELTA``, then the sampled pairs, each run through one
-    :func:`~dfa_meet.fvtl.certified_scan`. A start that stops early
-    contributes its TV at the stop, an upper bound on its TV at
-    ``s_horizon``.
+    The pairs are every ordered ``(x, x')`` with ``x != x'``, row-major,
+    when ``n`` is at most ``A4_EXACT_LIMIT``, and otherwise ``A4_SAMPLES``
+    uniform ones drawn from ``A4_SEED``, ``x`` before ``x'``.
     """
-    t0, worst = certified_scan(a, a.start(), s_horizon)
-    stopped = int(t0 < s_horizon)
-    rng = np.random.default_rng(A4_SEED)
-    for _ in range(A4_SAMPLES):
-        x = int(rng.integers(0, a.n))
-        xp = int(rng.integers(0, a.n - 1))
-        m = np.zeros((a.n, a.n))
-        m[x, xp + (xp >= x)] = 1.0
-        t0, tv = certified_scan(a, m, s_horizon)
-        worst = max(worst, tv)
-        stopped += t0 < s_horizon
-    return worst, stopped
+    yield a.start()
+    n = a.n
+    if n <= A4_EXACT_LIMIT:
+        pairs = ((x, xp) for x in range(n) for xp in range(n) if x != xp)
+    else:
+        rng = np.random.default_rng(A4_SEED)
+        draws = ((int(rng.integers(0, n)), int(rng.integers(0, n - 1))) for _ in range(A4_SAMPLES))
+        pairs = ((x, xp + (xp >= x)) for x, xp in draws)
+    for x, xp in pairs:
+        m = np.zeros((n, n))
+        m[x, xp] = 1.0
+        yield m

@@ -123,11 +123,12 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_fvtl(args) -> int:
+    try:
+        t_horizon = None if args.T == "auto" else int(args.T)
+    except ValueError:
+        raise ValueError(f"--T must be 'auto' or an integer, got {args.T!r}") from None
     d = parse_dfa(args.dfa.read_text(encoding="utf-8"))
-    chain = walk_matrix(d)
-    stationary_distribution(chain)
-    aux = aux_chain.build_aux_chain(chain)
-    t_horizon = None if args.T == "auto" else int(args.T)
+    aux = aux_chain.build_aux_chain(walk_matrix(d))
     # events first, so that check_events rejects a bad --eps before the report runs
     events = None if args.skip_events else aux_chain.check_events(
         aux, eps=args.eps, t_horizon=args.events_T, s_horizon=args.events_S

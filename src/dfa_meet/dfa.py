@@ -146,6 +146,8 @@ def parse_dfa(text: str) -> Dfa:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DfaFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise DfaFormatError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise DfaFormatError("top-level value must be an object")
     for key in ("n", "r", "out"):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import aux_chain, fvtl, stats
-from .chains import ergodic_walk_chain, hitting_time_expectation, stationary_distribution
+from .chains import ergodic_walk_chain, hitting_time_expectation
 from .seeds import seed_split
 from .simulate import (
     RunManifest,
@@ -303,7 +303,6 @@ def _run_events(rec: Recipe) -> RecipeResult:
         for i in range(EVENTS_SEEDS):
             dfa_seed = seed_split(master, i, f"events-r{r}")
             d, chain, resamples = ergodic_walk_chain(n, r, dfa_seed)
-            stationary_distribution(chain)
             aux = aux_chain.build_aux_chain(chain)
             report = aux_chain.check_events(aux, eps=eps)
             row = report.as_dict()

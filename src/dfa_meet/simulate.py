@@ -29,6 +29,7 @@ import csv
 import itertools
 import math
 import os
+import re
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -43,6 +44,8 @@ MODES = ("independent", "coupled", "coalescing", "sync")
 THREADS_ENV_VAR = "DFA_MEET_THREADS"
 
 CSV_HEADER = ["trial", "derived_seed", "mode", "n", "r", "x", "y", "tau", "censored"]
+# what write_records_csv writes for an integer; int() alone would also take "1_5" or " 15"
+_CSV_INT = re.compile(r"-?[0-9]+")
 
 
 @dataclass
@@ -67,8 +70,9 @@ class RunManifest:
     ``starts`` is ``"uniform"`` (a fresh distinct pair per trial), a fixed
     ``(x, y)`` pair, or ``None`` for the all-vertex modes. ``dfa_policy``
     is ``"fresh"`` (one automaton per trial, from the trial stream) or
-    ``"fixed"`` (a shared automaton from ``dfa_path``). ``trials`` is at
-    least 0 and ``cap``, when given, at least 1.
+    ``"fixed"`` (a shared automaton from ``dfa_path``); ``dfa_path`` is
+    set exactly when the policy is ``"fixed"``. ``trials`` is at least 0
+    and ``cap``, when given, at least 1.
     """
 
     master_seed: int
@@ -101,6 +105,8 @@ class RunManifest:
             raise ValueError(f"unknown dfa_policy {self.dfa_policy!r}")
         if self.dfa_policy == "fixed" and self.dfa_path is None:
             raise ValueError("dfa_policy='fixed' requires dfa_path")
+        if self.dfa_policy == "fresh" and self.dfa_path is not None:
+            raise ValueError("dfa_policy='fresh' takes no dfa_path")
         if isinstance(self.starts, list):
             self.starts = tuple(self.starts)
 
@@ -390,8 +396,10 @@ def write_records_csv(records, path) -> None:
 def read_records_csv(path) -> list[TrialRecord]:
     """Read a trial CSV written by :func:`write_records_csv`.
 
-    An empty file, a wrong header, a row of the wrong width or a
-    ``censored`` value other than 0 or 1 is a ``ValueError`` naming the line.
+    An empty file, a wrong header, a row of the wrong width, a field that
+    is not an integer, a ``censored`` value other than 0 or 1, a mode not
+    in ``MODES``, a negative ``tau`` or a row whose ``(mode, n, r)``
+    differs from the first row's is a ``ValueError`` naming the line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -400,23 +408,32 @@ def read_records_csv(path) -> list[TrialRecord]:
             raise ValueError(f"{path}, line 1: empty file, expected the CSV header")
         if header != CSV_HEADER:
             raise ValueError(f"{path}, line 1: unexpected CSV header {header!r}")
-        records = []
+        records, run = [], None
         for row in reader:
+            where = f"{path}, line {reader.line_num}"
             if len(row) != len(CSV_HEADER):
-                raise ValueError(f"{path}, line {reader.line_num}: "
-                                 f"{len(row)} fields, expected {len(CSV_HEADER)}")
-            if row[8] not in ("0", "1"):
-                raise ValueError(f"{path}, line {reader.line_num}: "
-                                 f"censored must be 0 or 1, got {row[8]!r}")
-            records.append(TrialRecord(
-                trial=int(row[0]),
-                derived_seed=int(row[1]) if row[1] else None,
-                mode=row[2],
-                n=int(row[3]),
-                r=int(row[4]),
-                x=int(row[5]) if row[5] else None,
-                y=int(row[6]) if row[6] else None,
-                tau=int(row[7]),
-                censored=row[8] == "1",
-            ))
+                raise ValueError(f"{where}: {len(row)} fields, expected {len(CSV_HEADER)}")
+            fields = dict(zip(CSV_HEADER, row))
+            for name in ("trial", "derived_seed", "n", "r", "x", "y", "tau"):
+                value = fields[name]
+                if not value and name in ("derived_seed", "x", "y"):
+                    fields[name] = None
+                    continue
+                if not _CSV_INT.fullmatch(value):
+                    raise ValueError(f"{where}: {name} must be an integer, got {value!r}")
+                fields[name] = int(value)
+            if fields["censored"] not in ("0", "1"):
+                raise ValueError(f"{where}: censored must be 0 or 1, got {fields['censored']!r}")
+            fields["censored"] = fields["censored"] == "1"
+            if fields["mode"] not in MODES:
+                raise ValueError(f"{where}: unknown mode {fields['mode']!r}, "
+                                 f"expected one of {MODES}")
+            if fields["tau"] < 0:
+                raise ValueError(f"{where}: tau must be at least 0, got {fields['tau']}")
+            key = (fields["mode"], fields["n"], fields["r"])
+            run = run or key
+            if key != run:
+                raise ValueError(f"{where}: (mode, n, r) = {key} differs from the first "
+                                 f"row's {run}")
+            records.append(TrialRecord(**fields))
     return records

@@ -1,5 +1,7 @@
+import json
 import math
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from dfa_meet import aux_chain, fvtl
 from dfa_meet.aux_chain import (
     AuxChain,
     AuxChainError,
-    _max_tv_sampled,
     aux_fvtl_report,
     auto_return_horizon,
     build_aux_chain,
@@ -17,7 +18,13 @@ from dfa_meet.aux_chain import (
     log_power_horizon,
     return_mass,
 )
-from dfa_meet.chains import ergodic_walk_chain, make_chain, stationary_distribution, walk_matrix
+from dfa_meet.chains import (
+    ergodic_walk_chain,
+    make_chain,
+    mixing_profile,
+    stationary_distribution,
+    walk_matrix,
+)
 from dfa_meet.fvtl import (
     Z_CONSECUTIVE_SMALL,
     Z_TERM_TOL,
@@ -27,6 +34,7 @@ from dfa_meet.fvtl import (
     quasi_stationary_pair,
     return_sums,
 )
+from tests.explicit_chain import explicit_chain, flatten_pair_form, pi_tilde_vector
 from tests.test_chains import full_image_dfa
 from tests.test_fvtl import relaxation_horizon, return_series
 
@@ -101,7 +109,7 @@ def test_closed_form_stationary_residual():
         aux = small_aux(n, r, seed)
         assert aux.stationarity_residual() <= 1e-10
         # and through the explicit kernel as well
-        pi_tilde = aux.pi_tilde_vector()
+        pi_tilde = pi_tilde_vector(aux)
         assert np.abs(pi_tilde @ aux.kernel_matrix() - pi_tilde).sum() <= 1e-10
 
 
@@ -134,14 +142,14 @@ def test_left_and_killed_step_match_explicit_kernel():
         pair[index_pair(aux, i)] = nu[i]
     stepped = aux.left_step(pair + np.diag(nu[-1] * aux.reentry))
     expected = nu @ kernel
-    assert np.abs(aux.flatten_pair_form(stepped) - expected).max() < 1e-14
+    assert np.abs(flatten_pair_form(aux, stepped) - expected).max() < 1e-14
 
     # the killed step is the step with the diagonal state deleted
     killed = aux.killed_step(pair)
     nu[-1] = 0.0
     expected = nu @ kernel
     expected[-1] = 0.0
-    assert np.abs(aux.flatten_pair_form(killed) - expected).max() < 1e-14
+    assert np.abs(flatten_pair_form(aux, killed) - expected).max() < 1e-14
 
 
 def test_left_step_keeps_the_pair_orientation_in_either_memory_order():
@@ -152,12 +160,12 @@ def test_left_step_keeps_the_pair_orientation_in_either_memory_order():
     start = np.zeros((aux.n, aux.n))
     start[1, 5] = 1.0
     for first in (start, np.asfortranarray(start)):
-        m, nu = first, aux.flatten_pair_form(first)
+        m, nu = first, flatten_pair_form(aux, first)
         for _ in range(3):
             m = aux.left_step(m)
             nu = nu @ kernel
-            assert np.abs(aux.flatten_pair_form(m) - nu).max() <= 1e-15
-            assert np.abs(aux.flatten_pair_form(m.T) - nu).max() > 1e-3  # asymmetric
+            assert np.abs(flatten_pair_form(aux, m) - nu).max() <= 1e-15
+            assert np.abs(flatten_pair_form(aux, m.T) - nu).max() > 1e-3  # asymmetric
         assert m.flags.f_contiguous != first.flags.f_contiguous  # orders alternate
 
 
@@ -284,7 +292,7 @@ def test_sampled_tv_matches_explicit_chain(monkeypatch):
     s_horizon, samples, seed = 6, 15, 4
     monkeypatch.setattr(aux_chain, "A4_SAMPLES", samples)
     monkeypatch.setattr(aux_chain, "A4_SEED", seed)
-    chain = aux.to_chain_spec()
+    chain = explicit_chain(aux)
     rng = np.random.default_rng(seed)
     starts = [aux.delta_index]
     for _ in range(samples):
@@ -297,14 +305,43 @@ def test_sampled_tv_matches_explicit_chain(monkeypatch):
         nu = nu @ chain.kernel
     tv = 0.5 * np.abs(nu - chain.stationary).sum(axis=1)
     assert tv[1:].max() > 1e-3  # not yet mixed, so the comparison has teeth
-    worst, stopped = _max_tv_sampled(aux, s_horizon)
-    assert stopped == 0
-    assert worst == pytest.approx(tv.max(), abs=1e-12)
 
     monkeypatch.setattr(aux_chain, "A4_EXACT_LIMIT", 0)
     report = check_events(aux, eps=0.5, s_horizon=s_horizon)
     assert report.tv_mode == "sampled" and report.a4_stopped_starts == 0
     assert report.max_tv_at_s == pytest.approx(tv.max(), abs=1e-12)
+
+
+def test_exact_tv_matches_the_explicit_chain_profile():
+    """In exact mode the A4 maximum over DELTA and every pair start is the
+    worst-start TV of the explicit chain after S steps."""
+    aux = small_aux(12, 2, seed=3)
+    s_horizon = 6
+    d_tv = mixing_profile(explicit_chain(aux), s_horizon).d_tv[s_horizon]
+    assert d_tv > 1e-3  # not yet mixed, so the comparison has teeth
+    report = check_events(aux, eps=0.5, s_horizon=s_horizon)
+    assert report.tv_mode == "exact" and report.a4_stopped_starts == 0
+    assert report.max_tv_at_s == pytest.approx(d_tv, abs=1e-12)
+
+
+def test_exact_mode_reports_its_certified_stops():
+    """On the uniform chain every start is stationary after one step, so
+    each of the n(n-1) + 1 scans stops at the first check."""
+    aux = build_aux_chain(walk_matrix(full_image_dfa(12)))
+    report = check_events(aux, eps=0.5, s_horizon=20)
+    assert report.tv_mode == "exact-bound"
+    assert report.a4_stopped_starts == aux.size
+    assert report.max_tv_at_s <= fvtl.TV_STOP_LEVEL
+
+
+def test_a4_starts_are_delta_then_every_pair_in_exact_mode():
+    aux = small_aux(6, 2, seed=1)
+    starts = list(aux_chain._a4_starts(aux))
+    assert len(starts) == aux.size
+    assert np.array_equal(starts[0], aux.start())
+    pairs = [tuple(np.argwhere(m)[0]) for m in starts[1:]]
+    assert all(m.sum() == 1.0 for m in starts[1:])
+    assert pairs == [index_pair(aux, i) for i in range(aux.size - 1)]
 
 
 @pytest.fixture(scope="module")
@@ -342,7 +379,7 @@ def test_negative_horizons_are_rejected():
     with pytest.raises(ValueError, match="horizon must be at least 0, got -1"):
         return_mass(aux, -1)
     with pytest.raises(ValueError, match="horizon must be at least 0, got -3"):
-        _max_tv_sampled(aux, -3)
+        check_events(aux, eps=0.15, s_horizon=-3)
 
 
 def test_stopped_sampled_tv_bounds_the_full_horizon_oracle(aux150, monkeypatch):
@@ -351,8 +388,9 @@ def test_stopped_sampled_tv_bounds_the_full_horizon_oracle(aux150, monkeypatch):
     aux = aux150
     s_horizon, samples = log_power_horizon(aux.n, 3), 12
     monkeypatch.setattr(aux_chain, "A4_SAMPLES", samples)
-    worst, stopped = _max_tv_sampled(aux, s_horizon)
-    assert stopped == samples + 1  # every start, DELTA included, stops before S
+    report = check_events(aux, eps=0.15, s_horizon=s_horizon)
+    worst = report.max_tv_at_s
+    assert report.a4_stopped_starts == samples + 1  # every start, DELTA included, stops before S
 
     oracle = max(full_horizon_tv(aux, m, s_horizon) for m in a4_starts(aux, samples))
     assert worst >= oracle - fvtl.TV_STOP_LEVEL
@@ -363,6 +401,20 @@ def test_stopped_sampled_tv_bounds_the_full_horizon_oracle(aux150, monkeypatch):
     assert t0 < s_horizon
     assert tv >= full_horizon_tv(aux, aux.start(), s_horizon) - fvtl.TV_STOP_LEVEL
     assert tv <= fvtl.TV_STOP_LEVEL
+
+
+A4_STOP_GOLDEN = Path(__file__).parent / "data" / "a4_stop_steps_golden.json"
+
+
+def test_a4_starts_stop_at_their_golden_steps(aux150):
+    """Each of the 201 A4 starts of the n = 150, r = 2, seed 0 instance,
+    DELTA first, stops at its pinned step."""
+    golden = json.loads(A4_STOP_GOLDEN.read_text())
+    assert (golden["n"], golden["r"], golden["seed"]) == (150, 2, 0)
+    s_horizon = log_power_horizon(aux150.n, 3)
+    assert golden["s_horizon"] == s_horizon
+    steps = [fvtl.certified_scan(aux150, m, s_horizon)[0] for m in aux_chain._a4_starts(aux150)]
+    assert steps == golden["stop_steps"]
 
 
 def test_check_events_records_the_certified_stops(aux150, monkeypatch):
@@ -469,7 +521,7 @@ def test_aux_fvtl_report_small_chain_identities():
     # identity route equals direct solve on the explicit chain
     from dfa_meet.chains import hitting_time_expectation
 
-    chain = aux.to_chain_spec()
+    chain = explicit_chain(aux)
     direct = hitting_time_expectation(chain, chain.stationary, [aux.delta_index])
     assert report.expected_hitting_from_mu == pytest.approx(direct, abs=1e-7)
     assert 0 < report.quasi.lambda_star < 1
@@ -479,9 +531,9 @@ def test_aux_fvtl_report_small_chain_identities():
 def test_aux_quasi_stationary_matches_generic():
     aux = small_aux(9, 2, seed=5)
     aux_pair = perron_pair(aux)
-    pair = quasi_stationary_pair(aux.to_chain_spec(), aux.delta_index)
+    pair = quasi_stationary_pair(explicit_chain(aux), aux.delta_index)
     assert aux_pair.lambda_star == pytest.approx(pair.lambda_star, abs=1e-10)
-    flat = aux.flatten_pair_form(aux_pair.mu_star)
+    flat = flatten_pair_form(aux, aux_pair.mu_star)
     assert np.abs(flat - pair.mu_star).max() < 1e-9
 
 
@@ -503,7 +555,7 @@ def test_aux_fvtl_report_keeps_the_perron_pair():
 def test_return_sums_pair_form_matches_explicit_chain():
     aux = small_aux()
     pair = return_sums(aux)
-    gen = return_sums(TargetWalk(aux.to_chain_spec(), aux.delta_index))
+    gen = return_sums(TargetWalk(explicit_chain(aux), aux.delta_index))
     assert pair.t_horizon == gen.t_horizon
     assert pair.return_mass == pytest.approx(gen.return_mass, rel=1e-12)
     assert pair.z == pytest.approx(gen.z, rel=1e-12)

@@ -151,7 +151,20 @@ CSV_GOOD_ROW = "0,12,independent,20,2,3,7,15,0\r\n"
     ("", "line 1: empty file, expected the CSV header"),
     (CSV_HEADER_LINE + CSV_GOOD_ROW.replace(",0\r\n", ",2\r\n"),
      "line 2: censored must be 0 or 1, got '2'"),
-], ids=["short-row", "empty-file", "censored-2"])
+    (CSV_HEADER_LINE + CSV_GOOD_ROW + CSV_GOOD_ROW.replace(",15,", ",abc,"),
+     "line 3: tau must be an integer, got 'abc'"),
+    (CSV_HEADER_LINE + CSV_GOOD_ROW.replace(",15,", ",1_5,"),
+     "line 2: tau must be an integer, got '1_5'"),
+    (CSV_HEADER_LINE + CSV_GOOD_ROW.replace("independent", "bogus"),
+     "line 2: unknown mode 'bogus', expected one of "
+     "('independent', 'coupled', 'coalescing', 'sync')"),
+    (CSV_HEADER_LINE + CSV_GOOD_ROW + CSV_GOOD_ROW.replace(",20,", ",21,"),
+     "line 3: (mode, n, r) = ('independent', 21, 2) differs from the first row's "
+     "('independent', 20, 2)"),
+    (CSV_HEADER_LINE + CSV_GOOD_ROW.replace(",15,", ",-3,"),
+     "line 2: tau must be at least 0, got -3"),
+], ids=["short-row", "empty-file", "censored-2", "tau-abc", "tau-underscore", "mode-bogus",
+        "mixed-n", "tau-negative"])
 def test_verify_rejects_a_malformed_csv_naming_the_line(tmp_path, capsys, text, message):
     csv_path = tmp_path / "bad.csv"
     csv_path.write_bytes(text.encode())
@@ -161,6 +174,22 @@ def test_verify_rejects_a_malformed_csv_naming_the_line(tmp_path, capsys, text, 
     err = capsys.readouterr().err
     assert err.splitlines() == [f"error: {csv_path}, {message}"]
     assert not report_path.exists()
+
+
+def test_fvtl_rejects_a_deeply_nested_dfa_file(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 10**5)
+    assert main(["fvtl", "--dfa", str(path), "--skip-events"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: invalid JSON: nested too deeply"]
+
+
+def test_fvtl_names_the_horizon_flag_when_it_is_not_an_integer(dfa_file, tmp_path, capsys):
+    out = tmp_path / "fvtl.json"
+    assert main(["fvtl", "--dfa", str(dfa_file), "--T", "abc", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: --T must be 'auto' or an integer, got 'abc'"]
+    assert not out.exists()
 
 
 def test_exact_rejects_a_negative_cap(dfa_file, tmp_path, capsys):

@@ -20,6 +20,7 @@ from dfa_meet.fvtl import (
     return_sums,
     two_state_chain,
 )
+from tests.explicit_chain import explicit_chain
 
 
 def return_series(p):
@@ -194,7 +195,7 @@ def test_uniform_start_ratio_aux_chain_scale():
         d, chain, _ = ergodic_walk_chain(120, 2, seed)
         stationary_distribution(chain)
         aux = build_aux_chain(chain)
-        spec = aux.to_chain_spec()
+        spec = explicit_chain(aux)
         grid = [10, 40, 120, 360, 720]
         ratio = uniform_start_ratio(spec, aux.delta_index, grid)
         if ratio <= 1.1:

@@ -1,7 +1,8 @@
-"""Every public name and every dataclass field of ``dfa_meet`` is used by the library.
+"""Every public name, public method and dataclass field of ``dfa_meet`` is used by the library.
 
-A public name needs a caller in the library or in the acceptance tests; a
-name that only tests call belongs in the tests, as an oracle next to them.
+A public name or method needs a caller in the library or in the acceptance
+tests; one that only tests call belongs in the tests, as an oracle next to
+them.
 A dataclass field must be read in the library or emitted by its class: a
 value that is computed and then dropped goes, with the code that makes it.
 """
@@ -20,36 +21,68 @@ def exported_names():
             for alias in node.names]
 
 
-def references(node, skip=None):
-    """``Name`` ids and ``Attribute`` attrs under ``node``, not counting ``skip`` itself."""
+def references(node):
+    """``Name`` ids and ``Attribute`` attrs under ``node``."""
     found = set()
     for child in ast.walk(node):
         if isinstance(child, ast.Name):
             found.add(child.id)
         elif isinstance(child, ast.Attribute):
             found.add(child.attr)
-    found.discard(skip)
     return found
 
 
 def library_references():
-    """References in the package modules; a definition's references to its own name are left out."""
+    """References in the package modules; a definition's references to its own name are left out.
+
+    This holds at every depth, so a method's calls to itself do not count
+    as its callers.
+    """
     found = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Name) and node.id not in enclosing:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            defines = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            found |= references(node, node.name if isinstance(node, defines) else None)
+        if path.name != "__init__.py":
+            visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
     return found
 
 
-def test_every_public_name_has_a_caller_outside_the_unit_tests():
-    used = library_references()
-    acceptance = references(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(
+def acceptance_references():
+    return references(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(
         encoding="utf-8")))
-    unused = [name for name in exported_names() if name not in used | acceptance]
+
+
+def test_every_public_name_has_a_caller_outside_the_unit_tests():
+    used = library_references() | acceptance_references()
+    unused = [name for name in exported_names() if name not in used]
     assert not unused, f"public names with no caller outside the unit tests: {unused}"
+
+
+def public_methods():
+    """``(class, name)`` for every public method and property of a library class."""
+    methods = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                methods += [(node.name, item.name) for item in node.body
+                            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not item.name.startswith("_")]
+    return methods
+
+
+def test_every_public_method_has_a_caller_outside_the_unit_tests():
+    used = library_references() | acceptance_references()
+    unused = [f"{cls}.{name}" for cls, name in public_methods() if name not in used]
+    assert not unused, f"public methods with no caller outside the unit tests: {unused}"
 
 
 # Fields read only by tests, each with the reason it stays.

@@ -350,6 +350,12 @@ def test_manifest_validation():
             RunManifest(master_seed=0, mode=mode, n=5, r=2, trials=1, starts="all")
 
 
+def test_manifest_rejects_a_path_with_a_fresh_policy():
+    """A fresh-DFA run would ignore the path, so naming one is an error."""
+    with pytest.raises(ValueError, match="dfa_policy='fresh' takes no dfa_path"):
+        RunManifest(master_seed=0, mode="independent", n=5, r=2, trials=1, dfa_path="dfa.json")
+
+
 def test_manifest_rejects_negative_trials_and_nonpositive_cap():
     with pytest.raises(ValueError, match="trials"):
         RunManifest(master_seed=0, mode="independent", n=5, r=2, trials=-1)

@@ -90,6 +90,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag_value(text: str, parse, flag: str, expected: str):
+    """``parse(text)``, or a ``ValueError`` naming the flag and what it expects."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(f"{flag} must be {expected}, got {text!r}") from None
+
+
+def _integers(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
+
+
 def _emit(payload: dict, out: Path | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out is None:
@@ -123,10 +135,7 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_fvtl(args) -> int:
-    try:
-        t_horizon = None if args.T == "auto" else int(args.T)
-    except ValueError:
-        raise ValueError(f"--T must be 'auto' or an integer, got {args.T!r}") from None
+    t_horizon = None if args.T == "auto" else _flag_value(args.T, int, "--T", "'auto' or an integer")
     d = parse_dfa(args.dfa.read_text(encoding="utf-8"))
     aux = aux_chain.build_aux_chain(walk_matrix(d))
     # events first, so that check_events rejects a bad --eps before the report runs
@@ -157,7 +166,8 @@ def _cmd_fvtl(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    starts = "uniform" if args.starts is None else tuple(int(v) for v in args.starts.split(","))
+    starts = "uniform" if args.starts is None else _flag_value(
+        args.starts, _integers, "--starts", "two integers 'x,y'")
     manifest = RunManifest(
         master_seed=args.seed,
         mode=args.mode,
@@ -187,10 +197,11 @@ def _cmd_verify(args) -> int:
     if ref.startswith("geom:"):
         arg = ref.split(":", 1)[1]
         dist = stats.EmpiricalDist.from_samples(taus)
-        lam = 1.0 / (1.0 + float(taus.mean())) if arg == "auto" else float(arg)
+        lam = 1.0 / (1.0 + float(taus.mean())) if arg == "auto" else _flag_value(
+            arg, float, "--against geom:<rate>", "a number")
         fit = stats.geometric_tail_fit(dist, lam)
     elif ref.startswith("exp:"):
-        mean = float(ref.split(":", 1)[1])
+        mean = _flag_value(ref.split(":", 1)[1], float, "--against exp:<mean>", "a number")
         dist = stats.EmpiricalDist.from_samples(taus / n)
         fit = stats.exponential_fit(dist, mean)
     elif ref == "kingman":
@@ -226,7 +237,8 @@ def _cmd_recipe(args) -> int:
     if args.trials is not None:
         overrides["trials"] = args.trials
     if args.r_values is not None:
-        overrides["r_values"] = tuple(int(v) for v in args.r_values.split(","))
+        overrides["r_values"] = _flag_value(
+            args.r_values, _integers, "--r-values", "comma-separated integers")
     if args.eps is not None:
         overrides["eps"] = args.eps
     out_dir = args.out_dir if args.out_dir is not None else Path("recipe-out") / args.name

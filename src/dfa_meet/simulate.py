@@ -21,6 +21,13 @@ that step reads, whatever ``COLOR_CHUNK`` is. Every sampler may draw past
 its stopping step: where the generator stands after a sampler returns is
 not part of the contract, and nothing draws from a trial stream after its
 sampler.
+
+The samplers read the automaton as per-color columns (``cols[c][x]`` is
+the ``c``-successor of ``x``). Coalescing and sync finish with two points
+left as a pair loop, which reads the colors in the order above: the last
+two clusters are two independent walks, the lower position taking the
+first color of each step, and the last two image points are two coupled
+walks, so sync resumes the coupled meeting loop at the step it reached.
 """
 
 from __future__ import annotations
@@ -148,7 +155,7 @@ def sample_meeting_independent(d: Dfa, x: int, y: int, cap: int, seed, trial: in
     _check_start(d, x)
     _check_start(d, y)
     rng = np.random.default_rng(seed)
-    tau, censored = _meet_independent(d.out.ravel().tolist(), d.r, x, y, cap, rng)
+    tau, censored = _meet_independent(d.out.T.tolist(), x, y, cap, _colors(rng, d.r))
     return _record("independent", d, x, y, tau, censored, seed, trial)
 
 
@@ -157,7 +164,7 @@ def sample_meeting_coupled(d: Dfa, x: int, y: int, cap: int, seed, trial: int = 
     _check_start(d, x)
     _check_start(d, y)
     rng = np.random.default_rng(seed)
-    tau, censored = _meet_coupled(d.out.ravel().tolist(), d.r, x, y, cap, rng)
+    tau, censored = _meet_coupled(d.out.T.tolist(), x, y, cap, _colors(rng, d.r))
     return _record("coupled", d, x, y, tau, censored, seed, trial)
 
 
@@ -166,7 +173,9 @@ def sample_coalescence(d: Dfa, cap: int, seed, trial: int = 0) -> TrialRecord:
 
     Walks start from every vertex. Clusters take colors in increasing order
     of their current position, from ``COLOR_CHUNK`` blocks that equal one
-    draw per step; the last block may run past the stopping step.
+    draw per step; the last block may run past the stopping step. Once two
+    clusters remain, a pair loop steps them until they meet: the last merge
+    is an independent meeting, the lower position taking the first color.
     """
     rng = np.random.default_rng(seed)
     tau, censored = _coalesce(d, cap, rng, range(d.n))
@@ -179,32 +188,34 @@ def sample_sync(d: Dfa, cap: int, seed, trial: int = 0) -> TrialRecord:
     Tracks the image set of the whole vertex set under the word read so
     far; non-synchronizable automata exist, so censoring at the cap is an
     expected occasional outcome. The word is read from ``COLOR_CHUNK``
-    blocks, the last of which may run past the stopping step.
+    blocks, the last of which may run past the stopping step. Once the
+    image holds two vertices, the rest of the word drives them as a coupled
+    meeting, resumed from the step reached.
     """
     rng = np.random.default_rng(seed)
     tau, censored = _sync(d, cap, rng)
     return _record("sync", d, None, None, tau, censored, seed, trial)
 
 
-def _meet_independent(out_flat: list, r: int, x: int, y: int, cap: int, rng) -> tuple[int, bool]:
+def _meet_independent(cols: list, x: int, y: int, cap: int, colors) -> tuple[int, bool]:
     if x == y:
         return 0, False
-    colors = _colors(rng, r)
     # one iterator passed twice: each step takes the first walk's color, then the second's
     for t, c, cp in zip(range(1, cap + 1), colors, colors):
-        x = out_flat[x * r + c]
-        y = out_flat[y * r + cp]
+        x = cols[c][x]
+        y = cols[cp][y]
         if x == y:
             return t, False
     return cap, True
 
 
-def _meet_coupled(out_flat: list, r: int, x: int, y: int, cap: int, rng) -> tuple[int, bool]:
+def _meet_coupled(cols: list, x: int, y: int, cap: int, colors, t: int = 0) -> tuple[int, bool]:
+    """Walks from ``x`` and ``y`` at step ``t`` read one word until they meet or reach ``cap``."""
     if x == y:
-        return 0, False
-    for t, c in zip(range(1, cap + 1), _colors(rng, r)):
-        x = out_flat[x * r + c]
-        y = out_flat[y * r + c]
+        return t, False
+    for t, c in zip(range(t + 1, cap + 1), colors):
+        x = cols[c][x]
+        y = cols[c][y]
         if x == y:
             return t, False
     return cap, True
@@ -218,28 +229,39 @@ def _colors(rng, r: int):
 
 
 def _coalesce(d: Dfa, cap: int, rng, starts) -> tuple[int, bool]:
-    r = d.r
-    out_flat = d.out.ravel().tolist()
+    cols = d.out.T.tolist()
     positions = sorted(set(starts))
-    if len(positions) == 1:
-        return 0, False
-    colors = _colors(rng, r)
-    for t in range(1, cap + 1):
+    colors = _colors(rng, d.r)
+    t = 0
+    while len(positions) > 2:
+        if t == cap:
+            return cap, True
+        t += 1
         # zip stops at the last cluster, so each step takes one color per cluster
-        positions = sorted({out_flat[x * r + c] for x, c in zip(positions, colors)})
-        if len(positions) == 1:
+        positions = sorted({cols[c][x] for x, c in zip(positions, colors)})
+    if len(positions) == 1:
+        return t, False
+    # the last two clusters: the lower position takes the first color of each step
+    x, y = positions
+    for t, c, cp in zip(range(t + 1, cap + 1), colors, colors):
+        x = cols[c][x]
+        y = cols[cp][y]
+        if x == y:
             return t, False
+        if x > y:
+            x, y = y, x
     return cap, True
 
 
 def _sync(d: Dfa, cap: int, rng) -> tuple[int, bool]:
-    r = d.r
-    out_flat = d.out.ravel().tolist()
+    cols = d.out.T.tolist()
+    colors = _colors(rng, d.r)
     image = range(d.n)
-    for t, c in zip(range(1, cap + 1), _colors(rng, r)):
-        image = {out_flat[x * r + c] for x in image}
-        if len(image) == 1:
-            return t, False
+    for t, c in zip(range(1, cap + 1), colors):
+        image = set(map(cols[c].__getitem__, image))
+        if len(image) <= 2:
+            # two points reading one word are a coupled meeting, resumed at step t
+            return _meet_coupled(cols, min(image), max(image), cap, colors, t)
     return cap, True
 
 
@@ -334,14 +356,18 @@ def _read_fixed_dfa(manifest: RunManifest) -> Dfa:
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Explicit argument, then the DFA_MEET_THREADS variable, then CPU count.
+    """Explicit argument, then the DFA_MEET_THREADS variable, then usable CPUs.
 
-    A non-integer variable or a count below 1 is a ``ValueError`` naming its source.
+    Usable CPUs are those of the process's affinity mask where the platform
+    reports one, else the CPU count. A non-integer variable or a count
+    below 1 is a ``ValueError`` naming its source.
     """
     source = f"workers={workers}"
     if workers is None:
         env = os.environ.get(THREADS_ENV_VAR)
         if not env:
+            if hasattr(os, "sched_getaffinity"):
+                return len(os.sched_getaffinity(0))
             return os.cpu_count() or 1
         source = f"{THREADS_ENV_VAR}={env}"
         try:

@@ -192,6 +192,37 @@ def test_fvtl_names_the_horizon_flag_when_it_is_not_an_integer(dfa_file, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("against, message", [
+    ("geom:abc", "error: --against geom:<rate> must be a number, got 'abc'"),
+    ("exp:abc", "error: --against exp:<mean> must be a number, got 'abc'"),
+])
+def test_verify_names_the_reference_flag_when_its_number_is_malformed(
+        tmp_path, coalescing_csv, capsys, against, message):
+    report_path = tmp_path / "verify.json"
+    assert main(["verify", "--results", str(coalescing_csv), "--against", against,
+                 "--report", str(report_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [message] and "Traceback" not in err
+    assert not report_path.exists()
+
+
+def test_simulate_names_the_starts_flag_when_it_is_not_integers(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main(["simulate", "--mode", "coupled", "--n", "10", "--r", "2", "--trials", "4",
+                 "--seed", "0", "--starts", "a,b", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: --starts must be two integers 'x,y', got 'a,b'"]
+    assert not out.exists()
+
+
+def test_recipe_names_the_r_values_flag_when_it_is_not_integers(tmp_path, capsys):
+    code = main(["recipe", "events-a1-a5", "--r-values", "2,x", "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: --r-values must be comma-separated integers, got '2,x'"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_exact_rejects_a_negative_cap(dfa_file, tmp_path, capsys):
     out = tmp_path / "exact.json"
     assert main(["exact", "--dfa", str(dfa_file), "--t-cap", "-1", "--out", str(out)]) == 1

@@ -1,5 +1,7 @@
+import collections
 import math
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from dfa_meet.simulate import (
     RunManifest,
     default_cap,
     read_records_csv,
+    resolve_workers,
     run_experiment,
     run_trial,
     sample_coalescence,
@@ -126,30 +129,75 @@ def test_sync_image_sizes_non_increasing():
 
 
 def coalescence_oracle(d, cap, seed, starts=None):
-    """Reference: one numpy draw per step, one color per cluster in increasing position."""
+    """Reference: one numpy draw per step, one color per cluster in increasing position.
+
+    Returns ``(tau, censored)`` and the cluster count after each step, the start's included.
+    """
     rng = np.random.default_rng(seed)
     positions = np.unique(np.arange(d.n) if starts is None else np.asarray(starts))
+    sizes = [positions.size]
     if positions.size == 1:
-        return 0, False
+        return (0, False), sizes
     for t in range(1, cap + 1):
         positions = np.unique(d.out[positions, rng.integers(0, d.r, size=positions.size)])
+        sizes.append(positions.size)
         if positions.size == 1:
-            return t, False
-    return cap, True
+            return (t, False), sizes
+    return (cap, True), sizes
+
+
+def pair_tail(sizes, censored, chunk, reads=None):
+    """How a run's last two points ended, from its oracle trace up to its stop.
+
+    ``sizes[t]`` counts the points after step ``t``, and step ``t`` reads
+    ``reads[t - 1]`` colors (one when ``reads`` is omitted). Returns ``None``
+    if two points never remained, ``"arrival"`` if the cap came on the step
+    two remained, ``"censored"`` if it came later, ``"crossed"`` if the two
+    met in a later color block than the one they started reading, else
+    ``"met"``.
+    """
+    if 2 not in sizes:
+        return None
+    two = sizes.index(2)
+    if censored:
+        return "arrival" if two == len(sizes) - 1 else "censored"
+    reads = [1] * len(sizes) if reads is None else reads
+    start, stop = sum(reads[:two]), sum(reads[:len(sizes) - 1])
+    return "crossed" if start // chunk < (stop - 1) // chunk else "met"
+
+
+def capped_at_two(sizes, cap):
+    """``cap``, then the step two points remained when that is in ``[1, cap)``."""
+    two = sizes.index(2) if 2 in sizes else 0
+    return (cap, two) if 1 <= two < cap else (cap,)
 
 
 @pytest.mark.parametrize("chunk", [7, simulate.COLOR_CHUNK])
 def test_coalescence_matches_per_step_draw_oracle(monkeypatch, chunk):
+    """The sampler stops where the oracle does. Across the cases, the last
+    two clusters meet after a color-block boundary, are censored, and are
+    censored on the very step two remain."""
     monkeypatch.setattr(simulate, "COLOR_CHUNK", chunk)
-    for n, r, cap in ((2, 2, 4), (5, 3, 1), (17, 3, 3), (17, 2, 1000), (60, 5, 5000)):
-        for seed in range(6):
-            d = generate_dfa(n, r, seed)
-            rec = sample_coalescence(d, cap, seed=seed + 9)
-            assert (rec.tau, rec.censored) == coalescence_oracle(d, cap, seed + 9)
-            for starts in ([0, n - 1], list(range(1, n, 3)), [n // 2]):
-                rng = np.random.default_rng(seed + 9)
-                got = simulate._coalesce(d, cap, rng, starts)
-                assert got == coalescence_oracle(d, cap, seed + 9, starts)
+    cases = [
+        (generate_dfa(n, r, seed), cap, seed + 9)
+        for n, r, cap in ((2, 2, 4), (5, 3, 1), (17, 3, 3), (17, 2, 1000), (60, 5, 5000))
+        for seed in range(6)
+    ]
+    cases += [(slow_meeting_dfa(97), 2 * chunk + 5, seed) for seed in range(2)]
+    tails = collections.Counter()
+    for d, cap, seed in cases:
+        n = d.n
+        for starts in (None, [0, n - 1], [n // 2, 0], list(range(1, n, 3)), [n // 2]):
+            _, sizes = coalescence_oracle(d, cap, seed, starts)
+            for c in capped_at_two(sizes, cap):
+                expected, sizes = coalescence_oracle(d, c, seed, starts)
+                if starts is None:
+                    rec = sample_coalescence(d, c, seed=seed)
+                    assert (rec.tau, rec.censored) == expected
+                else:
+                    assert simulate._coalesce(d, c, np.random.default_rng(seed), starts) == expected
+                tails[pair_tail(sizes, expected[1], chunk, reads=sizes)] += 1
+    assert min(tails["crossed"], tails["censored"], tails["arrival"]) > 0
 
 
 def meeting_oracle(d, x, y, cap, seed, coupled):
@@ -203,18 +251,75 @@ def test_pair_meeting_matches_per_step_draw_oracle(monkeypatch, chunk):
 
 @pytest.mark.parametrize("chunk", [7, simulate.COLOR_CHUNK])
 def test_sync_tau_is_first_singleton_image_of_block_word(monkeypatch, chunk):
-    """The sync sampler stops where the oracle's image of the block-drawn word is one vertex."""
+    """The sync sampler stops where the oracle's image of the block-drawn word
+    is one vertex. Across the cases, the last two image points meet after a
+    color-block boundary, are censored, and are censored on the very step
+    two remain."""
     monkeypatch.setattr(simulate, "COLOR_CHUNK", chunk)
-    for n, r, cap in ((2, 2, 5), (17, 3, 1000), (40, 2, 3), (60, 2, 2000), (60, 5, 400)):
-        for seed in range(8):
-            d = generate_dfa(n, r, seed)
-            rec = sample_sync(d, cap, seed=seed + 50)
-            rng = np.random.default_rng(seed + 50)
-            blocks = -(-cap // chunk)
-            word = np.concatenate([rng.integers(0, r, size=chunk) for _ in range(blocks)])[:cap]
-            sizes = sync_image_sizes(d, word)
+    cases = [
+        (generate_dfa(n, r, seed), cap, seed + 50)
+        for n, r, cap in ((2, 2, 5), (17, 3, 1000), (40, 2, 3), (60, 2, 2000), (60, 5, 400))
+        for seed in range(8)
+    ]
+    cases += [(slow_meeting_dfa(23), 2 * chunk + 5, seed) for seed in range(3)]
+    tails = collections.Counter()
+    for d, cap, seed in cases:
+        rng = np.random.default_rng(seed)
+        blocks = -(-cap // chunk)
+        word = np.concatenate([rng.integers(0, d.r, size=chunk) for _ in range(blocks)])[:cap]
+        word_sizes = sync_image_sizes(d, word)
+        for c in capped_at_two(word_sizes, cap):
+            sizes = word_sizes[:c + 1]
             hits = [t for t, size in enumerate(sizes) if size == 1]
-            assert (rec.tau, rec.censored) == ((hits[0], False) if hits else (cap, True))
+            expected = (hits[0], False) if hits else (c, True)
+            rec = sample_sync(d, c, seed=seed)
+            assert (rec.tau, rec.censored) == expected
+            tails[pair_tail(sizes[:expected[0] + 1], expected[1], chunk)] += 1
+    assert min(tails["crossed"], tails["censored"], tails["arrival"]) > 0
+
+
+def set_loop_coalescence(d, cap, rng, starts):
+    """The coalescing sampler as one set loop to the end, with no pair tail."""
+    r, out_flat = d.r, d.out.ravel().tolist()
+    positions = sorted(set(starts))
+    if len(positions) == 1:
+        return 0, False
+    colors = simulate._colors(rng, r)
+    for t in range(1, cap + 1):
+        positions = sorted({out_flat[x * r + c] for x, c in zip(positions, colors)})
+        if len(positions) == 1:
+            return t, False
+    return cap, True
+
+
+def set_loop_sync(d, cap, rng):
+    """The sync sampler as one set loop to the end, with no coupled tail."""
+    r, out_flat = d.r, d.out.ravel().tolist()
+    image = range(d.n)
+    for t, c in zip(range(1, cap + 1), simulate._colors(rng, r)):
+        image = {out_flat[x * r + c] for x in image}
+        if len(image) == 1:
+            return t, False
+    return cap, True
+
+
+@pytest.mark.parametrize("chunk", [7, simulate.COLOR_CHUNK])
+def test_pair_tails_match_the_set_loops_on_small_cases(monkeypatch, chunk):
+    """Seeded differential test: 2,000 small automata, caps 1-30."""
+    monkeypatch.setattr(simulate, "COLOR_CHUNK", chunk)
+    master = np.random.default_rng(13)
+    for _ in range(2000):
+        n = int(master.integers(2, 13))
+        r = int(master.integers(2, n + 1))
+        cap = int(master.integers(1, 31))
+        d = generate_dfa(n, r, master)
+        seed = int(master.integers(2**32))
+        starts = master.integers(0, n, size=int(master.integers(1, n + 1))).tolist()
+        for walkers in (starts, range(n)):
+            got = simulate._coalesce(d, cap, np.random.default_rng(seed), walkers)
+            assert got == set_loop_coalescence(d, cap, np.random.default_rng(seed), walkers)
+        got = simulate._sync(d, cap, np.random.default_rng(seed))
+        assert got == set_loop_sync(d, cap, np.random.default_rng(seed))
 
 
 def test_batch_sampler_matches_per_trial_distribution():
@@ -265,6 +370,16 @@ def test_run_experiment_deterministic_and_worker_independent(tmp_path):
     write_records_csv(a, p1)
     write_records_csv(b, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_default_workers_are_the_cpus_the_process_may_run_on(monkeypatch):
+    monkeypatch.delenv(simulate.THREADS_ENV_VAR, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert resolve_workers() == 2
+    assert resolve_workers(5) == 5
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert resolve_workers() == 8
 
 
 def test_spawned_workers_write_the_serial_bytes(tmp_path, monkeypatch):

@@ -23,11 +23,11 @@ not part of the contract, and nothing draws from a trial stream after its
 sampler.
 
 The samplers read the automaton as per-color columns (``cols[c][x]`` is
-the ``c``-successor of ``x``). Coalescing and sync finish with two points
-left as a pair loop, which reads the colors in the order above: the last
-two clusters are two independent walks, the lower position taking the
-first color of each step, and the last two image points are two coupled
-walks, so sync resumes the coupled meeting loop at the step it reached.
+the ``c``-successor of ``x``). Once two points are left, coalescing and
+sync finish in a pair loop that reads the colors in the order above: the
+last two clusters are two independent walks, the lower position taking
+the first color of each step, and the last two image points are two
+coupled walks, so sync resumes the coupled meeting loop at its step.
 """
 
 from __future__ import annotations
@@ -260,7 +260,7 @@ def _sync(d: Dfa, cap: int, rng) -> tuple[int, bool]:
     for t, c in zip(range(1, cap + 1), colors):
         image = set(map(cols[c].__getitem__, image))
         if len(image) <= 2:
-            # two points reading one word are a coupled meeting, resumed at step t
+            # two points reading one word are a coupled meeting from step t; one has met
             return _meet_coupled(cols, min(image), max(image), cap, colors, t)
     return cap, True
 

@@ -80,14 +80,18 @@ def generate_dfa(n: int, r: int, seed) -> Dfa:
     Every vertex independently picks an ordered ``r``-tuple of distinct
     targets, uniformly over the ``n * (n-1) * ... * (n-r+1)`` possibilities,
     by the first ``r`` swaps of a Fisher-Yates shuffle of ``0..n-1``. Swap
-    ``k`` exchanges position ``k`` with a drawn jump in ``[k, n)``, so a
-    vertex touches only positions ``0..r-1`` and its own jumps. Each vertex
-    keeps a compact row of ``2 * r`` slots: position ``p < r`` is slot ``p``,
-    and a jump ``j >= r`` is slot ``r`` plus the rank of its first copy among
-    the row's sorted jumps, so a repeated jump finds its earlier swap. One
-    row-wise sort of the jumps gives those ranks, and the ``r`` swaps then
-    run for all vertices at once: ``O(r)`` numpy passes and
-    ``O(n * r * log r)`` work in total.
+    ``k`` exchanges position ``k`` with a drawn jump ``j_k`` in ``[k, n)``.
+    Before swap ``k`` only an earlier swap with the same jump can have moved
+    position ``j_k``, since that swap's other position is below ``k``. So a
+    vertex whose ``r`` jumps are pairwise distinct is its own target row,
+    ``out[x, k] = j_k``, and one row-wise sort of the jumps finds the
+    vertices that hold a repeated jump.
+
+    Only those vertices run the swaps, all at once, in a compact row of
+    ``2 * r`` slots: position ``p < r`` is slot ``p``, and a jump ``j >= r``
+    is slot ``r`` plus the rank of its first copy among the row's sorted
+    jumps, so a repeated jump finds its earlier swap. That is ``O(r)`` numpy
+    passes and ``O(n * r * log r)`` work in total.
 
     Parameters
     ----------
@@ -102,29 +106,36 @@ def generate_dfa(n: int, r: int, seed) -> Dfa:
     # Swap positions are drawn column-by-column so the stream layout is a
     # frozen part of the generator contract.
     jumps = np.column_stack([rng.integers(k, n, size=n) for k in range(r)])
-    cols = np.arange(r)
-    rows = np.arange(0, n * r, r)[:, None]
-    order = np.argsort(jumps, axis=1)
     ranked = np.sort(jumps, axis=1)
-    # rank of each sorted jump's first copy in its row
-    first = np.zeros((n, r), dtype=np.int64)
-    first[:, 1:] = np.where(ranked[:, 1:] != ranked[:, :-1], cols[1:], 0)
-    np.maximum.accumulate(first, axis=1, out=first)
-    rank = np.empty((n, r), dtype=np.int64)
-    rank.ravel()[order + rows] = first
-    # flat index, in the (n, 2r) scratch, of the slot swap k exchanges with slot k
-    there = np.where(jumps < r, jumps, rank + r) + 2 * rows
+    same = ranked[:, 1:] == ranked[:, :-1]
+    # rows of distinct jumps are already their targets; the rest run the swaps
+    redo = np.flatnonzero(same.any(axis=1))
+    if redo.size:
+        m = redo.size
+        cols = np.arange(r)
+        rows = np.arange(0, m * r, r)[:, None]
+        picked = jumps[redo]
+        order = np.argsort(picked, axis=1)
+        # rank of each sorted jump's first copy in its row
+        first = np.zeros((m, r), dtype=np.int64)
+        first[:, 1:] = np.where(same[redo], 0, cols[1:])
+        np.maximum.accumulate(first, axis=1, out=first)
+        rank = np.empty((m, r), dtype=np.int64)
+        rank.ravel()[order + rows] = first
+        # flat index, in the (m, 2r) scratch, of the slot swap k exchanges with slot k
+        there = np.where(picked < r, picked, rank + r) + 2 * rows
 
-    scratch = np.empty((n, 2 * r), dtype=np.int64)
-    scratch[:, :r] = cols
-    scratch[:, r:] = ranked
-    flat = scratch.ravel()
-    # swap k only touches slot k and slots past it, so column k is final after it
-    for k in range(r):
-        moved = flat[there[:, k]]
-        flat[there[:, k]] = scratch[:, k]
-        scratch[:, k] = moved
-    return Dfa(n=n, r=r, out=scratch[:, :r])
+        scratch = np.empty((m, 2 * r), dtype=np.int64)
+        scratch[:, :r] = cols
+        scratch[:, r:] = ranked[redo]
+        flat = scratch.ravel()
+        # swap k only touches slot k and slots past it, so column k is final after it
+        for k in range(r):
+            moved = flat[there[:, k]]
+            flat[there[:, k]] = scratch[:, k]
+            scratch[:, k] = moved
+        jumps[redo] = scratch[:, :r]
+    return Dfa(n=n, r=r, out=jumps)
 
 
 def serialize_dfa(d: Dfa) -> str:

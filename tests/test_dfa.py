@@ -38,7 +38,10 @@ def test_generate_deterministic():
 
 
 def swap_loop_dfa(n, r, seed):
-    """Reference generator: the partial Fisher-Yates loop, one vertex at a time."""
+    """Reference generator: the partial Fisher-Yates loop, one vertex at a time.
+
+    Returns the out-table, the stream's next draw and the jump columns.
+    """
     rng = np.random.default_rng(seed)
     jumps = [rng.integers(k, n, size=n).tolist() for k in range(r)]
     out = np.empty((n, r), dtype=np.int64)
@@ -51,19 +54,26 @@ def swap_loop_dfa(n, r, seed):
         for k in range(r - 1, -1, -1):
             j = jumps[k][v]
             scratch[k], scratch[j] = scratch[j], scratch[k]
-    return out, int(rng.integers(0, 2**62))
+    return out, int(rng.integers(0, 2**62)), jumps
 
 
 def test_generate_matches_swap_loop_reference():
-    cases = [(2, 2), (3, 3), (4, 2), (9, 9), (50, 3), (64, 40), (120, 119)]
+    cases = [(2, 2), (3, 3), (4, 2), (9, 9), (50, 3), (64, 40), (120, 119), (1000, 2), (1000, 20)]
     draw = np.random.default_rng(2)
     cases += [(int(n), int(draw.integers(2, n + 1))) for n in draw.integers(2, 90, size=60)]
+    # rows with a repeated jump run the swap pass, the others skip it
+    repeated_rows = distinct_rows = instances_without_repeats = 0
     for seed, (n, r) in enumerate(cases):
         rng = np.random.default_rng(seed)
         out = generate_dfa(n, r, rng).out
-        expected, next_draw = swap_loop_dfa(n, r, seed)
+        expected, next_draw, jumps = swap_loop_dfa(n, r, seed)
         np.testing.assert_array_equal(out, expected)
         assert int(rng.integers(0, 2**62)) == next_draw
+        repeats = sum(len(set(row)) < r for row in zip(*jumps))
+        repeated_rows += repeats
+        distinct_rows += n - repeats
+        instances_without_repeats += repeats == 0
+    assert repeated_rows > 0 and distinct_rows > 0 and instances_without_repeats > 0
 
 
 def test_generate_rejects_bad_sizes():

@@ -38,7 +38,6 @@ from .fvtl import (
     PerronConvergenceError,
     QuasiStationaryPair,
     fvtl_quantities,
-    quasi_stationary_pair,
     quasi_stationary_tail_check,
     two_state_chain,
 )

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,10 +39,10 @@ import scipy.sparse as sp
 from .chains import ChainSpec, stationary_distribution
 from .fvtl import (
     FvtlReport,
+    Propagator,
     certified_scan,
-    certified_stop_level,
+    first_visit_report,
     log_power_horizon,
-    perron_pair,
     return_sums,
 )
 
@@ -58,7 +57,7 @@ class AuxChainError(Exception):
 
 
 @dataclass(eq=False)
-class AuxChain:
+class AuxChain(Propagator):
     """Auxiliary chain built from a DFA walk kernel and its stationary law.
 
     Off-diagonal ordered pairs are enumerated row-major with the diagonal
@@ -128,38 +127,12 @@ class AuxChain:
     def target_mass(self, m: np.ndarray) -> float:
         return float(np.trace(m))
 
-    def tv_to_stationary(self, m: np.ndarray) -> float:
-        """``0.5 * |m - outer(pi, pi)|_1``, built in one temporary and not kept."""
-        d = np.outer(self.pi, self.pi)
-        np.subtract(m, d, out=d)
-        return 0.5 * float(np.abs(d, out=d).sum())
+    def kill(self, m: np.ndarray) -> None:
+        np.fill_diagonal(m, 0.0)
 
-    def killed_start(self) -> np.ndarray:
-        v = np.full((self.n, self.n), 1.0 / (self.n * (self.n - 1)))
-        np.fill_diagonal(v, 0.0)
-        return v
-
-    def killed_step(self, m: np.ndarray) -> np.ndarray:
-        w = self.left_step(m)
-        np.fill_diagonal(w, 0.0)
-        return w
-
-    def pi_tilde_pair_form(self) -> np.ndarray:
+    def stationary_state(self) -> np.ndarray:
         """Closed-form stationary law as a pair-matrix state: ``outer(pi, pi)``."""
         return np.outer(self.pi, self.pi)
-
-    def stationarity_residual(self) -> float:
-        """L1 residual of the closed-form law under one exact step."""
-        m = self.pi_tilde_pair_form()
-        return float(np.abs(self.left_step(m) - m).sum())
-
-    @cached_property
-    def scan_stop_level(self) -> float:
-        """:func:`~dfa_meet.fvtl.certified_stop_level` of :meth:`stationarity_residual`.
-
-        Computed once per chain, at the cost of one pair step.
-        """
-        return certified_stop_level(self.stationarity_residual())
 
     def kernel_matrix(self) -> sp.csr_array:
         """Explicit sparse kernel over the ``n*(n-1) + 1`` states.
@@ -258,37 +231,14 @@ def auto_return_horizon(a: AuxChain) -> int:
     return return_sums(a, sum_z=False).t_horizon
 
 
-def aux_fvtl_report(
-    a: AuxChain,
-    t_horizon: int | None = None,
-    compute_quasi_stationary: bool = False,
-) -> FvtlReport:
-    """First-visit-time report for the collapsed diagonal state.
+def aux_fvtl_report(a: AuxChain, t_horizon: int | None = None,
+                    compute_quasi_stationary: bool = False) -> FvtlReport:
+    """:func:`~dfa_meet.fvtl.first_visit_report` of the collapsed diagonal state.
 
-    ``mu_target`` and the expected hitting time from stationarity come
-    from the closed-form law (the latter through the exact
-    fundamental-matrix identity ``E = Z / mu``); the horizon, return mass
-    and ``Z`` come from one pass over the return series, which stops at a
-    certified TV level (see :func:`~dfa_meet.fvtl.return_sums`).
-    ``t_horizon`` defaults to the adaptive relaxation horizon of
-    :func:`auto_return_horizon`. The quasi-stationary pair is optional
-    because it is the one genuinely iterative quantity at scale.
+    ``mu_target`` is the closed-form ``pi_tilde(DELTA)``, and ``t_horizon``
+    defaults to the adaptive relaxation horizon of :func:`auto_return_horizon`.
     """
-    sums = return_sums(a, t_horizon)
-    mu_delta = a.mu_target
-    report = FvtlReport(
-        mu_target=mu_delta,
-        t_horizon=sums.t_horizon,
-        return_mass=sums.return_mass,
-        z_dd=sums.z,
-        predicted_lambda=mu_delta / sums.return_mass,
-        expected_hitting_from_mu=sums.z / mu_delta,
-        z_stop_step=sums.stop_step,
-        z_stop=sums.stop,
-    )
-    if compute_quasi_stationary:
-        report.quasi = perron_pair(a)
-    return report
+    return first_visit_report(a, t_horizon, compute_quasi_stationary)
 
 
 @dataclass

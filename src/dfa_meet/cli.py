@@ -179,7 +179,7 @@ def _cmd_simulate(args) -> int:
         dfa_path=str(args.fixed_dfa) if args.fixed_dfa else None,
         starts=starts,
     )
-    records = run_experiment(manifest, workers=resolve_workers(args.threads))
+    records = run_experiment(manifest, workers=args.threads)
     write_records_csv(records, args.out)
     censored = sum(rec.censored for rec in records)
     print(f"wrote {len(records)} records to {args.out} ({censored} censored)", file=sys.stderr)

@@ -14,8 +14,8 @@ These identities are what the test suite verifies to near machine
 precision; the geometric rate prediction itself is asymptotic.
 
 Each algorithm (the relaxation horizon with the ``R`` and ``Z`` sums, the
-certified scan of one start, Perron iteration) is written once over a
-:class:`Propagator`.
+certified scan of one start, Perron iteration, the report) is written once
+over a :class:`Propagator`.
 :class:`TargetWalk` is the propagator of a generic chain;
 :class:`~dfa_meet.aux_chain.AuxChain` is the propagator of the collapsed
 pair chain, whose every state is one ``(n, n)`` pair matrix.
@@ -29,8 +29,9 @@ run (Levin, Peres & Wilmer, *Markov Chains and Mixing Times*, ch. 4). See
 from __future__ import annotations
 
 import math
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Protocol
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,7 +40,6 @@ from scipy.sparse.csgraph import connected_components
 from .chains import (
     ChainSpec,
     ConvergenceError,
-    hitting_time_expectation,
     make_chain,
     stationary_distribution,
 )
@@ -118,33 +118,63 @@ class ReturnSums:
     stop: str
 
 
-class Propagator(Protocol):
+class Propagator(ABC):
     """A chain seen from one target state, as the first-visit engine uses it.
 
-    ``start`` is the point mass at the target, ``step`` one step of
-    ``nu -> nu Q`` and ``target_mass`` the mass a state puts on the target.
-    A state is one array of the propagator's own shape: a probability
-    vector for :class:`TargetWalk`, an ``(n, n)`` pair matrix whose trace
-    is the target mass for the pair chain.
-    ``killed_start`` is uniform mass off the target and ``killed_step`` one
-    step of the target-deleted sub-kernel ``[Q]_target``; killed states are
-    arrays whose sum is the surviving mass. ``mu_target`` is the stationary
-    mass of the target and ``horizon_cap`` the longest relaxation horizon.
-    ``tv_to_stationary`` is the TV distance from a state to the computed
-    stationary law, and ``scan_stop_level`` the TV level at which a scan
-    may stop, from :func:`certified_stop_level`.
+    A propagator supplies its chain: ``start`` (the point mass at the
+    target), ``step`` (``nu -> nu Q``), ``target_mass``, ``kill`` (zero the
+    target of a state in place), ``stationary_state`` (a fresh array of the
+    computed law), ``mu_target`` and ``horizon_cap`` (the longest
+    relaxation horizon). A state is one array of the propagator's own
+    shape: a probability vector for :class:`TargetWalk`, an ``(n, n)`` pair
+    matrix whose trace is the target mass for the pair chain. The rest is
+    written once here: the uniform killed start and the step of the
+    target-deleted sub-kernel ``[Q]_target`` (killed states sum to the
+    surviving mass), the TV distance to the computed law, its one-step
+    residual and the scan stop level of :func:`certified_stop_level`.
     """
 
     mu_target: float
     horizon_cap: int
-    scan_stop_level: float
 
-    def start(self): ...
-    def step(self, state): ...
-    def target_mass(self, state) -> float: ...
-    def tv_to_stationary(self, state) -> float: ...
-    def killed_start(self) -> np.ndarray: ...
-    def killed_step(self, killed: np.ndarray) -> np.ndarray: ...
+    @abstractmethod
+    def start(self) -> np.ndarray: ...
+    @abstractmethod
+    def step(self, state: np.ndarray) -> np.ndarray: ...
+    @abstractmethod
+    def target_mass(self, state: np.ndarray) -> float: ...
+    @abstractmethod
+    def kill(self, state: np.ndarray) -> None: ...
+    @abstractmethod
+    def stationary_state(self) -> np.ndarray: ...
+
+    def killed_start(self) -> np.ndarray:
+        v = np.ones_like(self.start())
+        self.kill(v)
+        return v / v.sum()
+
+    def killed_step(self, state: np.ndarray) -> np.ndarray:
+        w = self.step(state)
+        self.kill(w)
+        return w
+
+    def tv_to_stationary(self, state: np.ndarray) -> float:
+        """``0.5 * |state - stationary|_1``, built in one temporary and not kept."""
+        d = self.stationary_state()
+        np.subtract(state, d, out=d)
+        return 0.5 * float(np.abs(d, out=d).sum())
+
+    def stationarity_residual(self) -> float:
+        """L1 residual of the computed stationary law under one step."""
+        law = self.stationary_state()
+        return float(np.abs(self.step(law) - law).sum())
+
+    _residual = cached_property(stationarity_residual)
+
+    @property
+    def scan_stop_level(self) -> float:
+        """:func:`certified_stop_level` of the residual, computed once per propagator."""
+        return certified_stop_level(self._residual)
 
 
 def log_power_horizon(n: int, power: int) -> int:
@@ -166,7 +196,7 @@ def certified_stop_level(residual: float) -> float:
 
 
 @dataclass(eq=False)
-class TargetWalk:
+class TargetWalk(Propagator):
     """A :class:`ChainSpec` seen from ``target``; states are probability vectors.
 
     Killed states keep full-chain indexing with zero mass at the target.
@@ -183,18 +213,10 @@ class TargetWalk:
     def horizon_cap(self) -> int:
         return log_power_horizon(max(self.chain.size, 2), 5)
 
-    @property
-    def scan_stop_level(self) -> float:
-        mu = stationary_distribution(self.chain)
-        return certified_stop_level(float(np.abs(self.chain.kernel_t @ mu - mu).sum()))
-
     def start(self) -> np.ndarray:
         v = np.zeros(self.chain.size)
         v[self.target] = 1.0
         return v
-
-    def tv_to_stationary(self, v: np.ndarray) -> float:
-        return 0.5 * float(np.abs(v - stationary_distribution(self.chain)).sum())
 
     def step(self, v: np.ndarray) -> np.ndarray:
         return self.chain.kernel_t @ v
@@ -202,15 +224,11 @@ class TargetWalk:
     def target_mass(self, v: np.ndarray) -> float:
         return float(v[self.target])
 
-    def killed_start(self) -> np.ndarray:
-        v = np.full(self.chain.size, 1.0 / (self.chain.size - 1))
+    def kill(self, v: np.ndarray) -> None:
         v[self.target] = 0.0
-        return v
 
-    def killed_step(self, v: np.ndarray) -> np.ndarray:
-        w = self.chain.kernel_t @ v
-        w[self.target] = 0.0
-        return w
+    def stationary_state(self) -> np.ndarray:
+        return stationary_distribution(self.chain).copy()
 
 
 def certified_scan(p: Propagator, state, horizon: int) -> tuple[int, float]:
@@ -325,39 +343,41 @@ def perron_pair(p: Propagator) -> QuasiStationaryPair:
     return QuasiStationaryPair(lambda_star=1.0 - root, mu_star=v, iterations=it)
 
 
-def quasi_stationary_pair(c: ChainSpec, target: int) -> QuasiStationaryPair:
-    """:func:`perron_pair` of the chain seen from ``target``."""
-    return perron_pair(TargetWalk(c, target))
+def first_visit_report(p: Propagator, t_horizon: int | None = None,
+                       compute_quasi_stationary: bool = False) -> FvtlReport:
+    """The first-visit-time report of any propagator.
 
-
-def fvtl_quantities(c: ChainSpec, target: int) -> FvtlReport:
-    """Assemble the first-visit-time report for one target state.
-
-    Uses the adaptive horizon of :func:`return_sums` and includes the
-    quasi-stationary pair. Requires the target to carry stationary mass.
+    Horizon, ``R`` and ``Z`` come from one :func:`return_sums` pass, and the
+    expected hitting time from stationarity from the exact identity
+    ``E = Z / mu``. The quasi-stationary pair is optional because it is the
+    one genuinely iterative quantity at scale.
     """
-    mu = stationary_distribution(c)
-    if mu[target] <= 0:
-        raise ValueError(f"target {target} is outside the support of the stationary law")
-    sums = return_sums(TargetWalk(c, target))
-    expected = hitting_time_expectation(c, mu, [target])
+    mu = p.mu_target
+    if mu <= 0:
+        raise ValueError("the target is outside the support of the stationary law")
+    sums = return_sums(p, t_horizon)
     return FvtlReport(
-        mu_target=float(mu[target]),
+        mu_target=mu,
         t_horizon=sums.t_horizon,
         return_mass=sums.return_mass,
         z_dd=sums.z,
-        predicted_lambda=float(mu[target] / sums.return_mass),
-        expected_hitting_from_mu=float(expected),
+        predicted_lambda=mu / sums.return_mass,
+        expected_hitting_from_mu=sums.z / mu,
         z_stop_step=sums.stop_step,
         z_stop=sums.stop,
-        quasi=quasi_stationary_pair(c, target),
+        quasi=perron_pair(p) if compute_quasi_stationary else None,
     )
+
+
+def fvtl_quantities(c: ChainSpec, target: int) -> FvtlReport:
+    """:func:`first_visit_report` of ``target`` in ``c``, with the quasi-stationary pair."""
+    return first_visit_report(TargetWalk(c, target), compute_quasi_stationary=True)
 
 
 def quasi_stationary_tail_check(c: ChainSpec, target: int, pair: QuasiStationaryPair) -> float:
     """``max_t |P_{mu_star}(tau > t) / (1 - lambda_star)^t - 1|`` up to ``ceil(10 / lambda_star)``.
 
-    ``pair`` is the chain's :func:`quasi_stationary_pair` at ``target``. The
+    ``pair`` is :func:`perron_pair` of ``TargetWalk(c, target)``. The
     survival probabilities are iterated in normalized form, dividing by
     ``1 - lambda_star`` each step, so no underflow occurs even for long horizons.
     """

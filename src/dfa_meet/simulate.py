@@ -53,6 +53,8 @@ THREADS_ENV_VAR = "DFA_MEET_THREADS"
 CSV_HEADER = ["trial", "derived_seed", "mode", "n", "r", "x", "y", "tau", "censored"]
 # what write_records_csv writes for an integer; int() alone would also take "1_5" or " 15"
 _CSV_INT = re.compile(r"-?[0-9]+")
+# verify divides tau by n in floats; a larger integer overflows the conversion
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass
@@ -419,23 +421,34 @@ def write_records_csv(records, path) -> None:
             ])
 
 
+def _csv_rows(path, reader):
+    """The rows of ``reader``; a ``csv.Error`` becomes a ``ValueError`` naming the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+
+
 def read_records_csv(path) -> list[TrialRecord]:
     """Read a trial CSV written by :func:`write_records_csv`.
 
-    An empty file, a wrong header, a row of the wrong width, a field that
-    is not an integer, a ``censored`` value other than 0 or 1, a mode not
-    in ``MODES``, a negative ``tau`` or a row whose ``(mode, n, r)``
-    differs from the first row's is a ``ValueError`` naming the line.
+    An empty file, a wrong header, a record the csv module cannot parse, a
+    row of the wrong width, a field that is not an integer, a ``censored``
+    value other than 0 or 1, a mode not in ``MODES``, sizes outside
+    ``2 <= r <= n`` or above ``2**63 - 1``, a negative ``tau`` or one above
+    ``2**63 - 1``, or a row whose ``(mode, n, r)`` differs from the first
+    row's is a ``ValueError`` naming the line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = _csv_rows(path, reader)
+        header = next(rows, None)
         if header is None:
             raise ValueError(f"{path}, line 1: empty file, expected the CSV header")
         if header != CSV_HEADER:
             raise ValueError(f"{path}, line 1: unexpected CSV header {header!r}")
         records, run = [], None
-        for row in reader:
+        for row in rows:
             where = f"{path}, line {reader.line_num}"
             if len(row) != len(CSV_HEADER):
                 raise ValueError(f"{where}: {len(row)} fields, expected {len(CSV_HEADER)}")
@@ -454,9 +467,15 @@ def read_records_csv(path) -> list[TrialRecord]:
             if fields["mode"] not in MODES:
                 raise ValueError(f"{where}: unknown mode {fields['mode']!r}, "
                                  f"expected one of {MODES}")
+            n, r = fields["n"], fields["r"]
+            if not 2 <= r <= n <= _INT64_MAX:
+                raise ValueError(f"{where}: invalid sizes n={n}, r={r}: "
+                                 "need 2 <= r <= n <= 2**63 - 1")
             if fields["tau"] < 0:
                 raise ValueError(f"{where}: tau must be at least 0, got {fields['tau']}")
-            key = (fields["mode"], fields["n"], fields["r"])
+            if fields["tau"] > _INT64_MAX:
+                raise ValueError(f"{where}: tau must be at most 2**63 - 1")
+            key = (fields["mode"], n, r)
             run = run or key
             if key != run:
                 raise ValueError(f"{where}: (mode, n, r) = {key} differs from the first "

@@ -16,7 +16,7 @@ def flatten_pair_form(aux, m):
 
 def pi_tilde_vector(aux):
     """Closed-form stationary law as a flat vector over the state space."""
-    return flatten_pair_form(aux, aux.pi_tilde_pair_form())
+    return flatten_pair_form(aux, aux.stationary_state())
 
 
 def explicit_chain(aux):

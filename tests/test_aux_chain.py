@@ -31,7 +31,6 @@ from dfa_meet.fvtl import (
     PerronConvergenceError,
     TargetWalk,
     perron_pair,
-    quasi_stationary_pair,
     return_sums,
 )
 from tests.explicit_chain import explicit_chain, flatten_pair_form, pi_tilde_vector
@@ -49,7 +48,7 @@ def full_horizon_tv(aux, m, horizon):
     """TV to ``pi_tilde`` after ``horizon`` full steps from pair state ``m``."""
     for _ in range(horizon):
         m = aux.left_step(m)
-    return 0.5 * float(np.abs(m - aux.pi_tilde_pair_form()).sum())
+    return 0.5 * float(np.abs(m - aux.stationary_state()).sum())
 
 
 def a4_starts(aux, samples):
@@ -531,7 +530,7 @@ def test_aux_fvtl_report_small_chain_identities():
 def test_aux_quasi_stationary_matches_generic():
     aux = small_aux(9, 2, seed=5)
     aux_pair = perron_pair(aux)
-    pair = quasi_stationary_pair(explicit_chain(aux), aux.delta_index)
+    pair = perron_pair(TargetWalk(explicit_chain(aux), aux.delta_index))
     assert aux_pair.lambda_star == pytest.approx(pair.lambda_star, abs=1e-10)
     flat = flatten_pair_form(aux, aux_pair.mu_star)
     assert np.abs(flat - pair.mu_star).max() < 1e-9
@@ -616,6 +615,47 @@ def random_target_walks(count, seed=0):
         c = fvtl.random_ergodic_chain(rng)
         stationary_distribution(c)
         yield TargetWalk(c, int(rng.integers(0, c.size)))
+
+
+def zero_target(p, state):
+    """A copy of ``state`` with the target zeroed: the diagonal of a pair state."""
+    state = state.copy()
+    if isinstance(p, AuxChain):
+        np.fill_diagonal(state, 0.0)
+    else:
+        state[p.target] = 0.0
+    return state
+
+
+def test_propagator_derived_members(monkeypatch):
+    """The members the base class derives from each propagator's chain."""
+    rng = np.random.default_rng(8)
+    for p in [*random_target_walks(10, seed=4), small_aux(9, 2, seed=5), small_aux(12, 3, seed=2)]:
+        killed = p.killed_start()
+        assert killed.sum() == pytest.approx(1.0, abs=1e-14)
+        assert p.target_mass(killed) == 0.0 and np.array_equal(killed, zero_target(p, killed))
+        state = rng.dirichlet(np.ones(killed.size)).reshape(killed.shape)
+        for s in (state, killed, p.start()):
+            assert np.array_equal(p.killed_step(s), zero_target(p, p.step(s)))
+        assert p.tv_to_stationary(p.stationary_state()) == 0.0
+
+        calls = [0]
+        step = p.step
+
+        def counted(s):
+            calls[0] += 1
+            return step(s)
+
+        monkeypatch.setattr(p, "step", counted)
+        levels = []
+        for gate in (math.inf, -1.0, math.inf):
+            monkeypatch.setattr(fvtl, "STOP_RESIDUAL_LEVEL", gate)
+            levels.append(p.scan_stop_level)
+            assert fvtl.certified_scan(p, p.start(), 0)[0] == 0
+        # one residual step however many reads, each read against the gate of the moment
+        assert calls[0] == 1
+        assert levels == [fvtl.TV_STOP_LEVEL, -1.0, fvtl.TV_STOP_LEVEL]
+        monkeypatch.undo()
 
 
 def test_closed_gate_return_sums_is_the_fifty_term_pass(monkeypatch):

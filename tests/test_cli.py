@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from dfa_meet.cli import main
 from dfa_meet.dfa import parse_dfa
@@ -163,8 +165,19 @@ CSV_GOOD_ROW = "0,12,independent,20,2,3,7,15,0\r\n"
      "('independent', 20, 2)"),
     (CSV_HEADER_LINE + CSV_GOOD_ROW.replace(",15,", ",-3,"),
      "line 2: tau must be at least 0, got -3"),
+    (CSV_HEADER_LINE + CSV_GOOD_ROW.replace(",20,", ",0,"),
+     "line 2: invalid sizes n=0, r=2: need 2 <= r <= n <= 2**63 - 1"),
+    (CSV_HEADER_LINE + CSV_GOOD_ROW + CSV_GOOD_ROW.replace(",20,2,", ",20,21,"),
+     "line 3: invalid sizes n=20, r=21: need 2 <= r <= n <= 2**63 - 1"),
+    (CSV_HEADER_LINE + CSV_GOOD_ROW.replace(",15,", f",{10**400},"),
+     "line 2: tau must be at most 2**63 - 1"),
+    (CSV_HEADER_LINE + CSV_GOOD_ROW.replace(",15,", f",{2**63},"),
+     "line 2: tau must be at most 2**63 - 1"),
+    (CSV_HEADER_LINE + CSV_GOOD_ROW.replace(",15,", ",1" + "0" * 140_000 + ","),
+     "line 2: field larger than field limit (131072)"),
 ], ids=["short-row", "empty-file", "censored-2", "tau-abc", "tau-underscore", "mode-bogus",
-        "mixed-n", "tau-negative"])
+        "mixed-n", "tau-negative", "n-zero", "r-above-n", "tau-401-digits", "tau-2**63",
+        "field-over-csv-limit"])
 def test_verify_rejects_a_malformed_csv_naming_the_line(tmp_path, capsys, text, message):
     csv_path = tmp_path / "bad.csv"
     csv_path.write_bytes(text.encode())
@@ -174,6 +187,63 @@ def test_verify_rejects_a_malformed_csv_naming_the_line(tmp_path, capsys, text, 
     err = capsys.readouterr().err
     assert err.splitlines() == [f"error: {csv_path}, {message}"]
     assert not report_path.exists()
+
+
+CSV_ROWS = [CSV_HEADER_LINE.strip().split(",")] + [
+    f"{i},{12 + i},independent,20,2,{i},{i + 5},{15 + 7 * i},{int(i == 2)}".split(",")
+    for i in range(4)]
+
+
+def render_csv(rows):
+    return "".join(",".join(row) + "\r\n" for row in rows)
+
+
+@st.composite
+def mutated_trial_csvs(draw):
+    """A valid trial CSV, truncated, or with one field dropped, duplicated or replaced."""
+    rows = [list(row) for row in CSV_ROWS]
+    kind = draw(st.sampled_from(["truncate", "drop", "duplicate", "replace"]))
+    if kind == "truncate":
+        text = render_csv(rows)
+        return text[:draw(st.integers(0, len(text) - 1))]
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    j = draw(st.integers(0, len(row) - 1))
+    if kind == "drop":
+        del row[j]
+    elif kind == "duplicate":
+        row.insert(j, row[j])
+    else:
+        row[j] = draw(st.one_of(
+            st.integers(2**63 - 2, 10**450).map(str),
+            st.integers(-(10**30), -1).map(str),
+            st.text(max_size=12),
+        ))
+    return render_csv(rows)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mutated_trial_csvs())
+@example(text=CSV_HEADER_LINE + CSV_GOOD_ROW.replace(",20,", ",0,"))
+@example(text=CSV_HEADER_LINE + CSV_GOOD_ROW.replace(",15,", f",{10**400},"))
+def test_verify_reports_or_fails_cleanly_on_a_mutated_csv(tmp_path, capsys, text):
+    """Exit 0 with a report, or exit 1 with one error line; never a traceback or a warning."""
+    csv_path, report_path = tmp_path / "mutated.csv", tmp_path / "verify.json"
+    csv_path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    report_path.unlink(missing_ok=True)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["verify", "--results", str(csv_path), "--against", "exp:1",
+                     "--report", str(report_path)])
+    err = capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "Traceback" not in err
+    if code == 0:
+        assert 0 <= json.loads(report_path.read_text())["ks_distance"] <= 1
+    else:
+        assert code == 1 and len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not report_path.exists()
 
 
 def test_fvtl_rejects_a_deeply_nested_dfa_file(tmp_path, capsys):

@@ -14,7 +14,7 @@ from dfa_meet.fvtl import (
     PerronConvergenceError,
     TargetWalk,
     fvtl_quantities,
-    quasi_stationary_pair,
+    perron_pair,
     quasi_stationary_tail_check,
     random_ergodic_chain,
     return_sums,
@@ -81,7 +81,7 @@ def test_two_state_closed_forms():
         chain = two_state_chain(p, q)
         mu = stationary_distribution(chain)
         assert mu[1] == pytest.approx(p / (p + q), abs=1e-14)
-        pair = quasi_stationary_pair(chain, 1)
+        pair = perron_pair(TargetWalk(chain, 1))
         assert pair.lambda_star == pytest.approx(p, abs=1e-13)
         assert pair.mu_star[0] == pytest.approx(1.0)
         z11 = return_sums(TargetWalk(chain, 1)).z
@@ -94,7 +94,7 @@ def test_two_state_tail_exact():
     # the check runs to ceil(10 / lambda_star): 34 steps here, 200 at p = 0.05
     for p in (0.3, 0.05):
         chain = two_state_chain(p, 0.6)
-        pair = quasi_stationary_pair(chain, 1)
+        pair = perron_pair(TargetWalk(chain, 1))
         assert quasi_stationary_tail_check(chain, 1, pair) < 1e-12
 
 
@@ -115,7 +115,7 @@ def test_quasi_stationary_geometric_mean(monkeypatch):
         rng = np.random.default_rng(100 + seed)
         chain = random_ergodic_chain(rng)
         target = int(rng.integers(0, chain.size))
-        pair = quasi_stationary_pair(chain, target)
+        pair = perron_pair(TargetWalk(chain, target))
         expected = hitting_time_expectation(chain, pair.mu_star, [target])
         assert abs(pair.lambda_star * expected - 1.0) <= 1e-8
         assert quasi_stationary_tail_check(chain, target, pair=pair) <= 1e-8
@@ -129,9 +129,9 @@ def test_fvtl_quantities_report_fields(monkeypatch):
     assert report.return_mass >= 1.0
     assert 0 < report.predicted_lambda < 1
     assert report.quasi is not None
-    assert report.expected_hitting_from_mu == pytest.approx(
-        report.z_dd / report.mu_target, abs=1e-8
-    )
+    assert report.expected_hitting_from_mu == report.z_dd / report.mu_target
+    direct = hitting_time_expectation(chain, stationary_distribution(chain), [0])
+    assert report.expected_hitting_from_mu == pytest.approx(direct, abs=1e-8)
 
 
 def test_fvtl_rejects_target_off_support():
@@ -149,7 +149,7 @@ def test_degenerate_one_step_absorption():
     # [Q] is the zero matrix: absorbed in one step, rate exactly 1
     kernel = sp.csr_array(np.array([[0.0, 1.0], [0.5, 0.5]]))
     chain = make_chain(kernel)
-    pair = quasi_stationary_pair(chain, 1)
+    pair = perron_pair(TargetWalk(chain, 1))
     assert pair.lambda_star == 1.0
     assert quasi_stationary_tail_check(chain, 1, pair=pair) == 0.0
 
@@ -160,7 +160,7 @@ def test_perron_error_carries_diagnostics(monkeypatch):
     chain = random_ergodic_chain(rng)
     monkeypatch.setattr(fvtl, "PERRON_MAX_ITER", 1)
     with pytest.raises(PerronConvergenceError) as err:
-        quasi_stationary_pair(chain, 0)
+        perron_pair(TargetWalk(chain, 0))
     assert err.value.iterations == 1
     assert err.value.last_delta > 0
 
@@ -173,7 +173,7 @@ def test_perron_pair_on_sub_kernel_with_two_closed_classes():
         [0.3, 0.0, 0.7],
     ]))
     chain = make_chain(kernel)
-    pair = quasi_stationary_pair(chain, 0)
+    pair = perron_pair(TargetWalk(chain, 0))
     assert pair.lambda_star == pytest.approx(0.3, abs=1e-12)
 
 

@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from dfa_meet.chains import hitting_time_expectation, stationary_distribution
+from dfa_meet.fvtl import fvtl_quantities, random_ergodic_chain
 from dfa_meet.recipes import Recipe, run_recipe, tau_histogram
+from dfa_meet.seeds import seed_split
 
 
 def test_unknown_recipe_name_rejected():
@@ -85,6 +88,16 @@ def test_fvtl_suite_recipe(tmp_path):
     for row in report["rows"]:
         assert row["z_stop"] in ("certified", "consecutive")
         assert row["z_stop_step"] >= row["return_horizon"]
+    # identity_dev compares Z / mu with the linear solve, two independent routes
+    for i, row in enumerate(report["rows"][:6]):
+        rng = np.random.default_rng(seed_split(1, i, "fvtl-chain"))
+        chain = random_ergodic_chain(rng)
+        target = int(rng.integers(0, chain.size))
+        assert (row["states"], row["target"]) == (chain.size, target)
+        fv = fvtl_quantities(chain, target)
+        direct = hitting_time_expectation(chain, stationary_distribution(chain), [target])
+        assert row["identity_dev"] == abs(direct - fv.z_dd / fv.mu_target)
+    assert report["max_identity_dev"] > 0
 
 
 def test_recipes_reject_overrides_they_do_not_read():

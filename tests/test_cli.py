@@ -60,6 +60,47 @@ def test_fvtl_emits_report_and_events(dfa_file, tmp_path):
     assert payload["z_stop_step"] % 8 == 0 and payload["z_stop_step"] >= payload["t_horizon"]
 
 
+# The key set of each JSON artifact the CLI writes; a refactor must neither drop nor rename one.
+FVTL_KEYS = {"n", "r", "mu_target", "t_horizon", "return_mass", "z_dd", "predicted_lambda",
+             "n_predicted_lambda", "expected_hitting_from_mu", "z_stop_step", "z_stop",
+             "lambda_star"}
+EVENT_KEYS = {"n", "r", "eps", "t_horizon", "s_horizon", "min_pi_tilde", "max_pi_tilde",
+              "n_pi_tilde_delta", "max_tv_at_s", "tv_mode", "a4_stopped_starts", "return_mass",
+              "return_stop_step", "a1", "a2", "a3", "a4", "a5"}
+VERIFY_KEYS = {"results", "against", "count", "censored_count", "reference", "params",
+               "ks_distance", "w1_distance", "sample_mean", "sample_variance", "sem",
+               "sup_tail_ratio"}
+
+
+@pytest.mark.parametrize("quasi", [False, True], ids=["no-quasi", "quasi"])
+@pytest.mark.parametrize("skip_events", [False, True], ids=["events", "skip-events"])
+def test_fvtl_report_key_set(dfa_file, tmp_path, capsys, quasi, skip_events):
+    argv = ["fvtl", "--dfa", str(dfa_file), "--eps", "0.5", "--events-T", "40",
+            "--events-S", "12"] + ["--quasi"] * quasi + ["--skip-events"] * skip_events
+    out = tmp_path / "fvtl.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out.read_text()
+    payload = json.loads(out.read_text())
+    assert set(payload) == FVTL_KEYS | (set() if skip_events else {"events"})
+    if not skip_events:
+        assert set(payload["events"]) == EVENT_KEYS
+    assert (payload["lambda_star"] is None) == (not quasi)
+
+
+@pytest.mark.parametrize("against", ["geom:auto", "geom:0.05", "exp:1", "kingman"])
+def test_verify_report_key_set(tmp_path, coalescing_csv, against):
+    report_path = tmp_path / "verify.json"
+    assert main(["verify", "--results", str(coalescing_csv), "--against", against,
+                 "--report", str(report_path)]) == 0
+    text = report_path.read_text()
+    assert text.endswith("}\n") and not text.endswith("\n\n")
+    payload = json.loads(text)
+    assert set(payload) == VERIFY_KEYS
+    assert payload["results"] == str(coalescing_csv) and payload["against"] == against
+
+
 def test_simulate_and_verify_round_trip(tmp_path, dfa_file):
     csv_path = tmp_path / "runs.csv"
     code = main([

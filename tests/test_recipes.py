@@ -132,3 +132,61 @@ def test_recipe_reruns_are_byte_identical(tmp_path):
     a = (tmp_path / "one" / "fig1-coupled-r2.csv").read_bytes()
     b = (tmp_path / "two" / "fig1-coupled-r2.csv").read_bytes()
     assert a == b
+
+
+# The key set of each JSON artifact a recipe writes; a refactor must neither drop nor rename one.
+MANIFEST_KEYS = {"recipe", "master_seed", "mode", "n", "r", "trials", "cap", "dfa_policy",
+                 "dfa_path", "starts"}
+FIGURE_ENTRY_KEYS = {"r", "trials", "censored", "censoring_rate", "mean_tau", "mean_ratio"}
+FIGURE_FIT_KEYS = {"fig1-independent": {"ks_exp1", "w1_exp1"},
+                   "fig1-coupled": {"ks_exp1", "w1_exp1"},
+                   "fig2-coalescing": {"w1_kingman", "ks_kingman"},
+                   "fig2-sync": {"w1_kingman", "ks_kingman"}}
+FVTL_ROW_KEYS = {"chain", "states", "target", "mu_target", "lambda_star", "identity_dev",
+                 "tail_dev", "qs_mean_dev", "predicted_lambda", "return_horizon",
+                 "z_stop_step", "z_stop"}
+EVENT_ROW_KEYS = {"n", "r", "eps", "t_horizon", "s_horizon", "min_pi_tilde", "max_pi_tilde",
+                  "n_pi_tilde_delta", "max_tv_at_s", "tv_mode", "a4_stopped_starts",
+                  "return_mass", "return_stop_step", "a1", "a2", "a3", "a4", "a5",
+                  "seed_index", "dfa_seed", "resamples"}
+
+
+def read_json(path):
+    text = path.read_text()
+    assert text.endswith("}\n") and not text.endswith("\n\n")
+    return json.loads(text)
+
+
+@pytest.mark.parametrize("name", sorted(FIGURE_FIT_KEYS))
+def test_figure_recipe_json_key_sets(tmp_path, name):
+    overrides = {"n": 20, "trials": 8, "r_values": (2,), "seed": 5}
+    if name.startswith("fig2"):
+        overrides["kingman_size"] = 200
+    run_recipe(Recipe(name, overrides=overrides, out_dir=tmp_path), workers=1)
+    manifest = read_json(tmp_path / f"{name}-r2-manifest.json")
+    assert set(manifest) == MANIFEST_KEYS
+    assert manifest["recipe"] == name and manifest["n"] == 20 and manifest["r"] == 2
+    assert manifest["starts"] == ("uniform" if name.startswith("fig1") else None)
+    report = read_json(tmp_path / f"{name}-verify.json")
+    assert set(report) == {"recipe", "mode", "n", "seed", "per_r", "failures"}
+    assert report["recipe"] == name and set(report["per_r"]) == {"2"}
+    assert set(report["per_r"]["2"]) == FIGURE_ENTRY_KEYS | FIGURE_FIT_KEYS[name]
+
+
+def test_fvtl_suite_report_key_set(tmp_path):
+    run_recipe(Recipe("thm-fvtl-suite", overrides={"chains": 2, "seed": 3}, out_dir=tmp_path))
+    report = read_json(tmp_path / "thm-fvtl-suite-report.json")
+    assert set(report) == {"recipe", "seed", "chains", "max_identity_dev", "max_tail_dev",
+                           "max_qs_mean_dev", "failures", "rows"}
+    assert report["recipe"] == "thm-fvtl-suite"
+    closed_form = {"closed_form_lambda_error", "closed_form_mu_error"}
+    assert [set(row) for row in report["rows"]] == (
+        [FVTL_ROW_KEYS] * 2 + [FVTL_ROW_KEYS | closed_form] * 5)
+
+
+def test_events_report_key_set(tmp_path):
+    run_recipe(Recipe("events-a1-a5", overrides={"n": 20, "seed": 2}, out_dir=tmp_path))
+    report = read_json(tmp_path / "events-a1-a5-report.json")
+    assert set(report) == {"recipe", "seed", "n", "eps", "rows"}
+    assert report["recipe"] == "events-a1-a5"
+    assert [set(row) for row in report["rows"]] == [EVENT_ROW_KEYS] * 3

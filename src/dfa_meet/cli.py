@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -102,14 +101,6 @@ def _integers(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
-def _emit(payload: dict, out: Path | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if out is None:
-        print(text)
-    else:
-        out.write_text(text + "\n", encoding="utf-8")
-
-
 def _cmd_gen(args) -> int:
     d = generate_dfa(args.n, args.r, args.seed)
     args.out.write_text(serialize_dfa(d) + "\n", encoding="utf-8")
@@ -121,7 +112,7 @@ def _cmd_exact(args) -> int:
     chain = walk_matrix(d)
     pi = stationary_distribution(chain)
     profile = mixing_profile(chain, t_cap=args.t_cap)
-    _emit({
+    recipes.write_json({
         "n": d.n,
         "r": d.r,
         "pi": pi.tolist(),
@@ -145,23 +136,11 @@ def _cmd_fvtl(args) -> int:
     report = aux_chain.aux_fvtl_report(
         aux, t_horizon=t_horizon, compute_quasi_stationary=args.quasi
     )
-    payload = {
-        "n": d.n,
-        "r": d.r,
-        "mu_target": report.mu_target,
-        "t_horizon": report.t_horizon,
-        "return_mass": report.return_mass,
-        "z_dd": report.z_dd,
-        "predicted_lambda": report.predicted_lambda,
-        "n_predicted_lambda": d.n * report.predicted_lambda,
-        "expected_hitting_from_mu": report.expected_hitting_from_mu,
-        "z_stop_step": report.z_stop_step,
-        "z_stop": report.z_stop,
-        "lambda_star": report.quasi.lambda_star if report.quasi else None,
-    }
+    payload = {"n": d.n, "r": d.r, "n_predicted_lambda": d.n * report.predicted_lambda,
+               **report.as_dict()}
     if events is not None:
         payload["events"] = events.as_dict()
-    _emit(payload, args.out)
+    recipes.write_json(payload, args.out)
     return 0
 
 
@@ -210,21 +189,9 @@ def _cmd_verify(args) -> int:
         fit = stats.sample_fit(dist, sample, "kingman", {"n": n, "seed": args.seed})
     else:
         raise ValueError(f"unknown reference {ref!r}")
-    payload = {
-        "results": str(args.results),
-        "against": args.against,
-        "count": dist.count,
-        "censored_count": censored,
-        "reference": fit.reference,
-        "params": fit.params,
-        "ks_distance": fit.ks_distance,
-        "w1_distance": fit.w1_distance,
-        "sample_mean": fit.sample_mean,
-        "sample_variance": fit.sample_variance,
-        "sem": fit.sem,
-        "sup_tail_ratio": fit.sup_tail_ratio,
-    }
-    _emit(payload, args.report)
+    recipes.write_json({"results": str(args.results), "against": args.against,
+                        "count": dist.count, "censored_count": censored, **fit.as_dict()},
+                       args.report)
     return 0
 
 

@@ -98,10 +98,12 @@ def generate_dfa(n: int, r: int, seed) -> Dfa:
     n, r : int
         Vertex count and alphabet size, ``2 <= r <= n``.
     seed : int or numpy.random.Generator
-        Seed for the draw; a fixed integer seed gives a bitwise-identical
-        DFA on every call.
+        Seed for the draw; a fixed integer seed, at least 0, gives a
+        bitwise-identical DFA on every call.
     """
     _check_sizes(n, r)
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     # Swap positions are drawn column-by-column so the stream layout is a
     # frozen part of the generator contract.

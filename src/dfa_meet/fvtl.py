@@ -99,6 +99,11 @@ class FvtlReport:
     z_stop: str
     quasi: QuasiStationaryPair | None = None
 
+    def as_dict(self) -> dict:
+        """The scalars, with ``lambda_star`` (None without the pair) in place of ``quasi``."""
+        scalars = {k: v for k, v in self.__dict__.items() if k != "quasi"}
+        return {**scalars, "lambda_star": self.quasi.lambda_star if self.quasi else None}
+
 
 @dataclass
 class ReturnSums:

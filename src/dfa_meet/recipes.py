@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,33 +28,30 @@ from .simulate import (
     write_records_csv,
 )
 
-_FIGURE_KEYS = frozenset({"seed", "n", "trials", "r_values"})
-# The figure recipes and the sampler mode each runs on the worker pool.
-_FIGURE_MODES = {
-    "fig1-independent": "independent",
-    "fig1-coupled": "coupled",
-    "fig2-coalescing": "coalescing",
-    "fig2-sync": "sync",
-}
-# The override keys each recipe reads; any other key is an error.
-OVERRIDE_KEYS = {
-    "fig1-independent": _FIGURE_KEYS,
-    "fig1-coupled": _FIGURE_KEYS,
-    "fig2-coalescing": _FIGURE_KEYS | {"kingman_size"},
-    "fig2-sync": _FIGURE_KEYS | {"kingman_size"},
-    "thm-fvtl-suite": frozenset({"seed", "chains"}),
-    "events-a1-a5": frozenset({"seed", "n", "r_values", "eps"}),
-}
-RECIPE_NAMES = tuple(OVERRIDE_KEYS)
 
-_DEFAULT_SEEDS = {
-    "fig1-independent": 101,
-    "fig1-coupled": 102,
-    "fig2-coalescing": 103,
-    "fig2-sync": 104,
-    "thm-fvtl-suite": 105,
-    "events-a1-a5": 106,
+class _Spec(NamedTuple):
+    """A recipe's registry row.
+
+    ``seed`` is the default master seed and ``keys`` the override keys the
+    recipe reads; any other key is an error. A figure recipe has the sampler
+    ``mode`` it runs on the worker pool; a recipe without one runs serially.
+    """
+
+    seed: int
+    keys: frozenset
+    mode: str | None = None
+
+
+_FIGURE_KEYS = frozenset({"seed", "n", "trials", "r_values"})
+_RECIPES = {
+    "fig1-independent": _Spec(101, _FIGURE_KEYS, "independent"),
+    "fig1-coupled": _Spec(102, _FIGURE_KEYS, "coupled"),
+    "fig2-coalescing": _Spec(103, _FIGURE_KEYS | {"kingman_size"}, "coalescing"),
+    "fig2-sync": _Spec(104, _FIGURE_KEYS | {"kingman_size"}, "sync"),
+    "thm-fvtl-suite": _Spec(105, frozenset({"seed", "chains"})),
+    "events-a1-a5": _Spec(106, frozenset({"seed", "n", "r_values", "eps"})),
 }
+RECIPE_NAMES = tuple(_RECIPES)
 
 MEAN_RATIO_BOUNDS = (0.9, 1.1)
 KS_EXP_BOUND = 0.03
@@ -68,7 +67,7 @@ EVENTS_SEEDS = 3
 
 @dataclass
 class Recipe:
-    """A named experiment, its ``OVERRIDE_KEYS`` overrides and an output directory."""
+    """A named experiment, the overrides it reads and an output directory."""
 
     name: str
     overrides: dict = field(default_factory=dict)
@@ -77,7 +76,7 @@ class Recipe:
     def __post_init__(self):
         if self.name not in RECIPE_NAMES:
             raise ValueError(f"unknown recipe {self.name!r}, expected one of {RECIPE_NAMES}")
-        keys = OVERRIDE_KEYS[self.name]
+        keys = _RECIPES[self.name].keys
         unknown = set(self.overrides) - keys
         if unknown:
             raise ValueError(f"recipe {self.name!r} does not read {', '.join(sorted(unknown))}; "
@@ -97,19 +96,28 @@ class RecipeResult:
 
 def run_recipe(rec: Recipe, workers: int | None = None) -> RecipeResult:
     """Run a recipe; only the figure recipes use a worker pool and take ``workers``."""
-    figure = rec.name in _FIGURE_MODES
-    if workers is not None and not figure:
+    spec = _RECIPES[rec.name]
+    if workers is not None and spec.mode is None:
         raise ValueError(f"recipe {rec.name!r} runs serially and takes no worker count")
     rec.out_dir.mkdir(parents=True, exist_ok=True)
-    if figure:
-        return _run_figure_recipe(rec, workers)
+    master = int(rec.param("seed", spec.seed))
+    if spec.mode is not None:
+        return _run_figure_recipe(rec, master, spec.mode, workers)
     if rec.name == "thm-fvtl-suite":
-        return _run_fvtl_suite(rec)
-    return _run_events(rec)
+        return _run_fvtl_suite(rec, master)
+    return _run_events(rec, master)
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def write_json(payload: dict, out: Path | None) -> None:
+    """Write ``payload`` as JSON with sorted keys, indent 2 and a trailing newline.
+
+    The text goes to the path ``out``, or to stdout when ``out`` is None.
+    """
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        out.write_text(text, encoding="utf-8")
 
 
 def tau_histogram(ratios: np.ndarray):
@@ -137,11 +145,9 @@ def _write_histogram(path: Path, rows) -> None:
             fh.write(f"{left:.6g},{right_s},{count},{dens_s}\r\n")
 
 
-def _run_figure_recipe(rec: Recipe, workers) -> RecipeResult:
-    mode = _FIGURE_MODES[rec.name]
+def _run_figure_recipe(rec: Recipe, master: int, mode: str, workers) -> RecipeResult:
     n = int(rec.param("n", 1000))
     trials = int(rec.param("trials", 10_000 if mode in ("independent", "coupled") else 1000))
-    master = int(rec.param("seed", _DEFAULT_SEEDS[rec.name]))
     r_values = tuple(rec.param("r_values", (2, 20)))
 
     per_r: dict[str, dict] = {}
@@ -164,11 +170,14 @@ def _run_figure_recipe(rec: Recipe, workers) -> RecipeResult:
         records = run_experiment(manifest, workers=workers)
         stem = f"{rec.name}-r{r}"
         write_records_csv(records, rec.out_dir / f"{stem}.csv")
-        _write_json(rec.out_dir / f"{stem}-manifest.json",
-                    {"recipe": rec.name, **manifest.as_dict()})
+        write_json({"recipe": rec.name, **asdict(manifest)},
+                   rec.out_dir / f"{stem}-manifest.json")
 
         taus = np.array([t.tau for t in records if not t.censored], dtype=float)
         censored = sum(t.censored for t in records)
+        if not taus.size:
+            raise ValueError(f"recipe {rec.name!r}: no uncensored trial is left to fit at r={r} "
+                             f"({trials} trials, {censored} censored)")
         dist = stats.EmpiricalDist.from_samples(taus / n)
         _write_histogram(rec.out_dir / f"{stem}-hist.csv", tau_histogram(dist.values))
 
@@ -176,9 +185,9 @@ def _run_figure_recipe(rec: Recipe, workers) -> RecipeResult:
             "r": r,
             "trials": trials,
             "censored": censored,
-            "censoring_rate": censored / trials if trials else 0.0,
-            "mean_tau": float(taus.mean()) if taus.size else float("nan"),
-            "mean_ratio": float(taus.mean() / n) if taus.size else float("nan"),
+            "censoring_rate": censored / trials,
+            "mean_tau": float(taus.mean()),
+            "mean_ratio": float(taus.mean() / n),
         }
         if mode in ("independent", "coupled"):
             fit = stats.exponential_fit(dist, mean=1.0)
@@ -210,7 +219,7 @@ def _run_figure_recipe(rec: Recipe, workers) -> RecipeResult:
 
     summary = {"recipe": rec.name, "mode": mode, "n": n, "seed": master,
                "per_r": per_r, "failures": failures}
-    _write_json(rec.out_dir / f"{rec.name}-verify.json", summary)
+    write_json(summary, rec.out_dir / f"{rec.name}-verify.json")
     return RecipeResult(rec.name, 1 if failures else 0, summary)
 
 
@@ -219,14 +228,13 @@ def _check(failures: list[str], label: str, ok: bool, detail: str) -> None:
         failures.append(f"{label}: {detail}")
 
 
-def _run_fvtl_suite(rec: Recipe) -> RecipeResult:
+def _run_fvtl_suite(rec: Recipe, master: int) -> RecipeResult:
     """Exact first-visit identities on small random ergodic chains.
 
     Checks, to 1e-8: the fundamental-matrix identity
     ``E_mu[tau] = Z(d,d)/mu(d)``, the exactly geometric quasi-stationary
     tail, and ``lambda_star * E_{mu_star}[tau] = 1``.
     """
-    master = int(rec.param("seed", _DEFAULT_SEEDS["thm-fvtl-suite"]))
     chain_count = int(rec.param("chains", 50))
     rows = []
     failures: list[str] = []
@@ -262,7 +270,7 @@ def _run_fvtl_suite(rec: Recipe) -> RecipeResult:
         "failures": failures,
         "rows": rows,
     }
-    _write_json(rec.out_dir / f"{rec.name}-report.json", summary)
+    write_json(summary, rec.out_dir / f"{rec.name}-report.json")
     return RecipeResult(rec.name, 1 if failures else 0, summary)
 
 
@@ -289,13 +297,12 @@ def _fvtl_identity_row(chain, target: int, label: str) -> dict:
     }
 
 
-def _run_events(rec: Recipe) -> RecipeResult:
+def _run_events(rec: Recipe, master: int) -> RecipeResult:
     """Report the five finite-n events for ``EVENTS_SEEDS`` seeded instances per ``r``.
 
     The events are high-probability statements; the recipe reports their
     verdicts and never fails on them.
     """
-    master = int(rec.param("seed", _DEFAULT_SEEDS["events-a1-a5"]))
     n = int(rec.param("n", 300))
     r_values = tuple(rec.param("r_values", (2,)))
     eps = float(rec.param("eps", 0.15))
@@ -312,5 +319,5 @@ def _run_events(rec: Recipe) -> RecipeResult:
             rows.append(row)
 
     summary = {"recipe": rec.name, "seed": master, "n": n, "eps": eps, "rows": rows}
-    _write_json(rec.out_dir / f"{rec.name}-report.json", summary)
+    write_json(summary, rec.out_dir / f"{rec.name}-report.json")
     return RecipeResult(rec.name, 0, summary)

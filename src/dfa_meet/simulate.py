@@ -37,7 +37,8 @@ import itertools
 import math
 import os
 import re
-from dataclasses import asdict, dataclass
+import sys
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -122,12 +123,6 @@ class RunManifest:
     @property
     def effective_cap(self) -> int:
         return self.cap if self.cap is not None else default_cap(self.n)
-
-    def as_dict(self) -> dict:
-        d = asdict(self)
-        if isinstance(d["starts"], tuple):
-            d["starts"] = list(d["starts"])
-        return d
 
 
 def default_cap(n: int) -> int:
@@ -433,11 +428,12 @@ def read_records_csv(path) -> list[TrialRecord]:
     """Read a trial CSV written by :func:`write_records_csv`.
 
     An empty file, a wrong header, a record the csv module cannot parse, a
-    row of the wrong width, a field that is not an integer, a ``censored``
-    value other than 0 or 1, a mode not in ``MODES``, sizes outside
-    ``2 <= r <= n`` or above ``2**63 - 1``, a negative ``tau`` or one above
-    ``2**63 - 1``, or a row whose ``(mode, n, r)`` differs from the first
-    row's is a ``ValueError`` naming the line.
+    row of the wrong width, a field that is not an integer or has more digits
+    than ``int()`` converts, a ``censored`` value other than 0 or 1, a mode
+    not in ``MODES``, sizes outside ``2 <= r <= n`` or above ``2**63 - 1``, a
+    negative ``tau`` or one above ``2**63 - 1``, or a row whose
+    ``(mode, n, r)`` differs from the first row's is a ``ValueError`` naming
+    the line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -460,7 +456,11 @@ def read_records_csv(path) -> list[TrialRecord]:
                     continue
                 if not _CSV_INT.fullmatch(value):
                     raise ValueError(f"{where}: {name} must be an integer, got {value!r}")
-                fields[name] = int(value)
+                try:
+                    fields[name] = int(value)
+                except ValueError:  # more digits than int() converts
+                    raise ValueError(f"{where}: {name} has more than "
+                                     f"{sys.get_int_max_str_digits()} digits") from None
             if fields["censored"] not in ("0", "1"):
                 raise ValueError(f"{where}: censored must be 0 or 1, got {fields['censored']!r}")
             fields["censored"] = fields["censored"] == "1"

@@ -8,7 +8,7 @@ than distribution mass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -41,6 +41,9 @@ class FitReport:
     sample_variance: float
     sem: float
     sup_tail_ratio: float | None = None
+
+    def as_dict(self) -> dict:
+        return asdict(self)
 
 
 def _moments(e: EmpiricalDist) -> tuple[float, float, float]:

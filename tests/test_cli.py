@@ -1,4 +1,5 @@
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -214,11 +215,13 @@ CSV_GOOD_ROW = "0,12,independent,20,2,3,7,15,0\r\n"
      "line 2: tau must be at most 2**63 - 1"),
     (CSV_HEADER_LINE + CSV_GOOD_ROW.replace(",15,", f",{2**63},"),
      "line 2: tau must be at most 2**63 - 1"),
+    (CSV_HEADER_LINE + CSV_GOOD_ROW.replace(",15,", ",1" + "0" * 4999 + ","),
+     f"line 2: tau has more than {sys.get_int_max_str_digits()} digits"),
     (CSV_HEADER_LINE + CSV_GOOD_ROW.replace(",15,", ",1" + "0" * 140_000 + ","),
      "line 2: field larger than field limit (131072)"),
 ], ids=["short-row", "empty-file", "censored-2", "tau-abc", "tau-underscore", "mode-bogus",
         "mixed-n", "tau-negative", "n-zero", "r-above-n", "tau-401-digits", "tau-2**63",
-        "field-over-csv-limit"])
+        "tau-5000-digits", "field-over-csv-limit"])
 def test_verify_rejects_a_malformed_csv_naming_the_line(tmp_path, capsys, text, message):
     csv_path = tmp_path / "bad.csv"
     csv_path.write_bytes(text.encode())
@@ -332,6 +335,22 @@ def test_recipe_names_the_r_values_flag_when_it_is_not_integers(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.splitlines() == ["error: --r-values must be comma-separated integers, got '2,x'"]
     assert not (tmp_path / "out").exists()
+
+
+def test_gen_names_the_seed_when_it_is_negative(tmp_path, capsys):
+    out = tmp_path / "dfa.json"
+    assert main(["gen", "--n", "5", "--r", "2", "--seed", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: seed must be a non-negative integer, got -1"]
+    assert not out.exists()
+
+
+def test_recipe_names_the_recipe_and_r_when_no_trial_is_left_to_fit(tmp_path, capsys):
+    assert main(["recipe", "fig1-independent", "--trials", "0", "--n", "20",
+                 "--threads", "1", "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: recipe 'fig1-independent': no uncensored trial is left "
+                                "to fit at r=2 (0 trials, 0 censored)"]
 
 
 def test_exact_rejects_a_negative_cap(dfa_file, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -245,6 +246,32 @@ def test_parse_rejects_garbage():
         parse_dfa("{not json")
     with pytest.raises(DfaFormatError, match="missing field"):
         parse_dfa(json.dumps({"n": 3, "r": 2}))
+
+
+def test_generator_maps_every_draw_sequence_to_a_distinct_dfa_n3_r2(monkeypatch):
+    """The 27 * 8 = 216 column draws at n = 3, r = 2 map one-to-one onto the 216 DFAs.
+
+    So the generator is exactly uniform there: each DFA has probability 1/216.
+    """
+    columns = {k: list(itertools.product(range(k, 3), repeat=3)) for k in range(2)}
+
+    class Draws:
+        def __init__(self, sequence):
+            self.sequence = iter(sequence)
+
+        def integers(self, low, high, size):
+            column = next(self.sequence)
+            assert (high, size) == (3, 3) and all(low <= j < high for j in column)
+            return np.array(column, dtype=np.int64)
+
+    sequences = list(itertools.product(columns[0], columns[1]))
+    dfas = set()
+    for sequence in sequences:
+        monkeypatch.setattr(np.random, "default_rng", lambda seed, s=sequence: Draws(s))
+        d = generate_dfa(3, 2, seed=0)
+        dfas.add(tuple(map(tuple, d.out.tolist())))
+    every_dfa = set(itertools.product(itertools.permutations(range(3), 2), repeat=3))
+    assert len(sequences) == 216 and dfas == every_dfa
 
 
 @pytest.mark.slow

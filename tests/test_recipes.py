@@ -134,6 +134,32 @@ def test_recipe_reruns_are_byte_identical(tmp_path):
     assert a == b
 
 
+# Each figure recipe's failure strings at a toy size, where every bound but sync's fails: they
+# pin which bounds each recipe asserts, their order and their message formats.
+FIGURE_FAILURES = {
+    "fig1-independent": ["r=2 mean ratio: 1.3938 not in [0.9, 1.1]",
+                         "r=2 KS to Exp(1): 0.2534 > 0.03",
+                         "r=3 mean ratio: 1.1562 not in [0.9, 1.1]",
+                         "r=3 KS to Exp(1): 0.3658 > 0.03"],
+    "fig1-coupled": ["r=2 W1 to Exp(1): 0.2045 > 0.1", "r=3 W1 to Exp(1): 1.4114 > 0.1"],
+    "fig2-coalescing": ["r=2 coalescence mean ratio: 1.6750 not in [1.8, 2.2]",
+                        "r=2 W1 to Kingman: 0.2884 > 0.1",
+                        "r=3 coalescence mean ratio: 1.6187 not in [1.8, 2.2]",
+                        "r=3 W1 to Kingman: 0.3816 > 0.1"],
+    "fig2-sync": [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIGURE_FAILURES))
+def test_figure_recipe_failures_are_pinned(tmp_path, name):
+    overrides = {"n": 20, "trials": 8, "r_values": (2, 3), "seed": 7}
+    if name.startswith("fig2"):
+        overrides["kingman_size"] = 200
+    result = run_recipe(Recipe(name, overrides=overrides, out_dir=tmp_path), workers=1)
+    assert result.summary["failures"] == FIGURE_FAILURES[name]
+    assert result.exit_code == (1 if FIGURE_FAILURES[name] else 0)
+
+
 # The key set of each JSON artifact a recipe writes; a refactor must neither drop nor rename one.
 MANIFEST_KEYS = {"recipe", "master_seed", "mode", "n", "r", "trials", "cap", "dfa_policy",
                  "dfa_path", "starts"}

@@ -196,18 +196,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_recipe(args) -> int:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.n is not None:
-        overrides["n"] = args.n
-    if args.trials is not None:
-        overrides["trials"] = args.trials
     if args.r_values is not None:
-        overrides["r_values"] = _flag_value(
-            args.r_values, _integers, "--r-values", "comma-separated integers")
-    if args.eps is not None:
-        overrides["eps"] = args.eps
+        args.r_values = _flag_value(args.r_values, _integers, "--r-values", "comma-separated integers")
+    overrides = {key: getattr(args, key) for key in ("seed", "n", "trials", "r_values", "eps")
+                 if getattr(args, key) is not None}
     out_dir = args.out_dir if args.out_dir is not None else Path("recipe-out") / args.name
     rec = recipes.Recipe(name=args.name, overrides=overrides, out_dir=out_dir)
     workers = None if args.threads is None else resolve_workers(args.threads)

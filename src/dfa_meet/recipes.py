@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -32,34 +33,42 @@ from .simulate import (
 class _Spec(NamedTuple):
     """A recipe's registry row.
 
-    ``seed`` is the default master seed and ``keys`` the override keys the
-    recipe reads; any other key is an error. A figure recipe has the sampler
-    ``mode`` it runs on the worker pool; a recipe without one runs serially.
+    ``defaults`` holds every key the recipe reads, ``seed`` (the master seed)
+    included; an override of any other key is an error. A figure recipe has
+    the sampler ``mode`` it runs on the worker pool, the reference law
+    ``against`` (``"exp1"`` or ``"kingman"``) its ``tau / n`` is fitted to,
+    and the ``bounds`` it asserts: rows ``(label, entry key, low, high)``,
+    checked as ``low <= value <= high``, or as ``value <= high`` when ``low``
+    is None. A recipe without a mode runs serially.
     """
 
-    seed: int
-    keys: frozenset
+    defaults: dict
     mode: str | None = None
+    against: str | None = None
+    bounds: tuple = ()
 
 
-_FIGURE_KEYS = frozenset({"seed", "n", "trials", "r_values"})
+KINGMAN_REFERENCE_SIZE = 100_000
+_FIGURE = {"n": 1000, "r_values": (2, 20)}
+_COALESCENT = {**_FIGURE, "trials": 1000, "kingman_size": KINGMAN_REFERENCE_SIZE}
 _RECIPES = {
-    "fig1-independent": _Spec(101, _FIGURE_KEYS, "independent"),
-    "fig1-coupled": _Spec(102, _FIGURE_KEYS, "coupled"),
-    "fig2-coalescing": _Spec(103, _FIGURE_KEYS | {"kingman_size"}, "coalescing"),
-    "fig2-sync": _Spec(104, _FIGURE_KEYS | {"kingman_size"}, "sync"),
-    "thm-fvtl-suite": _Spec(105, frozenset({"seed", "chains"})),
-    "events-a1-a5": _Spec(106, frozenset({"seed", "n", "r_values", "eps"})),
+    "fig1-independent": _Spec({**_FIGURE, "seed": 101, "trials": 10_000}, "independent", "exp1",
+                              (("mean ratio", "mean_ratio", 0.9, 1.1),
+                               ("KS to Exp(1)", "ks_exp1", None, 0.03))),
+    "fig1-coupled": _Spec({**_FIGURE, "seed": 102, "trials": 10_000}, "coupled", "exp1",
+                          (("W1 to Exp(1)", "w1_exp1", None, 0.1),)),
+    "fig2-coalescing": _Spec({**_COALESCENT, "seed": 103}, "coalescing", "kingman",
+                             (("coalescence mean ratio", "mean_ratio", 1.8, 2.2),
+                              ("W1 to Kingman", "w1_kingman", None, 0.1))),
+    # sync reports its distances to the coalescent but asserts nothing: the
+    # mean limit is an open conjecture
+    "fig2-sync": _Spec({**_COALESCENT, "seed": 104}, "sync", "kingman"),
+    "thm-fvtl-suite": _Spec({"seed": 105, "chains": 50}),
+    "events-a1-a5": _Spec({"seed": 106, "n": 300, "r_values": (2,), "eps": 0.15}),
 }
 RECIPE_NAMES = tuple(_RECIPES)
 
-MEAN_RATIO_BOUNDS = (0.9, 1.1)
-KS_EXP_BOUND = 0.03
-W1_EXP_BOUND = 0.1
-COAL_MEAN_BOUNDS = (1.8, 2.2)
-W1_KINGMAN_BOUND = 0.1
 IDENTITY_TOL = 1e-8
-KINGMAN_REFERENCE_SIZE = 100_000
 HIST_BIN_WIDTH = 0.1
 HIST_UPPER = 8.0
 EVENTS_SEEDS = 3
@@ -67,24 +76,26 @@ EVENTS_SEEDS = 3
 
 @dataclass
 class Recipe:
-    """A named experiment, the overrides it reads and an output directory."""
+    """A named experiment, the overrides it reads and an output directory.
+
+    ``params`` is the recipe's defaults with the overrides applied.
+    """
 
     name: str
     overrides: dict = field(default_factory=dict)
     out_dir: Path = Path(".")
+    params: dict = field(init=False)
 
     def __post_init__(self):
         if self.name not in RECIPE_NAMES:
             raise ValueError(f"unknown recipe {self.name!r}, expected one of {RECIPE_NAMES}")
-        keys = _RECIPES[self.name].keys
-        unknown = set(self.overrides) - keys
+        defaults = _RECIPES[self.name].defaults
+        unknown = set(self.overrides) - set(defaults)
         if unknown:
             raise ValueError(f"recipe {self.name!r} does not read {', '.join(sorted(unknown))}; "
-                             f"it reads {', '.join(sorted(keys))}")
+                             f"it reads {', '.join(sorted(defaults))}")
         self.out_dir = Path(self.out_dir)
-
-    def param(self, key, default):
-        return self.overrides.get(key, default)
+        self.params = {**defaults, **self.overrides}
 
 
 @dataclass
@@ -100,12 +111,11 @@ def run_recipe(rec: Recipe, workers: int | None = None) -> RecipeResult:
     if workers is not None and spec.mode is None:
         raise ValueError(f"recipe {rec.name!r} runs serially and takes no worker count")
     rec.out_dir.mkdir(parents=True, exist_ok=True)
-    master = int(rec.param("seed", spec.seed))
     if spec.mode is not None:
-        return _run_figure_recipe(rec, master, spec.mode, workers)
+        return _run_figure_recipe(rec, spec, workers)
     if rec.name == "thm-fvtl-suite":
-        return _run_fvtl_suite(rec, master)
-    return _run_events(rec, master)
+        return _run_fvtl_suite(rec)
+    return _run_events(rec)
 
 
 def write_json(payload: dict, out: Path | None) -> None:
@@ -145,23 +155,22 @@ def _write_histogram(path: Path, rows) -> None:
             fh.write(f"{left:.6g},{right_s},{count},{dens_s}\r\n")
 
 
-def _run_figure_recipe(rec: Recipe, master: int, mode: str, workers) -> RecipeResult:
-    n = int(rec.param("n", 1000))
-    trials = int(rec.param("trials", 10_000 if mode in ("independent", "coupled") else 1000))
-    r_values = tuple(rec.param("r_values", (2, 20)))
+def _run_figure_recipe(rec: Recipe, spec: _Spec, workers) -> RecipeResult:
+    p = rec.params
+    master, n, trials = p["seed"], p["n"], p["trials"]
+    if spec.against == "exp1":
+        fit = partial(stats.exponential_fit, mean=1.0)
+    else:
+        reference = sample_kingman_reference(n, seed_split(master, 0, "kingman"),
+                                             size=p["kingman_size"])
+        fit = partial(stats.sample_fit, reference=reference, name="kingman", params={"n": n})
 
     per_r: dict[str, dict] = {}
     failures: list[str] = []
-    kingman_ref = None
-    if mode in ("coalescing", "sync"):
-        kingman_ref = sample_kingman_reference(
-            n, seed_split(master, 0, "kingman"), size=int(rec.param("kingman_size", KINGMAN_REFERENCE_SIZE))
-        )
-
-    for r in r_values:
+    for r in p["r_values"]:
         manifest = RunManifest(
             master_seed=seed_split(master, r, "variant"),
-            mode=mode,
+            mode=spec.mode,
             n=n,
             r=r,
             trials=trials,
@@ -180,7 +189,7 @@ def _run_figure_recipe(rec: Recipe, master: int, mode: str, workers) -> RecipeRe
                              f"({trials} trials, {censored} censored)")
         dist = stats.EmpiricalDist.from_samples(taus / n)
         _write_histogram(rec.out_dir / f"{stem}-hist.csv", tau_histogram(dist.values))
-
+        report = fit(dist)
         entry = {
             "r": r,
             "trials": trials,
@@ -188,58 +197,35 @@ def _run_figure_recipe(rec: Recipe, master: int, mode: str, workers) -> RecipeRe
             "censoring_rate": censored / trials,
             "mean_tau": float(taus.mean()),
             "mean_ratio": float(taus.mean() / n),
+            f"ks_{spec.against}": report.ks_distance,
+            f"w1_{spec.against}": report.w1_distance,
         }
-        if mode in ("independent", "coupled"):
-            fit = stats.exponential_fit(dist, mean=1.0)
-            entry["ks_exp1"] = fit.ks_distance
-            entry["w1_exp1"] = fit.w1_distance
-            if mode == "independent":
-                lo, hi = MEAN_RATIO_BOUNDS
-                _check(failures, f"r={r} mean ratio", lo <= entry["mean_ratio"] <= hi,
-                       f"{entry['mean_ratio']:.4f} not in [{lo}, {hi}]")
-                _check(failures, f"r={r} KS to Exp(1)", fit.ks_distance <= KS_EXP_BOUND,
-                       f"{fit.ks_distance:.4f} > {KS_EXP_BOUND}")
-            else:
-                _check(failures, f"r={r} W1 to Exp(1)", fit.w1_distance <= W1_EXP_BOUND,
-                       f"{fit.w1_distance:.4f} > {W1_EXP_BOUND}")
-        else:
-            ref = stats.sample_fit(dist, kingman_ref, "kingman", {"n": n})
-            entry["w1_kingman"] = ref.w1_distance
-            entry["ks_kingman"] = ref.ks_distance
-            if mode == "coalescing":
-                lo, hi = COAL_MEAN_BOUNDS
-                _check(failures, f"r={r} coalescence mean ratio",
-                       lo <= entry["mean_ratio"] <= hi,
-                       f"{entry['mean_ratio']:.4f} not in [{lo}, {hi}]")
-                _check(failures, f"r={r} W1 to Kingman", ref.w1_distance <= W1_KINGMAN_BOUND,
-                       f"{ref.w1_distance:.4f} > {W1_KINGMAN_BOUND}")
-            # sync reports the same distances but asserts nothing; the mean
-            # limit is an open conjecture.
+        for label, key, lo, hi in spec.bounds:
+            value = entry[key]
+            if lo is None and not value <= hi:
+                failures.append(f"r={r} {label}: {value:.4f} > {hi}")
+            elif lo is not None and not lo <= value <= hi:
+                failures.append(f"r={r} {label}: {value:.4f} not in [{lo}, {hi}]")
         per_r[str(r)] = entry
 
-    summary = {"recipe": rec.name, "mode": mode, "n": n, "seed": master,
+    summary = {"recipe": rec.name, "mode": spec.mode, "n": n, "seed": master,
                "per_r": per_r, "failures": failures}
     write_json(summary, rec.out_dir / f"{rec.name}-verify.json")
     return RecipeResult(rec.name, 1 if failures else 0, summary)
 
 
-def _check(failures: list[str], label: str, ok: bool, detail: str) -> None:
-    if not ok:
-        failures.append(f"{label}: {detail}")
-
-
-def _run_fvtl_suite(rec: Recipe, master: int) -> RecipeResult:
+def _run_fvtl_suite(rec: Recipe) -> RecipeResult:
     """Exact first-visit identities on small random ergodic chains.
 
     Checks, to 1e-8: the fundamental-matrix identity
     ``E_mu[tau] = Z(d,d)/mu(d)``, the exactly geometric quasi-stationary
     tail, and ``lambda_star * E_{mu_star}[tau] = 1``.
     """
-    chain_count = int(rec.param("chains", 50))
+    master = rec.params["seed"]
     rows = []
     failures: list[str] = []
 
-    for i in range(chain_count):
+    for i in range(rec.params["chains"]):
         rng = np.random.default_rng(seed_split(master, i, "fvtl-chain"))
         chain = fvtl.random_ergodic_chain(rng)
         target = int(rng.integers(0, chain.size))
@@ -297,18 +283,15 @@ def _fvtl_identity_row(chain, target: int, label: str) -> dict:
     }
 
 
-def _run_events(rec: Recipe, master: int) -> RecipeResult:
+def _run_events(rec: Recipe) -> RecipeResult:
     """Report the five finite-n events for ``EVENTS_SEEDS`` seeded instances per ``r``.
 
     The events are high-probability statements; the recipe reports their
     verdicts and never fails on them.
     """
-    n = int(rec.param("n", 300))
-    r_values = tuple(rec.param("r_values", (2,)))
-    eps = float(rec.param("eps", 0.15))
-
+    master, n, eps = rec.params["seed"], rec.params["n"], rec.params["eps"]
     rows = []
-    for r in r_values:
+    for r in rec.params["r_values"]:
         for i in range(EVENTS_SEEDS):
             dfa_seed = seed_split(master, i, f"events-r{r}")
             d, chain, resamples = ergodic_walk_chain(n, r, dfa_seed)

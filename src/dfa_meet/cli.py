@@ -228,7 +228,7 @@ def main(argv=None) -> int:
     except MultipleRecurrentClassesError as exc:
         print(f"error: {exc}; resample the DFA", file=sys.stderr)
         return 1
-    except (ValueError, OSError, ConvergenceError) as exc:
+    except (ValueError, OSError, ConvergenceError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .seeds import check_seed
+
 
 class DfaError(ValueError):
     """Invalid DFA construction or query."""
@@ -102,8 +104,7 @@ def generate_dfa(n: int, r: int, seed) -> Dfa:
         bitwise-identical DFA on every call.
     """
     _check_sizes(n, r)
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     # Swap positions are drawn column-by-column so the stream layout is a
     # frozen part of the generator contract.

@@ -156,6 +156,7 @@ def _write_histogram(path: Path, rows) -> None:
 
 
 def _run_figure_recipe(rec: Recipe, spec: _Spec, workers) -> RecipeResult:
+    """Run and fit every ``r`` before writing any file, so that a failed run leaves none."""
     p = rec.params
     master, n, trials = p["seed"], p["n"], p["trials"]
     if spec.against == "exp1":
@@ -167,6 +168,7 @@ def _run_figure_recipe(rec: Recipe, spec: _Spec, workers) -> RecipeResult:
 
     per_r: dict[str, dict] = {}
     failures: list[str] = []
+    runs = []
     for r in p["r_values"]:
         manifest = RunManifest(
             master_seed=seed_split(master, r, "variant"),
@@ -177,18 +179,12 @@ def _run_figure_recipe(rec: Recipe, spec: _Spec, workers) -> RecipeResult:
             dfa_policy="fresh",
         )
         records = run_experiment(manifest, workers=workers)
-        stem = f"{rec.name}-r{r}"
-        write_records_csv(records, rec.out_dir / f"{stem}.csv")
-        write_json({"recipe": rec.name, **asdict(manifest)},
-                   rec.out_dir / f"{stem}-manifest.json")
-
         taus = np.array([t.tau for t in records if not t.censored], dtype=float)
         censored = sum(t.censored for t in records)
         if not taus.size:
             raise ValueError(f"recipe {rec.name!r}: no uncensored trial is left to fit at r={r} "
                              f"({trials} trials, {censored} censored)")
         dist = stats.EmpiricalDist.from_samples(taus / n)
-        _write_histogram(rec.out_dir / f"{stem}-hist.csv", tau_histogram(dist.values))
         report = fit(dist)
         entry = {
             "r": r,
@@ -207,7 +203,13 @@ def _run_figure_recipe(rec: Recipe, spec: _Spec, workers) -> RecipeResult:
             elif lo is not None and not lo <= value <= hi:
                 failures.append(f"r={r} {label}: {value:.4f} not in [{lo}, {hi}]")
         per_r[str(r)] = entry
+        runs.append((manifest, records, dist))
 
+    for manifest, records, dist in runs:
+        stem = f"{rec.name}-r{manifest.r}"
+        write_records_csv(records, rec.out_dir / f"{stem}.csv")
+        write_json({"recipe": rec.name, **asdict(manifest)}, rec.out_dir / f"{stem}-manifest.json")
+        _write_histogram(rec.out_dir / f"{stem}-hist.csv", tau_histogram(dist.values))
     summary = {"recipe": rec.name, "mode": spec.mode, "n": n, "seed": master,
                "per_r": per_r, "failures": failures}
     write_json(summary, rec.out_dir / f"{rec.name}-verify.json")

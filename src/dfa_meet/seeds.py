@@ -3,9 +3,16 @@
 from __future__ import annotations
 
 import hashlib
+import numbers
 
 _DOMAIN = b"dfa-meet/v1"
 _SEED_BITS = 128
+
+
+def check_seed(seed) -> None:
+    """Reject a negative integer seed for a numpy generator, naming the value."""
+    if isinstance(seed, numbers.Integral) and seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
 def seed_split(master: int, index: int, tag: str) -> int:

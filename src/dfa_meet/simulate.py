@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .dfa import Dfa, generate_dfa, parse_dfa
-from .seeds import seed_split
+from .seeds import check_seed, seed_split
 
 COLOR_CHUNK = 4096
 MODES = ("independent", "coupled", "coalescing", "sync")
@@ -304,6 +304,7 @@ def sample_kingman_reference(n: int, seed, size: int) -> np.ndarray:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     total = np.zeros(size)
     for i in range(2, n + 1):

@@ -345,6 +345,44 @@ def test_gen_names_the_seed_when_it_is_negative(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_verify_names_a_negative_kingman_seed(tmp_path, coalescing_csv, capsys):
+    report = tmp_path / "verify.json"
+    assert main(["verify", "--results", str(coalescing_csv), "--against", "kingman",
+                 "--seed", "-1", "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: seed must be a non-negative integer, got -1"]
+    assert not report.exists()
+
+
+# Sizes of at least 10**18: an allocation that small can succeed under overcommit.
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", str(10**18), "--r", "2", "--seed", "0"],
+    ["exact", "--t-cap", str(10**18)],
+    ["simulate", "--mode", "independent", "--n", str(10**18), "--r", "2", "--trials", "1",
+     "--seed", "0", "--threads", "1"],
+])
+def test_huge_sizes_exit_one_without_a_traceback(dfa_file, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    if argv[0] == "exact":
+        argv = argv + ["--dfa", str(dfa_file)]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: Unable to allocate")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, r_values, n", [
+    ("fig1-independent", "2,3", "2"),  # r = 3 > n fails after r = 2 has run
+    ("fig1-coupled", f"2,{2**128}", "20"),  # r = 2**128 is no seed_split index
+])
+def test_a_failing_figure_recipe_writes_no_file(tmp_path, capsys, name, r_values, n):
+    assert main(["recipe", name, "--n", n, "--r-values", r_values, "--trials", "5",
+                 "--threads", "1", "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not list((tmp_path / "out").iterdir())
+
+
 def test_recipe_names_the_recipe_and_r_when_no_trial_is_left_to_fit(tmp_path, capsys):
     assert main(["recipe", "fig1-independent", "--trials", "0", "--n", "20",
                  "--threads", "1", "--out-dir", str(tmp_path)]) == 1

@@ -15,8 +15,9 @@ holds the mass at ``DELTA`` spread over the re-entry law
 step is ``K^T M K`` followed by ``diag <- trace * w``: two
 sparse-times-dense products regardless of alphabet size. In this form
 ``pi_tilde`` is ``outer(pi, pi)``. The explicit sparse kernel over the
-``n*(n-1) + 1`` states (:meth:`AuxChain.kernel_matrix`) is there to check
-the structure on small instances; no scan runs on it.
+``n*(n-1) + 1`` states (:meth:`AuxChain.kernel_matrix`), the off-diagonal
+rows of ``kron(K, K)`` with each diagonal column summed into ``DELTA``, is
+there to check the structure on small instances; no scan runs on it.
 
 Pair-chain scans stop once their total-variation distance to
 ``pi_tilde`` is certified small: the return series through
@@ -137,39 +138,24 @@ class AuxChain(Propagator):
     def kernel_matrix(self) -> sp.csr_array:
         """Explicit sparse kernel over the ``n*(n-1) + 1`` states.
 
-        The diagonal self-transition is assigned ``1/r`` exactly rather than
-        accumulated, which is the same value by the one-to-one constraint.
+        The off-diagonal rows of ``kron(K, K)``, each entry ``1/r**2``, with
+        every diagonal column summed into ``DELTA``; then the ``DELTA`` row,
+        the re-emission law plus ``1/r`` on itself, assigned exactly rather
+        than accumulated, which is the same value by the one-to-one constraint.
         """
         n, r = self.n, self.r
         est_nnz = n * (n - 1) * r * r + n * r * r + 1
         if est_nnz > KERNEL_NNZ_CAP:
             raise ValueError(f"explicit kernel needs ~{est_nnz} entries > cap {KERNEL_NNZ_CAP}")
-        targets = self.kernel.indices.reshape(n, r).astype(np.int64)
-        delta = self.delta_index
-
-        # Off-diagonal rows: (x, x') -> (y, y') with weight 1/r^2 per color pair.
-        x = np.arange(n)
-        src = self.pair_index(
-            np.broadcast_to(x[:, None, None, None], (n, n, r, r)),
-            np.broadcast_to(x[None, :, None, None], (n, n, r, r)),
-        )
-        dst = self.pair_index(
-            np.broadcast_to(targets[:, None, :, None], (n, n, r, r)),
-            np.broadcast_to(targets[None, :, None, :], (n, n, r, r)),
-        )
-        offdiag = np.broadcast_to((x[:, None] != x[None, :])[:, :, None, None], src.shape)
-        rows = src[offdiag]
-        cols = dst[offdiag]
-        data = np.full(rows.size, 1.0 / (r * r))
-
-        # Diagonal row: re-emission law off the diagonal, plus 1/r on itself.
+        x, xp = np.divmod(np.arange(n * n), n)
+        product = sp.kron(self.kernel, self.kernel, format="csr")[np.flatnonzero(x != xp)]
+        product.data[:] = 1.0 / (r * r)
+        collapse = sp.csr_array((np.ones(n * n), (np.arange(n * n), self.pair_index(x, xp))),
+                                shape=(n * n, self.size))
         exit_mass = self.killed_step(self.start())
-        y, yp = np.nonzero(exit_mass)
-        rows = np.concatenate([rows, np.full(y.size + 1, delta)])
-        cols = np.concatenate([cols, self.pair_index(y, yp), [delta]])
-        data = np.concatenate([data, exit_mass[y, yp], [1.0 / r]])
-        size = self.size
-        return sp.csr_array((data, (rows, cols)), shape=(size, size))
+        exit_mass[0, 0] = 1.0 / r  # the killed diagonal's one entry, which collapses onto DELTA
+        delta_row = sp.csr_array(exit_mass.reshape(1, -1)) @ collapse
+        return sp.vstack([product @ collapse, delta_row], format="csr")
 
 
 def build_aux_chain(c: ChainSpec) -> AuxChain:

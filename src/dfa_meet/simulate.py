@@ -138,9 +138,14 @@ def _record(mode, d, x, y, tau, censored, seed, trial):
     )
 
 
-def _check_start(d: Dfa, v: int) -> None:
-    if not 0 <= v < d.n:
-        raise ValueError(f"start vertex {v} outside [0, {d.n})")
+def _sample_pair(mode: str, meet, d: Dfa, x: int, y: int, cap: int, seed, trial) -> TrialRecord:
+    """One trial of the pair sampler ``meet`` from ``(x, y)``, each start in ``[0, n)``."""
+    for v in (x, y):
+        if not 0 <= v < d.n:
+            raise ValueError(f"start vertex {v} outside [0, {d.n})")
+    rng = np.random.default_rng(seed)
+    tau, censored = meet(d.out.T.tolist(), x, y, cap, _colors(rng, d.r))
+    return _record(mode, d, x, y, tau, censored, seed, trial)
 
 
 def sample_meeting_independent(d: Dfa, x: int, y: int, cap: int, seed, trial: int = 0) -> TrialRecord:
@@ -149,20 +154,12 @@ def sample_meeting_independent(d: Dfa, x: int, y: int, cap: int, seed, trial: in
     ``tau`` is the first round (0 counts) at which the walks share a
     vertex; reaching ``cap`` without meeting censors the trial.
     """
-    _check_start(d, x)
-    _check_start(d, y)
-    rng = np.random.default_rng(seed)
-    tau, censored = _meet_independent(d.out.T.tolist(), x, y, cap, _colors(rng, d.r))
-    return _record("independent", d, x, y, tau, censored, seed, trial)
+    return _sample_pair("independent", _meet_independent, d, x, y, cap, seed, trial)
 
 
 def sample_meeting_coupled(d: Dfa, x: int, y: int, cap: int, seed, trial: int = 0) -> TrialRecord:
     """Meeting time of two walks reading the same random word."""
-    _check_start(d, x)
-    _check_start(d, y)
-    rng = np.random.default_rng(seed)
-    tau, censored = _meet_coupled(d.out.T.tolist(), x, y, cap, _colors(rng, d.r))
-    return _record("coupled", d, x, y, tau, censored, seed, trial)
+    return _sample_pair("coupled", _meet_coupled, d, x, y, cap, seed, trial)
 
 
 def sample_coalescence(d: Dfa, cap: int, seed, trial: int = 0) -> TrialRecord:

@@ -46,12 +46,21 @@ class FitReport:
         return asdict(self)
 
 
-def _moments(e: EmpiricalDist) -> tuple[float, float, float]:
+def _fit_report(e: EmpiricalDist, reference: str, params: dict, ks: float | None,
+                w1: float | None, sup_tail_ratio: float | None = None) -> FitReport:
+    """The report of ``e``'s distances to one law, with the sample's moments."""
     v = e.values
-    mean = float(v.mean()) if v.size else math.nan
     var = float(v.var(ddof=1)) if v.size > 1 else 0.0
-    sem = math.sqrt(var / v.size) if v.size else math.nan
-    return mean, var, sem
+    return FitReport(
+        reference=reference,
+        params=params,
+        ks_distance=ks,
+        w1_distance=w1,
+        sample_mean=float(v.mean()) if v.size else math.nan,
+        sample_variance=var,
+        sem=math.sqrt(var / v.size) if v.size else math.nan,
+        sup_tail_ratio=sup_tail_ratio,
+    )
 
 
 def ks_distance(e: EmpiricalDist, cdf) -> float:
@@ -103,12 +112,13 @@ def _ecdf_area(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def ks_two_sample(e: EmpiricalDist, reference) -> float:
-    """Two-sample KS distance, ``sup_x |F_1(x) - F_2(x)|``."""
+    """Two-sample KS distance, ``sup_x |F_1(x) - F_2(x)|``: KS against the reference's ECDF.
+
+    Between two of ``e``'s points the difference is monotone, so the jumps
+    :func:`ks_distance` evaluates at ``e``'s points reach the sup.
+    """
     other = np.sort(np.asarray(reference, dtype=float))
-    support = np.concatenate([e.values, other])
-    f_a = np.searchsorted(e.values, support, side="right") / e.count
-    f_b = np.searchsorted(other, support, side="right") / other.size
-    return float(np.abs(f_a - f_b).max())
+    return ks_distance(e, lambda x: np.searchsorted(other, x, side="right") / other.size)
 
 
 def exponential_cdf(mean: float):
@@ -155,7 +165,6 @@ def geometric_tail_fit(e: EmpiricalDist, lam: float) -> FitReport:
     """
     if not 0 < lam <= 1:
         raise ValueError(f"rate must be in (0, 1], got {lam}")
-    mean, var, sem = _moments(e)
     n = e.count
     distinct, first_idx = np.unique(e.values, return_index=True)
     # P(X > t) just after the last copy of each distinct value.
@@ -167,46 +176,20 @@ def geometric_tail_fit(e: EmpiricalDist, lam: float) -> FitReport:
         for t, tail_p in zip(distinct, tail):
             if tail_p > 0:
                 ratios.append(tail_p / math.exp(log_q * t))
-    sup_ratio = max(ratios) if ratios else 1.0
     ks = ks_distance(e, geometric_cdf(lam)) if lam < 1 else None
     w1 = w1_distance(e, geometric_quantile(lam)) if lam < 1 else None
-    return FitReport(
-        reference="geometric",
-        params={"lambda": lam},
-        ks_distance=ks,
-        w1_distance=w1,
-        sample_mean=mean,
-        sample_variance=var,
-        sem=sem,
-        sup_tail_ratio=sup_ratio,
-    )
+    return _fit_report(e, "geometric", {"lambda": lam}, ks, w1, max(ratios) if ratios else 1.0)
 
 
 def exponential_fit(e: EmpiricalDist, mean: float) -> FitReport:
     """KS and W1 distances of a sample against Exp(mean)."""
     if not 0 < mean < math.inf:
         raise ValueError(f"mean must be finite and positive, got {mean}")
-    m, var, sem = _moments(e)
-    return FitReport(
-        reference="exponential",
-        params={"mean": mean},
-        ks_distance=ks_distance(e, exponential_cdf(mean)),
-        w1_distance=w1_distance(e, exponential_quantile(mean)),
-        sample_mean=m,
-        sample_variance=var,
-        sem=sem,
-    )
+    return _fit_report(e, "exponential", {"mean": mean}, ks_distance(e, exponential_cdf(mean)),
+                       w1_distance(e, exponential_quantile(mean)))
 
 
 def sample_fit(e: EmpiricalDist, reference, name: str, params: dict | None = None) -> FitReport:
     """Two-sample KS and W1 distances against a reference sample."""
-    m, var, sem = _moments(e)
-    return FitReport(
-        reference=name,
-        params=params or {},
-        ks_distance=ks_two_sample(e, reference),
-        w1_distance=w1_distance(e, reference),
-        sample_mean=m,
-        sample_variance=var,
-        sem=sem,
-    )
+    return _fit_report(e, name, params or {}, ks_two_sample(e, reference),
+                       w1_distance(e, reference))

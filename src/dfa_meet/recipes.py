@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -94,8 +95,27 @@ class Recipe:
         if unknown:
             raise ValueError(f"recipe {self.name!r} does not read {', '.join(sorted(unknown))}; "
                              f"it reads {', '.join(sorted(defaults))}")
+        for key, value in self.overrides.items():
+            kind = _override_kind(value, defaults[key])
+            if kind:
+                raise ValueError(f"recipe {self.name!r}: {key} must be {kind}, got {value!r}")
         self.out_dir = Path(self.out_dir)
         self.params = {**defaults, **self.overrides}
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _override_kind(value, default) -> str | None:
+    """What an override of ``default`` must be, or None when ``value`` is one."""
+    if isinstance(default, tuple):
+        ok = isinstance(value, (tuple, list)) and all(map(_is_integer, value))
+        return None if ok else "a tuple or list of integers"
+    if isinstance(default, float):
+        ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        return None if ok else "a real number"
+    return None if _is_integer(value) else "an integer"
 
 
 @dataclass

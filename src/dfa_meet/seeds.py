@@ -15,6 +15,12 @@ def check_seed(seed) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
+def check_master_seed(master: int) -> None:
+    """Reject a master seed outside ``[0, 2**128)``, the range :func:`seed_split` takes."""
+    if master < 0 or master >= 1 << _SEED_BITS:
+        raise ValueError(f"master seed must be in [0, 2**{_SEED_BITS}), got {master}")
+
+
 def seed_split(master: int, index: int, tag: str) -> int:
     """Derive a 128-bit trial seed from ``(master, index, tag)``.
 
@@ -23,8 +29,7 @@ def seed_split(master: int, index: int, tag: str) -> int:
     single trial can be replayed from its recorded seed alone. Collisions
     are negligible at any realistic trial count.
     """
-    if master < 0 or master >= 1 << _SEED_BITS:
-        raise ValueError(f"master seed must be in [0, 2**{_SEED_BITS}), got {master}")
+    check_master_seed(master)
     if index < 0 or index >= 1 << _SEED_BITS:
         raise ValueError(f"index must be in [0, 2**{_SEED_BITS}), got {index}")
     h = hashlib.blake2b(digest_size=_SEED_BITS // 8)

@@ -44,8 +44,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dfa import Dfa, generate_dfa, parse_dfa
-from .seeds import check_seed, seed_split
+from .dfa import Dfa, _check_sizes, generate_dfa, parse_dfa
+from .seeds import check_master_seed, check_seed, seed_split
 
 COLOR_CHUNK = 4096
 MODES = ("independent", "coupled", "coalescing", "sync")
@@ -82,7 +82,9 @@ class RunManifest:
     is ``"fresh"`` (one automaton per trial, from the trial stream) or
     ``"fixed"`` (a shared automaton from ``dfa_path``); ``dfa_path`` is
     set exactly when the policy is ``"fixed"``. ``trials`` is at least 0
-    and ``cap``, when given, at least 1.
+    and ``cap``, when given, at least 1. The sizes, the master seed and a
+    fixed pair are checked here as the trials would check them, so a bad
+    one is an error even when no trial runs.
     """
 
     master_seed: int
@@ -119,6 +121,10 @@ class RunManifest:
             raise ValueError("dfa_policy='fresh' takes no dfa_path")
         if isinstance(self.starts, list):
             self.starts = tuple(self.starts)
+        _check_sizes(self.n, self.r)
+        check_master_seed(self.master_seed)
+        if isinstance(self.starts, tuple):
+            _check_pair(self.n, self.starts)
 
     @property
     def effective_cap(self) -> int:
@@ -138,11 +144,15 @@ def _record(mode, d, x, y, tau, censored, seed, trial):
     )
 
 
+def _check_pair(n: int, pair) -> None:
+    for v in pair:
+        if not 0 <= v < n:
+            raise ValueError(f"start vertex {v} outside [0, {n})")
+
+
 def _sample_pair(mode: str, meet, d: Dfa, x: int, y: int, cap: int, seed, trial) -> TrialRecord:
     """One trial of the pair sampler ``meet`` from ``(x, y)``, each start in ``[0, n)``."""
-    for v in (x, y):
-        if not 0 <= v < d.n:
-            raise ValueError(f"start vertex {v} outside [0, {d.n})")
+    _check_pair(d.n, (x, y))
     rng = np.random.default_rng(seed)
     tau, censored = meet(d.out.T.tolist(), x, y, cap, _colors(rng, d.r))
     return _record(mode, d, x, y, tau, censored, seed, trial)

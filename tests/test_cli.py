@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import warnings
 
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dfa_meet.cli import main
-from dfa_meet.dfa import parse_dfa
+from dfa_meet.dfa import generate_dfa, parse_dfa, serialize_dfa
 from dfa_meet.simulate import read_records_csv
 
 
@@ -167,6 +168,16 @@ def test_verify_rejects_an_exponential_mean_outside_zero_to_infinity(
     assert not report_path.exists()
 
 
+@pytest.mark.parametrize("rate", ["nan", "0", "1.5", "inf"])
+def test_verify_rejects_a_geometric_rate_outside_zero_to_one(tmp_path, coalescing_csv, capsys, rate):
+    report_path = tmp_path / "verify.json"
+    assert main(["verify", "--results", str(coalescing_csv), "--against", f"geom:{rate}",
+                 "--report", str(report_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: rate must be in (0, 1], got {float(rate)}"]
+    assert not report_path.exists()
+
+
 @pytest.mark.parametrize("against", ["geom:auto", "kingman"])
 def test_verify_rejects_a_csv_whose_every_record_is_censored(tmp_path, capsys, against):
     csv_path = tmp_path / "censored.csv"
@@ -298,6 +309,70 @@ def test_fvtl_rejects_a_deeply_nested_dfa_file(tmp_path, capsys):
     assert err.splitlines() == ["error: invalid JSON: nested too deeply"]
 
 
+DFA_TEXT = serialize_dfa(generate_dfa(6, 3, 5))
+LISTED_DFA_TEXT = "[" + DFA_TEXT + "]"
+WIDE_ROW_DFA_TEXT = DFA_TEXT.replace("[[", "[[0, ", 1)
+BAD_JSON_VALUES = st.one_of(
+    st.integers(2**63, 10**30),
+    st.integers(-(10**30), -1),
+    st.floats(),
+    st.booleans(),
+    st.text(max_size=8),
+    st.none(),
+    st.lists(st.lists(st.integers(0, 5), max_size=3), min_size=1, max_size=3),
+)
+
+
+@st.composite
+def mutated_dfa_texts(draw):
+    """A valid n = 6 DFA file, truncated, with a key dropped, or with one value replaced."""
+    kind = draw(st.sampled_from(["truncate", "drop", "n", "r", "row", "target"]))
+    if kind == "truncate":
+        return DFA_TEXT[:draw(st.integers(0, len(DFA_TEXT) - 1))]
+    obj = json.loads(DFA_TEXT)
+    if kind == "drop":
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    elif kind in ("n", "r"):
+        obj[kind] = draw(BAD_JSON_VALUES)
+    elif kind == "row":
+        obj["out"][draw(st.integers(0, 5))] = draw(BAD_JSON_VALUES)
+    else:
+        obj["out"][draw(st.integers(0, 5))][draw(st.integers(0, 2))] = draw(BAD_JSON_VALUES)
+    return json.dumps(obj)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mutated_dfa_texts())
+@example(text=LISTED_DFA_TEXT)
+@example(text=WIDE_ROW_DFA_TEXT)
+def test_exact_reports_or_fails_cleanly_on_a_mutated_dfa(tmp_path, capsys, text):
+    """Exit 0 with a report, or exit 1 with one error line; never a traceback."""
+    dfa_path, out = tmp_path / "mutated.json", tmp_path / "exact.json"
+    dfa_path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    out.unlink(missing_ok=True)
+    capsys.readouterr()
+    code = main(["exact", "--dfa", str(dfa_path), "--t-cap", "5", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 0:
+        assert {"n", "t_mix"} <= set(json.loads(out.read_text()))
+    else:
+        assert code == 1 and len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    (LISTED_DFA_TEXT, "top-level value must be an object"),
+    (WIDE_ROW_DFA_TEXT, "row 0: expected 3 targets"),
+], ids=["top-level-list", "row-too-wide"])
+def test_exact_names_a_dfa_file_of_the_wrong_shape(tmp_path, capsys, text, message):
+    dfa_path = tmp_path / "bad.json"
+    dfa_path.write_text(text)
+    assert main(["exact", "--dfa", str(dfa_path), "--t-cap", "5"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 def test_fvtl_names_the_horizon_flag_when_it_is_not_an_integer(dfa_file, tmp_path, capsys):
     out = tmp_path / "fvtl.json"
     assert main(["fvtl", "--dfa", str(dfa_file), "--T", "abc", "--out", str(out)]) == 1
@@ -326,6 +401,31 @@ def test_simulate_names_the_starts_flag_when_it_is_not_integers(tmp_path, capsys
                  "--seed", "0", "--starts", "a,b", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.splitlines() == ["error: --starts must be two integers 'x,y', got 'a,b'"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--mode", "independent", "--n", "1", "--r", "5", "--seed", "-4"],
+     "invalid sizes n=1, r=5: need n >= 2 and 2 <= r <= n"),
+    (["--mode", "sync", "--n", "10", "--r", "2", "--seed", "-4"],
+     "master seed must be in [0, 2**128), got -4"),
+    (["--mode", "coupled", "--n", "10", "--r", "2", "--seed", "0", "--starts", "0,99"],
+     "start vertex 99 outside [0, 10)"),
+], ids=["sizes", "seed", "starts"])
+def test_simulate_checks_its_run_before_any_trial(tmp_path, capsys, argv, message):
+    out = tmp_path / "s.csv"
+    assert main(["simulate", *argv, "--trials", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+def test_simulate_rejects_a_fixed_dfa_of_another_size(tmp_path, dfa_file, capsys):
+    out = tmp_path / "s.csv"
+    assert main(["simulate", "--mode", "independent", "--n", "20", "--r", "2", "--trials", "4",
+                 "--seed", "0", "--fixed-dfa", str(dfa_file), "--threads", "1",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: fixed DFA does not match the manifest dimensions"]
     assert not out.exists()
 
 
@@ -381,6 +481,26 @@ def test_a_failing_figure_recipe_writes_no_file(tmp_path, capsys, name, r_values
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert not list((tmp_path / "out").iterdir())
+
+
+def test_fvtl_suite_recipe_passes_at_its_defaults(tmp_path, capsys):
+    assert main(["recipe", "thm-fvtl-suite", "--out-dir", str(tmp_path)]) == 0
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"recipe thm-fvtl-suite: exit 0; artifacts in {tmp_path}"]
+
+
+def test_fvtl_suite_recipe_prints_each_failure(tmp_path, capsys, monkeypatch):
+    from dfa_meet import recipes
+
+    monkeypatch.setattr(recipes, "IDENTITY_TOL", -1)
+    assert main(["recipe", "thm-fvtl-suite", "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    failures = json.loads((tmp_path / "thm-fvtl-suite-report.json").read_text())["failures"]
+    # the three identity checks of each of the 50 random and 5 two-state chains
+    assert len(failures) == 3 * 55
+    assert re.fullmatch(r"random-0: identity_dev = \d\.\d{3}e[+-]\d\d > -1", failures[0])
+    assert err == [f"FAIL {failure}" for failure in failures] + [
+        f"recipe thm-fvtl-suite: exit 1; artifacts in {tmp_path}"]
 
 
 def test_recipe_names_the_recipe_and_r_when_no_trial_is_left_to_fit(tmp_path, capsys):

@@ -109,6 +109,21 @@ def test_recipes_reject_overrides_they_do_not_read():
         Recipe("events-a1-a5", overrides={"seeds": 2})
 
 
+@pytest.mark.parametrize("name, key, value, message", [
+    ("fig1-coupled", "n", 40.0, "n must be an integer, got 40.0"),
+    ("fig1-coupled", "trials", 5.0, "trials must be an integer, got 5.0"),
+    ("fig1-coupled", "seed", 3.0, "seed must be an integer, got 3.0"),
+    ("fig1-coupled", "r_values", (2.0,), "r_values must be a tuple or list of integers, got (2.0,)"),
+    ("events-a1-a5", "eps", "0.1", "eps must be a real number, got '0.1'"),
+    ("fig1-coupled", "n", True, "n must be an integer, got True"),
+])
+def test_recipes_reject_an_override_of_the_wrong_type(tmp_path, name, key, value, message):
+    with pytest.raises(ValueError) as exc:
+        run_recipe(Recipe(name, overrides={key: value}, out_dir=tmp_path / "out"))
+    assert str(exc.value) == f"recipe {name!r}: {message}"
+    assert not (tmp_path / "out").exists()
+
+
 def test_events_recipe(tmp_path):
     rec = Recipe("events-a1-a5", overrides={"n": 25}, out_dir=tmp_path)
     result = run_recipe(rec)

@@ -310,8 +310,6 @@ def test_fvtl_rejects_a_deeply_nested_dfa_file(tmp_path, capsys):
 
 
 DFA_TEXT = serialize_dfa(generate_dfa(6, 3, 5))
-LISTED_DFA_TEXT = "[" + DFA_TEXT + "]"
-WIDE_ROW_DFA_TEXT = DFA_TEXT.replace("[[", "[[0, ", 1)
 BAD_JSON_VALUES = st.one_of(
     st.integers(2**63, 10**30),
     st.integers(-(10**30), -1),
@@ -344,8 +342,8 @@ def mutated_dfa_texts(draw):
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=mutated_dfa_texts())
-@example(text=LISTED_DFA_TEXT)
-@example(text=WIDE_ROW_DFA_TEXT)
+@example(text="[" + DFA_TEXT + "]")  # a top-level list
+@example(text=DFA_TEXT.replace("[[", "[[0, ", 1))  # a row of four targets
 def test_exact_reports_or_fails_cleanly_on_a_mutated_dfa(tmp_path, capsys, text):
     """Exit 0 with a report, or exit 1 with one error line; never a traceback."""
     dfa_path, out = tmp_path / "mutated.json", tmp_path / "exact.json"
@@ -360,17 +358,6 @@ def test_exact_reports_or_fails_cleanly_on_a_mutated_dfa(tmp_path, capsys, text)
     else:
         assert code == 1 and len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not out.exists()
-
-
-@pytest.mark.parametrize("text, message", [
-    (LISTED_DFA_TEXT, "top-level value must be an object"),
-    (WIDE_ROW_DFA_TEXT, "row 0: expected 3 targets"),
-], ids=["top-level-list", "row-too-wide"])
-def test_exact_names_a_dfa_file_of_the_wrong_shape(tmp_path, capsys, text, message):
-    dfa_path = tmp_path / "bad.json"
-    dfa_path.write_text(text)
-    assert main(["exact", "--dfa", str(dfa_path), "--t-cap", "5"]) == 1
-    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 def test_fvtl_names_the_horizon_flag_when_it_is_not_an_integer(dfa_file, tmp_path, capsys):

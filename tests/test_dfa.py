@@ -246,6 +246,10 @@ def test_parse_rejects_garbage():
         parse_dfa("{not json")
     with pytest.raises(DfaFormatError, match="missing field"):
         parse_dfa(json.dumps({"n": 3, "r": 2}))
+    with pytest.raises(DfaFormatError, match="top-level value must be an object"):
+        parse_dfa("[]")
+    with pytest.raises(DfaFormatError, match="row 1: expected 2 targets"):
+        parse_dfa(json.dumps({"n": 3, "r": 2, "out": [[0, 1], [1, 2, 0], [2, 0]]}))
 
 
 def test_generator_maps_every_draw_sequence_to_a_distinct_dfa_n3_r2(monkeypatch):

@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .chains import ChainSpec, stationary_distribution
 from .fvtl import (
@@ -46,6 +46,9 @@ from .fvtl import (
     log_power_horizon,
     return_sums,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 KERNEL_NNZ_CAP = 30_000_000
 A4_EXACT_LIMIT = 60
@@ -143,6 +146,8 @@ class AuxChain(Propagator):
         the re-emission law plus ``1/r`` on itself, assigned exactly rather
         than accumulated, which is the same value by the one-to-one constraint.
         """
+        import scipy.sparse as sp
+
         n, r = self.n, self.r
         est_nnz = n * (n - 1) * r * r + n * r * r + 1
         if est_nnz > KERNEL_NNZ_CAP:

@@ -2,6 +2,8 @@
 
 Transition kernels are scipy CSR matrices throughout. Dense linear algebra
 is used below ``DIRECT_SOLVE_LIMIT`` states and sparse iteration above.
+Scipy is imported inside the functions that build or solve a kernel, so
+the Monte Carlo side, which builds none, runs without loading it.
 """
 
 from __future__ import annotations
@@ -9,12 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .dfa import Dfa
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_RESIDUAL_TOL = 1e-10
@@ -98,6 +102,8 @@ class ChainSpec:
 
 def make_chain(kernel: sp.spmatrix) -> ChainSpec:
     """Wrap a row-stochastic matrix, computing its recurrent classes."""
+    import scipy.sparse as sp
+
     kernel = sp.csr_array(kernel)
     chain = ChainSpec(kernel=kernel, recurrent_classes=_recurrent_classes(kernel))
     chain.validate()
@@ -105,6 +111,8 @@ def make_chain(kernel: sp.spmatrix) -> ChainSpec:
 
 
 def _recurrent_classes(kernel: sp.csr_array) -> list[np.ndarray]:
+    from scipy.sparse.csgraph import connected_components
+
     n_comp, labels = connected_components(kernel, directed=True, connection="strong")
     # A class is recurrent iff no edge leaves it.
     coo = kernel.tocoo()
@@ -122,6 +130,8 @@ def walk_matrix(d: Dfa) -> ChainSpec:
     With the one-to-one out-map every nonzero entry is exactly ``1/r`` and
     every row has exactly ``r`` nonzeros.
     """
+    import scipy.sparse as sp
+
     rows = np.repeat(np.arange(d.n), d.r)
     cols = d.out.ravel()
     data = np.full(d.n * d.r, 1.0 / d.r)
@@ -135,6 +145,8 @@ def product_matrix(c: ChainSpec) -> ChainSpec:
     Pair ``(x, x')`` is indexed row-major as ``x * n + x'``. Refuses to
     build more than ``PRODUCT_STATE_CAP`` states.
     """
+    import scipy.sparse as sp
+
     n = c.size
     if n * n > PRODUCT_STATE_CAP:
         raise ValueError(f"product chain would have {n * n} states > cap {PRODUCT_STATE_CAP}")
@@ -301,7 +313,10 @@ def hitting_time_expectation(c: ChainSpec, start: np.ndarray, target_set) -> flo
     if len(idx) <= DIRECT_SOLVE_LIMIT:
         h = np.linalg.solve(np.eye(len(idx)) - sub.toarray(), np.ones(len(idx)))
     else:
-        h = sp.linalg.spsolve(
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import spsolve
+
+        h = spsolve(
             (sp.eye_array(len(idx), format="csr") - sub).tocsc(), np.ones(len(idx))
         )
     return float(start[idx] @ h)

@@ -34,8 +34,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .chains import (
     ChainSpec,
@@ -402,6 +400,8 @@ def quasi_stationary_tail_check(c: ChainSpec, target: int, pair: QuasiStationary
 
 def two_state_chain(p: float, q: float) -> ChainSpec:
     """Rows ``(1-p, p)`` and ``(q, 1-q)``; closed forms are documented in tests."""
+    import scipy.sparse as sp
+
     kernel = sp.csr_array(np.array([[1.0 - p, p], [q, 1.0 - q]]))
     return make_chain(kernel)
 
@@ -413,6 +413,9 @@ def random_ergodic_chain(rng: np.random.Generator) -> ChainSpec:
     self-loop keeps the chain aperiodic and draws are retried until the
     support digraph is strongly connected.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
     while True:
         m = int(rng.integers(3, RANDOM_CHAIN_MAX_STATES + 1))
         alpha = rng.uniform(0.3, 2.0)

@@ -25,6 +25,7 @@ from .chains import ergodic_walk_chain, hitting_time_expectation, stationary_dis
 from .seeds import seed_split
 from .simulate import (
     RunManifest,
+    _is_integer,
     run_experiment,
     sample_kingman_reference,
     write_records_csv,
@@ -95,16 +96,17 @@ class Recipe:
         if unknown:
             raise ValueError(f"recipe {self.name!r} does not read {', '.join(sorted(unknown))}; "
                              f"it reads {', '.join(sorted(defaults))}")
+        self.params = dict(defaults)
         for key, value in self.overrides.items():
-            kind = _override_kind(value, defaults[key])
+            default = defaults[key]
+            kind = _override_kind(value, default)
             if kind:
                 raise ValueError(f"recipe {self.name!r}: {key} must be {kind}, got {value!r}")
+            # numpy scalars become the default's Python type, which JSON and seed_split take
+            if isinstance(default, tuple):
+                value = tuple(map(int, value))
+            self.params[key] = type(default)(value)
         self.out_dir = Path(self.out_dir)
-        self.params = {**defaults, **self.overrides}
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _override_kind(value, default) -> str | None:

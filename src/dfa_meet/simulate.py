@@ -35,6 +35,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import numbers
 import os
 import re
 import sys
@@ -43,6 +44,9 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
+# numpy 2 loads numpy.random on first use; loaded here, pool workers forked
+# by run_experiment inherit it instead of each importing it for its first trial
+import numpy.random
 
 from .dfa import Dfa, _check_sizes, generate_dfa, parse_dfa
 from .seeds import check_master_seed, check_seed, seed_split
@@ -81,10 +85,12 @@ class RunManifest:
     ``(x, y)`` pair, or ``None`` for the all-vertex modes. ``dfa_policy``
     is ``"fresh"`` (one automaton per trial, from the trial stream) or
     ``"fixed"`` (a shared automaton from ``dfa_path``); ``dfa_path`` is
-    set exactly when the policy is ``"fixed"``. ``trials`` is at least 0
-    and ``cap``, when given, at least 1. The sizes, the master seed and a
-    fixed pair are checked here as the trials would check them, so a bad
-    one is an error even when no trial runs.
+    set exactly when the policy is ``"fixed"``. The seed, sizes, counts
+    and a fixed pair are integers (numpy's too, stored as ``int``; never
+    ``bool``); ``trials`` is at least 0 and ``cap``, when given, at least
+    1. The sizes, the master seed and a fixed pair are checked here as the
+    trials would check them, so a bad one is an error even when no trial
+    runs.
     """
 
     master_seed: int
@@ -100,6 +106,13 @@ class RunManifest:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
+        for key in ("master_seed", "n", "r", "trials", "cap"):
+            value = getattr(self, key)
+            if key == "cap" and value is None:
+                continue
+            if not _is_integer(value):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            setattr(self, key, int(value))
         if self.mode in ("coalescing", "sync"):
             # "uniform" is the untouched default; an explicit pair is an error.
             if self.starts not in (None, "uniform"):
@@ -119,8 +132,10 @@ class RunManifest:
             raise ValueError("dfa_policy='fixed' requires dfa_path")
         if self.dfa_policy == "fresh" and self.dfa_path is not None:
             raise ValueError("dfa_policy='fresh' takes no dfa_path")
-        if isinstance(self.starts, list):
-            self.starts = tuple(self.starts)
+        if isinstance(self.starts, (tuple, list)):
+            if not all(map(_is_integer, self.starts)):
+                raise ValueError(f"starts must be a pair of integers, got {self.starts!r}")
+            self.starts = tuple(map(int, self.starts))
         _check_sizes(self.n, self.r)
         check_master_seed(self.master_seed)
         if isinstance(self.starts, tuple):
@@ -129,6 +144,10 @@ class RunManifest:
     @property
     def effective_cap(self) -> int:
         return self.cap if self.cap is not None else default_cap(self.n)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def default_cap(n: int) -> int:
@@ -395,6 +414,12 @@ def run_experiment(manifest: RunManifest, workers: int | None = None) -> list[Tr
     trials = manifest.trials
     fixed_dfa = _read_fixed_dfa(manifest) if manifest.dfa_policy == "fixed" else None
     trial = partial(run_trial, manifest, fixed_dfa=fixed_dfa)
+    # Freeing one 4 MiB block raises glibc's mmap threshold to 4 MiB and its
+    # trim threshold to 8 MiB, and forked workers inherit both. At the
+    # defaults (128 KiB), a fresh n = 1000, r = 20 trial, whose DFA tables
+    # are 160 KB each, would hand its pages back and fault them in again:
+    # about 100 minor faults, and 15% of its time. Other allocators ignore it.
+    np.empty(1 << 19)
     if workers == 1 or trials < 4 * workers:
         return [trial(i) for i in range(trials)]
 

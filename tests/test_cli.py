@@ -508,11 +508,15 @@ def test_exact_rejects_a_negative_cap(dfa_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("eps", ["nan", "-1", "0", "inf"])
 def test_fvtl_rejects_an_eps_that_is_not_finite_and_positive(dfa_file, tmp_path, capsys, eps):
-    out = tmp_path / "fvtl.json"
-    assert main(["fvtl", "--dfa", str(dfa_file), "--eps", eps, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: eps must be finite and positive") and "Traceback" not in err
-    assert not out.exists()
+    """So does ``recipe events-a1-a5``, which hands ``eps`` to the same check."""
+    out, out_dir = tmp_path / "fvtl.json", tmp_path / "events"
+    for argv in (["fvtl", "--dfa", str(dfa_file), "--eps", eps, "--out", str(out)],
+                 ["recipe", "events-a1-a5", "--n", "30", "--eps", eps, "--out-dir", str(out_dir)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: eps must be finite and positive") and err.count("\n") == 1
+        assert "Traceback" not in err
+    assert not out.exists() and not any(out_dir.iterdir())
 
 
 def test_fvtl_rejects_a_bad_eps_before_the_report(dfa_file, monkeypatch, capsys):
@@ -574,7 +578,7 @@ def test_simulate_rejects_worker_counts_below_one(tmp_path, dfa_file, monkeypatc
     for threads in ("0", "-5"):
         assert main(argv + ["--threads", threads]) == 1
         assert f"workers={threads}:" in capsys.readouterr().err
-    for value in ("0", "abc"):
+    for value in ("0", "abc", "1.5", "nan"):
         monkeypatch.setenv("DFA_MEET_THREADS", value)
         assert main(argv) == 1
         assert f"DFA_MEET_THREADS={value}:" in capsys.readouterr().err

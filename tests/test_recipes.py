@@ -124,6 +124,17 @@ def test_recipes_reject_an_override_of_the_wrong_type(tmp_path, name, key, value
     assert not (tmp_path / "out").exists()
 
 
+def test_recipes_take_numpy_overrides_as_python_numbers():
+    numpy = Recipe("fig2-coalescing", overrides={
+        "n": np.int64(30), "seed": np.uint32(3), "r_values": [np.int64(2)], "kingman_size": np.int16(9)})
+    plain = Recipe("fig2-coalescing", overrides={"n": 30, "seed": 3, "r_values": (2,), "kingman_size": 9})
+    assert numpy.params == plain.params
+    assert all(type(v) is int for k, v in numpy.params.items() if k != "r_values")
+    assert type(numpy.params["r_values"][0]) is int
+    eps = Recipe("events-a1-a5", overrides={"eps": np.float64(0.2)}).params["eps"]
+    assert type(eps) is float and eps == 0.2
+
+
 def test_events_recipe(tmp_path):
     rec = Recipe("events-a1-a5", overrides={"n": 25}, out_dir=tmp_path)
     result = run_recipe(rec)

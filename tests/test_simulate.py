@@ -2,6 +2,10 @@ import collections
 import math
 import multiprocessing
 import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -476,6 +480,56 @@ def test_manifest_rejects_negative_trials_and_nonpositive_cap():
         RunManifest(master_seed=0, mode="independent", n=5, r=2, trials=-1)
     with pytest.raises(ValueError, match="cap"):
         RunManifest(master_seed=0, mode="sync", n=5, r=2, trials=1, cap=0)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("starts", (0.5, 1), "starts must be a pair of integers, got (0.5, 1)"),
+    ("cap", 2.5, "cap must be an integer, got 2.5"),
+    ("n", 10.0, "n must be an integer, got 10.0"),
+    ("trials", 2.0, "trials must be an integer, got 2.0"),
+    ("master_seed", 1.5, "master_seed must be an integer, got 1.5"),
+    ("r", True, "r must be an integer, got True"),
+    ("master_seed", "1", "master_seed must be an integer, got '1'"),
+])
+def test_manifest_rejects_a_field_that_is_not_an_integer(monkeypatch, key, value, message):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(simulate, "run_trial", no_trial)
+    fields = {"master_seed": 0, "mode": "independent", "n": 10, "r": 2, "trials": 2, key: value}
+    with pytest.raises(ValueError) as exc:
+        run_experiment(RunManifest(**fields), workers=1)
+    assert str(exc.value) == message
+
+
+def test_manifest_takes_numpy_integers_as_python_ints():
+    plain = RunManifest(master_seed=3, mode="independent", n=10, r=2, trials=3, cap=40,
+                        starts=(0, 1))
+    numpy = RunManifest(master_seed=np.uint64(3), mode="independent", n=np.int64(10),
+                        r=np.int32(2), trials=np.int64(3), cap=np.int64(40),
+                        starts=[np.int64(0), np.int64(1)])
+    assert numpy == plain and type(numpy.master_seed) is int and type(numpy.starts[0]) is int
+    assert run_experiment(numpy, workers=1) == run_experiment(plain, workers=1)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_fresh_dfa_trials_keep_their_freed_tables():
+    """A process that never imports scipy, whose import frees large blocks, reuses trial memory.
+
+    At n = 1000, r = 20 each DFA table is 160 KB, above glibc's default
+    mmap threshold. Unless ``run_experiment`` raises the thresholds, each
+    trial hands those pages back and faults about 100 of them in again.
+    """
+    code = ("import resource\n"
+            "from dfa_meet.simulate import RunManifest, run_experiment\n"
+            "m = RunManifest(master_seed=7, mode='independent', n=1000, r=20, trials=60)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "run_experiment(m, workers=1)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert int(done.stdout) < 25 * 60
 
 
 def test_rewritten_fixed_dfa_is_read_again(tmp_path):

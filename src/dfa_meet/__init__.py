@@ -49,7 +49,6 @@ from .simulate import (
     default_cap,
     read_records_csv,
     run_experiment,
-    run_trial,
     sample_coalescence,
     sample_kingman_reference,
     sample_meeting_coupled,

@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .chains import ChainSpec, stationary_distribution
+from .dfa import _free_block
 from .fvtl import (
     FvtlReport,
     Propagator,
@@ -186,6 +187,9 @@ def build_aux_chain(c: ChainSpec) -> AuxChain:
     total = weights.sum()
     if total <= 0:
         raise AuxChainError("stationary law has no mass")
+    # room for two n x n temporaries of a pair-chain step, which would
+    # otherwise be unmapped when freed and faulted in again on the next step
+    _free_block(8 * (2 * n * n + 512))
     return AuxChain(
         n=n,
         r=r,

@@ -24,6 +24,21 @@ class DfaFormatError(DfaError):
     """Malformed serialized DFA."""
 
 
+def _free_block(nbytes: int) -> None:
+    """Allocate and free one block of ``nbytes``, at most just under 32 MiB.
+
+    Freeing an mmapped block raises glibc's mmap threshold to its size, up
+    to 32 MiB on 64-bit (a larger block raises nothing), and its trim
+    threshold to twice that; forked workers inherit both. At the defaults
+    (128 KiB), a fresh n = 1000, r = 20 trial, whose DFA tables are 160 KB
+    each, would hand its pages back and fault them in again: about 100
+    minor faults, and 15% of its time; so would each ``n x n`` temporary of
+    a pair-chain step. The thresholds are process-wide, and other
+    allocators ignore the block.
+    """
+    np.empty(min(nbytes, (32 << 20) - (64 << 10)), dtype=np.uint8)
+
+
 def _check_sizes(n: int, r: int) -> None:
     if n < 2 or not 2 <= r <= n:
         raise DfaError(f"invalid sizes n={n}, r={r}: need n >= 2 and 2 <= r <= n")
@@ -56,13 +71,7 @@ class Dfa:
         out = np.ascontiguousarray(self.out, dtype=np.int64)
         if out.shape != (self.n, self.r):
             raise DfaError(f"out table has shape {out.shape}, expected {(self.n, self.r)}")
-        if out.min() < 0 or out.max() >= self.n:
-            x, c = np.argwhere((out < 0) | (out >= self.n))[0]
-            raise DfaError(f"row {x}, field {c}: target {out[x, c]} outside [0, {self.n})")
-        ordered = np.sort(out, axis=1)
-        repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-        if repeats.any():
-            raise DfaError(f"row {repeats.argmax()}: one-to-one violated (duplicate targets)")
+        _check_tables(out[None], self.n)
         out.setflags(write=False)
         object.__setattr__(self, "out", out)
 
@@ -76,24 +85,36 @@ class Dfa:
         return self.n == other.n and self.r == other.r and np.array_equal(self.out, other.out)
 
 
+def _check_tables(tables: np.ndarray, n: int) -> None:
+    """Range and one-to-one checks of a ``(k, n, r)`` stack of out-tables.
+
+    An error names the row within its table, and the table when ``k > 1``.
+    """
+    k = len(tables)
+    rows = tables.reshape(-1, tables.shape[-1])
+
+    def where(i):
+        b, x = divmod(int(i), n)
+        return f"table {b}, row {x}" if k > 1 else f"row {x}"
+
+    if rows.min() < 0 or rows.max() >= n:
+        i, c = np.argwhere((rows < 0) | (rows >= n))[0]
+        raise DfaError(f"{where(i)}, field {c}: target {rows[i, c]} outside [0, {n})")
+    ordered = np.sort(rows, axis=1)
+    repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if repeats.any():
+        raise DfaError(f"{where(repeats.argmax())}: one-to-one violated (duplicate targets)")
+
+
 def generate_dfa(n: int, r: int, seed) -> Dfa:
     """Draw a DFA uniformly at random among all one-to-one out-maps.
 
     Every vertex independently picks an ordered ``r``-tuple of distinct
     targets, uniformly over the ``n * (n-1) * ... * (n-r+1)`` possibilities,
     by the first ``r`` swaps of a Fisher-Yates shuffle of ``0..n-1``. Swap
-    ``k`` exchanges position ``k`` with a drawn jump ``j_k`` in ``[k, n)``.
-    Before swap ``k`` only an earlier swap with the same jump can have moved
-    position ``j_k``, since that swap's other position is below ``k``. So a
-    vertex whose ``r`` jumps are pairwise distinct is its own target row,
-    ``out[x, k] = j_k``, and one row-wise sort of the jumps finds the
-    vertices that hold a repeated jump.
-
-    Only those vertices run the swaps, all at once, in a compact row of
-    ``2 * r`` slots: position ``p < r`` is slot ``p``, and a jump ``j >= r``
-    is slot ``r`` plus the rank of its first copy among the row's sorted
-    jumps, so a repeated jump finds its earlier swap. That is ``O(r)`` numpy
-    passes and ``O(n * r * log r)`` work in total.
+    ``k`` exchanges position ``k`` with a drawn jump ``j_k`` in ``[k, n)``;
+    the jumps of swap ``k`` are drawn for all vertices at once, one column
+    per swap, in the order of ``k``.
 
     Parameters
     ----------
@@ -103,42 +124,82 @@ def generate_dfa(n: int, r: int, seed) -> Dfa:
         Seed for the draw; a fixed integer seed, at least 0, gives a
         bitwise-identical DFA on every call.
     """
+    return _generate_dfas(n, r, [seed])[0]
+
+
+def _generate_dfas(n: int, r: int, seeds) -> list[Dfa]:
+    """One :func:`generate_dfa` automaton per seed, the tables built and checked as one stack.
+
+    Each seed's stream gives its jump columns exactly as it would alone, so
+    the automata are those of one call per seed. They hold read-only views
+    of the stack, which :func:`_check_tables` checks once for them all.
+    """
     _check_sizes(n, r)
-    check_seed(seed)
-    rng = np.random.default_rng(seed)
+    rngs = []
+    for seed in seeds:
+        check_seed(seed)
+        rngs.append(np.random.default_rng(seed))
     # Swap positions are drawn column-by-column so the stream layout is a
     # frozen part of the generator contract.
-    jumps = np.column_stack([rng.integers(k, n, size=n) for k in range(r)])
+    jumps = np.stack([np.column_stack([rng.integers(k, n, size=n) for k in range(r)])
+                      for rng in rngs])
+    _swap_rows(jumps.reshape(-1, r))
+    _check_tables(jumps, n)
+    jumps.setflags(write=False)
+    dfas = []
+    for out in jumps:
+        d = Dfa.__new__(Dfa)
+        d.n, d.r, d.out = n, r, out
+        dfas.append(d)
+    return dfas
+
+
+def _swap_rows(jumps: np.ndarray) -> None:
+    """Turn each row of drawn jumps, shape ``(m, r)``, into its target row, in place.
+
+    Before swap ``k`` only an earlier swap with the same jump can have moved
+    position ``j_k``, since that swap's other position is below ``k``. So a
+    row whose ``r`` jumps are pairwise distinct is its own target row,
+    ``out[x, k] = j_k``, and one row-wise sort of the jumps finds the rows
+    that hold a repeated jump.
+
+    Only those rows run the swaps, all at once, in a compact row of
+    ``2 * r`` slots: position ``p < r`` is slot ``p``, and a jump ``j >= r``
+    is slot ``r`` plus the rank of its first copy among the row's sorted
+    jumps, so a repeated jump finds its earlier swap. That is ``O(r)`` numpy
+    passes and ``O(m * r * log r)`` work in total.
+    """
+    r = jumps.shape[1]
     ranked = np.sort(jumps, axis=1)
     same = ranked[:, 1:] == ranked[:, :-1]
     # rows of distinct jumps are already their targets; the rest run the swaps
     redo = np.flatnonzero(same.any(axis=1))
-    if redo.size:
-        m = redo.size
-        cols = np.arange(r)
-        rows = np.arange(0, m * r, r)[:, None]
-        picked = jumps[redo]
-        order = np.argsort(picked, axis=1)
-        # rank of each sorted jump's first copy in its row
-        first = np.zeros((m, r), dtype=np.int64)
-        first[:, 1:] = np.where(same[redo], 0, cols[1:])
-        np.maximum.accumulate(first, axis=1, out=first)
-        rank = np.empty((m, r), dtype=np.int64)
-        rank.ravel()[order + rows] = first
-        # flat index, in the (m, 2r) scratch, of the slot swap k exchanges with slot k
-        there = np.where(picked < r, picked, rank + r) + 2 * rows
+    if not redo.size:
+        return
+    m = redo.size
+    cols = np.arange(r)
+    rows = np.arange(0, m * r, r)[:, None]
+    picked = jumps[redo]
+    order = np.argsort(picked, axis=1)
+    # rank of each sorted jump's first copy in its row
+    first = np.zeros((m, r), dtype=np.int64)
+    first[:, 1:] = np.where(same[redo], 0, cols[1:])
+    np.maximum.accumulate(first, axis=1, out=first)
+    rank = np.empty((m, r), dtype=np.int64)
+    rank.ravel()[order + rows] = first
+    # flat index, in the (m, 2r) scratch, of the slot swap k exchanges with slot k
+    there = np.where(picked < r, picked, rank + r) + 2 * rows
 
-        scratch = np.empty((m, 2 * r), dtype=np.int64)
-        scratch[:, :r] = cols
-        scratch[:, r:] = ranked[redo]
-        flat = scratch.ravel()
-        # swap k only touches slot k and slots past it, so column k is final after it
-        for k in range(r):
-            moved = flat[there[:, k]]
-            flat[there[:, k]] = scratch[:, k]
-            scratch[:, k] = moved
-        jumps[redo] = scratch[:, :r]
-    return Dfa(n=n, r=r, out=jumps)
+    scratch = np.empty((m, 2 * r), dtype=np.int64)
+    scratch[:, :r] = cols
+    scratch[:, r:] = ranked[redo]
+    flat = scratch.ravel()
+    # swap k only touches slot k and slots past it, so column k is final after it
+    for k in range(r):
+        moved = flat[there[:, k]]
+        flat[there[:, k]] = scratch[:, k]
+        scratch[:, k] = moved
+    jumps[redo] = scratch[:, :r]
 
 
 def serialize_dfa(d: Dfa) -> str:

@@ -22,10 +22,9 @@ import numpy as np
 
 from . import aux_chain, fvtl, stats
 from .chains import ergodic_walk_chain, hitting_time_expectation, stationary_distribution
-from .seeds import seed_split
+from .seeds import _is_integer, seed_split
 from .simulate import (
     RunManifest,
-    _is_integer,
     run_experiment,
     sample_kingman_reference,
     write_records_csv,

@@ -9,6 +9,11 @@ _DOMAIN = b"dfa-meet/v1"
 _SEED_BITS = 128
 
 
+def _is_integer(value) -> bool:
+    """An integer of any integral type, numpy's too, but not ``bool``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_seed(seed) -> None:
     """Reject a negative integer seed for a numpy generator, naming the value."""
     if isinstance(seed, numbers.Integral) and seed < 0:
@@ -27,8 +32,14 @@ def seed_split(master: int, index: int, tag: str) -> int:
     The derivation is a keyed Blake2b hash of a fixed-width encoding, so
     derived seeds are stable across platforms and Python versions, and a
     single trial can be replayed from its recorded seed alone. Collisions
-    are negligible at any realistic trial count.
+    are negligible at any realistic trial count. ``master`` and ``index``
+    may be numpy integers; any other non-integer, or a ``bool``, is a
+    ``ValueError`` naming the value.
     """
+    for name, value in (("master seed", master), ("index", index)):
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    master, index = int(master), int(index)
     check_master_seed(master)
     if index < 0 or index >= 1 << _SEED_BITS:
         raise ValueError(f"index must be in [0, 2**{_SEED_BITS}), got {index}")

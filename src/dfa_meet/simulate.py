@@ -12,7 +12,9 @@ from its derived seed alone and results are independent of worker count:
 * uniform-random-distinct starts cost two integer draws (second shifted
   around the first);
 * with a fresh automaton per trial, the automaton is generated from the
-  trial stream before anything else.
+  trial stream before anything else. ``run_experiment`` generates a batch
+  of trials' automata, each from its own stream, before those trials draw
+  anything else, which leaves every stream's order as it is.
 
 Successive ``Generator.integers(0, r, size=k)`` calls return the values
 of one block draw of the summed size (``tests/test_streams.py`` checks
@@ -23,11 +25,14 @@ not part of the contract, and nothing draws from a trial stream after its
 sampler.
 
 The samplers read the automaton as per-color columns (``cols[c][x]`` is
-the ``c``-successor of ``x``). Once two points are left, coalescing and
-sync finish in a pair loop that reads the colors in the order above: the
-last two clusters are two independent walks, the lower position taking
-the first color of each step, and the last two image points are two
-coupled walks, so sync resumes the coupled meeting loop at its step.
+the ``c``-successor of ``x``). The two pair samplers read about ``2 * tau``
+entries, so their columns are memoryviews of one contiguous copy of the
+transposed table; coalescing and sync read far more, from Python lists of
+the columns. Once two points are left, coalescing and sync finish in a
+pair loop that reads the colors in the order above: the last two clusters
+are two independent walks, the lower position taking the first color of
+each step, and the last two image points are two coupled walks, so sync
+resumes the coupled meeting loop at its step.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import numbers
 import os
 import re
 import sys
@@ -48,12 +52,17 @@ import numpy as np
 # by run_experiment inherit it instead of each importing it for its first trial
 import numpy.random
 
-from .dfa import Dfa, _check_sizes, generate_dfa, parse_dfa
-from .seeds import check_master_seed, check_seed, seed_split
+from .dfa import Dfa, _check_sizes, _free_block, _generate_dfas, parse_dfa
+from .seeds import _is_integer, check_master_seed, check_seed, seed_split
 
 COLOR_CHUNK = 4096
 MODES = ("independent", "coupled", "coalescing", "sync")
 THREADS_ENV_VAR = "DFA_MEET_THREADS"
+# run_experiment frees a block of this size first, so that freed DFA tables
+# stay mapped (see _free_block); fresh automata are built in batches whose
+# tables fill at most a quarter of it, beside their temporaries
+_FREED_BLOCK_BYTES = 1 << 22
+_BATCH_BYTES = _FREED_BLOCK_BYTES // 4
 
 CSV_HEADER = ["trial", "derived_seed", "mode", "n", "r", "x", "y", "tau", "censored"]
 # what write_records_csv writes for an integer; int() alone would also take "1_5" or " 15"
@@ -146,10 +155,6 @@ class RunManifest:
         return self.cap if self.cap is not None else default_cap(self.n)
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def default_cap(n: int) -> int:
     """Step cap ``50 * n * ceil(ln n)``; hitting it signals an anomaly."""
     return 50 * n * math.ceil(math.log(n))
@@ -173,7 +178,11 @@ def _sample_pair(mode: str, meet, d: Dfa, x: int, y: int, cap: int, seed, trial)
     """One trial of the pair sampler ``meet`` from ``(x, y)``, each start in ``[0, n)``."""
     _check_pair(d.n, (x, y))
     rng = np.random.default_rng(seed)
-    tau, censored = meet(d.out.T.tolist(), x, y, cap, _colors(rng, d.r))
+    # the walks read about 2 * tau entries, so they index one copy of the
+    # table in place rather than convert all n * r entries to a list
+    flat = memoryview(d.out.T.copy().reshape(-1))
+    cols = [flat[c * d.n:(c + 1) * d.n] for c in range(d.r)]
+    tau, censored = meet(cols, x, y, cap, _colors(rng, d.r))
     return _record(mode, d, x, y, tau, censored, seed, trial)
 
 
@@ -344,32 +353,37 @@ def _draw_uniform_distinct_pair(rng, n: int) -> tuple[int, int]:
     return x, y + (y >= x)
 
 
-def run_trial(manifest: RunManifest, index: int, fixed_dfa: Dfa | None = None) -> TrialRecord:
-    """Execute trial ``index`` of a manifest; fully determined by the manifest.
+def _run_trials(manifest: RunManifest, indices: range, fixed_dfa: Dfa | None) -> list[TrialRecord]:
+    """Trials ``indices`` of a manifest, in order, each from its own derived stream.
 
-    ``fixed_dfa`` is the automaton at ``dfa_path``, read here when omitted.
+    Fresh automata are generated a batch at a time, each from its trial's
+    stream, and checked as one stack; only then does each trial of the
+    batch draw its starts and run its sampler, so every stream is read in
+    the documented order. A batch's tables stay within ``_BATCH_BYTES``.
     """
-    derived = seed_split(manifest.master_seed, index, manifest.mode)
-    rng = np.random.default_rng(derived)
-    if manifest.dfa_policy == "fresh":
-        d = generate_dfa(manifest.n, manifest.r, rng)
-    else:
-        d = fixed_dfa if fixed_dfa is not None else _read_fixed_dfa(manifest)
-    cap = manifest.effective_cap
-    mode = manifest.mode
-    if mode in ("independent", "coupled"):
-        if manifest.starts == "uniform":
-            x, y = _draw_uniform_distinct_pair(rng, manifest.n)
+    n, r, mode, cap = manifest.n, manifest.r, manifest.mode, manifest.effective_cap
+    sampler = {"independent": sample_meeting_independent, "coupled": sample_meeting_coupled,
+               "coalescing": sample_coalescence, "sync": sample_sync}[mode]
+    batch = max(1, _BATCH_BYTES // (8 * n * r))
+    records = []
+    for lo in range(0, len(indices), batch):
+        part = indices[lo:lo + batch]
+        seeds = [seed_split(manifest.master_seed, i, mode) for i in part]
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        if manifest.dfa_policy == "fresh":
+            dfas = _generate_dfas(n, r, rngs)
         else:
-            x, y = manifest.starts
-        sampler = sample_meeting_independent if mode == "independent" else sample_meeting_coupled
-        rec = sampler(d, x, y, cap, rng, trial=index)
-    elif mode == "coalescing":
-        rec = sample_coalescence(d, cap, rng, trial=index)
-    else:
-        rec = sample_sync(d, cap, rng, trial=index)
-    rec.derived_seed = derived
-    return rec
+            dfas = itertools.repeat(fixed_dfa)
+        for index, derived, rng, d in zip(part, seeds, rngs, dfas):
+            if manifest.starts is None:
+                rec = sampler(d, cap, rng, trial=index)
+            else:
+                uniform = manifest.starts == "uniform"
+                x, y = _draw_uniform_distinct_pair(rng, n) if uniform else manifest.starts
+                rec = sampler(d, x, y, cap, rng, trial=index)
+            rec.derived_seed = derived
+            records.append(rec)
+    return records
 
 
 def _read_fixed_dfa(manifest: RunManifest) -> Dfa:
@@ -413,21 +427,17 @@ def run_experiment(manifest: RunManifest, workers: int | None = None) -> list[Tr
     workers = resolve_workers(workers)
     trials = manifest.trials
     fixed_dfa = _read_fixed_dfa(manifest) if manifest.dfa_policy == "fixed" else None
-    trial = partial(run_trial, manifest, fixed_dfa=fixed_dfa)
-    # Freeing one 4 MiB block raises glibc's mmap threshold to 4 MiB and its
-    # trim threshold to 8 MiB, and forked workers inherit both. At the
-    # defaults (128 KiB), a fresh n = 1000, r = 20 trial, whose DFA tables
-    # are 160 KB each, would hand its pages back and fault them in again:
-    # about 100 minor faults, and 15% of its time. Other allocators ignore it.
-    np.empty(1 << 19)
+    _free_block(_FREED_BLOCK_BYTES)
     if workers == 1 or trials < 4 * workers:
-        return [trial(i) for i in range(trials)]
+        return _run_trials(manifest, range(trials), fixed_dfa)
 
     import multiprocessing as mp
 
     span = max(1, math.ceil(trials / (workers * 16)))
+    tasks = [range(lo, min(lo + span, trials)) for lo in range(0, trials, span)]
     with mp.Pool(workers) as pool:
-        return list(pool.imap(trial, range(trials), chunksize=span))
+        chunks = pool.imap(partial(_run_trials, manifest, fixed_dfa=fixed_dfa), tasks)
+        return list(itertools.chain.from_iterable(chunks))
 
 
 def write_records_csv(records, path) -> None:

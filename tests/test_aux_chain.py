@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 from itertools import islice
 from pathlib import Path
 
@@ -717,3 +721,25 @@ def test_predicted_lambda_consistency_at_scale():
         aux = build_aux_chain(chain)
         report = aux_fvtl_report(aux)
         assert abs(report.predicted_lambda * report.expected_hitting_from_mu - 1) <= 0.05
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_pair_chain_steps_keep_their_freed_temporaries():
+    """A fresh interpreter's pair-chain steps reuse their ``n x n`` temporaries.
+
+    At n = 400 each temporary is 1.28 MB, above glibc's default mmap
+    threshold. Unless ``build_aux_chain`` raises the thresholds, every step
+    hands its temporaries back and faults about 440 pages in again.
+    """
+    code = ("import resource\n"
+            "from dfa_meet import build_aux_chain, ergodic_walk_chain\n"
+            "a = build_aux_chain(ergodic_walk_chain(400, 2, 0)[1])\n"
+            "m = a.left_step(a.start())\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(30):\n"
+            "    m = a.left_step(m)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert int(done.stdout) < 50 * 30

@@ -12,6 +12,8 @@ from dfa_meet.dfa import (
     Dfa,
     DfaError,
     DfaFormatError,
+    _check_tables,
+    _generate_dfas,
     generate_dfa,
     parse_dfa,
     serialize_dfa,
@@ -75,6 +77,28 @@ def test_generate_matches_swap_loop_reference():
         distinct_rows += n - repeats
         instances_without_repeats += repeats == 0
     assert repeated_rows > 0 and distinct_rows > 0 and instances_without_repeats > 0
+
+
+@pytest.mark.parametrize("n, r", [(2, 2), (3, 3), (50, 7), (1000, 20)])
+def test_batch_generator_gives_each_seed_its_own_automaton(n, r):
+    """A batch of seeds and of generators draws what one call per seed draws."""
+    seeds = [0, 5, 2**100, np.random.default_rng(7), 11]
+    batch = _generate_dfas(n, r, seeds)
+    alone = [generate_dfa(n, r, np.random.default_rng(7) if i == 3 else seed)
+             for i, seed in enumerate(seeds)]
+    assert batch == alone
+    assert all(not d.out.flags.writeable for d in batch)
+
+
+def test_batch_check_names_the_row_within_its_table():
+    tables = np.stack([generate_dfa(4, 2, seed=s).out for s in range(3)])
+    tables[1, 2] = [3, 3]
+    with pytest.raises(DfaError, match="table 1, row 2: one-to-one violated"):
+        _check_tables(tables, 4)
+    tables[1, 2] = [0, 1]
+    tables[2, 3, 1] = 4
+    with pytest.raises(DfaError, match=r"table 2, row 3, field 1: target 4 outside \[0, 4\)"):
+        _check_tables(tables, 4)
 
 
 def test_generate_rejects_bad_sizes():
@@ -281,24 +305,23 @@ def test_generator_maps_every_draw_sequence_to_a_distinct_dfa_n3_r2(monkeypatch)
 @pytest.mark.slow
 def test_generator_uniformity_n3_r2():
     """Each of the (3*2)^3 = 216 possible DFAs within 5 sigma of 1/216."""
-    seeds = 10**6
+    seeds, batch = 10**6, 10**4
     counts = np.zeros(216, dtype=np.int64)
     # encode a DFA as an integer: per vertex the ordered distinct pair index
-    pair_code = {}
+    pair_code = np.full((3, 3), -1)
     k = 0
     for a in range(3):
         for b in range(3):
             if a != b:
-                pair_code[(a, b)] = k
+                pair_code[a, b] = k
                 k += 1
-    for seed in range(seeds):
-        d = generate_dfa(3, 2, seed=seed)
-        code = 0
-        for x in range(3):
-            code = code * 6 + pair_code[(int(d.out[x, 0]), int(d.out[x, 1]))]
-        counts[code] += 1
+    for lo in range(0, seeds, batch):
+        out = np.stack([d.out for d in _generate_dfas(3, 2, range(lo, lo + batch))])
+        codes = pair_code[out[:, :, 0], out[:, :, 1]] @ np.array([36, 6, 1])
+        counts += np.bincount(codes, minlength=216)
     p = 1.0 / 216
     sigma = np.sqrt(seeds * p * (1 - p))
+    assert counts.sum() == seeds
     assert np.abs(counts - seeds * p).max() <= 5 * sigma
 
 

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dfa_meet.seeds import seed_split
@@ -38,6 +39,34 @@ def test_index_beyond_seed_width_is_value_error():
     assert seed_split(0, 2**128 - 1, "x") >= 0
     with pytest.raises(ValueError, match="index"):
         seed_split(0, 2**128, "x")
+
+
+def test_numpy_integers_derive_the_python_int_seed():
+    assert seed_split(np.int64(3), np.uint32(17), "x") == seed_split(3, 17, "x")
+    assert seed_split(np.uint64(2**64 - 1), 0, "x") == seed_split(2**64 - 1, 0, "x")
+
+
+@pytest.mark.parametrize("master, message", [
+    (1.5, "master seed must be an integer, got 1.5"),
+    (3.0, "master seed must be an integer, got 3.0"),
+    (True, "master seed must be an integer, got True"),
+    ("3", "master seed must be an integer, got '3'"),
+])
+def test_master_seed_that_is_not_an_integer_is_value_error(master, message):
+    with pytest.raises(ValueError) as exc:
+        seed_split(master, 0, "x")
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("index, message", [
+    (2.0, "index must be an integer, got 2.0"),
+    (False, "index must be an integer, got False"),
+    (None, "index must be an integer, got None"),
+])
+def test_index_that_is_not_an_integer_is_value_error(index, message):
+    with pytest.raises(ValueError) as exc:
+        seed_split(0, index, "x")
+    assert str(exc.value) == message
 
 
 @pytest.mark.slow

@@ -20,7 +20,6 @@ from dfa_meet.simulate import (
     read_records_csv,
     resolve_workers,
     run_experiment,
-    run_trial,
     sample_coalescence,
     sample_kingman_reference,
     sample_meeting_coupled,
@@ -30,6 +29,35 @@ from dfa_meet.simulate import (
     write_records_csv,
 )
 from tests.test_chains import full_image_dfa
+
+
+def run_trial(manifest, index, fixed_dfa=None):
+    """Oracle: trial ``index`` replayed one public call at a time, in the documented stream order.
+
+    The derived seed, the automaton (fresh from the trial stream, or
+    ``fixed_dfa``), the start pair, the sampler.
+    """
+    derived = seed_split(manifest.master_seed, index, manifest.mode)
+    rng = np.random.default_rng(derived)
+    fresh = manifest.dfa_policy == "fresh"
+    d = generate_dfa(manifest.n, manifest.r, rng) if fresh else fixed_dfa
+    cap = manifest.effective_cap
+    if manifest.mode == "coalescing":
+        rec = sample_coalescence(d, cap, rng, trial=index)
+    elif manifest.mode == "sync":
+        rec = sample_sync(d, cap, rng, trial=index)
+    else:
+        if manifest.starts == "uniform":
+            x = int(rng.integers(0, manifest.n))
+            y = int(rng.integers(0, manifest.n - 1))
+            y += y >= x
+        else:
+            x, y = manifest.starts
+        coupled = manifest.mode == "coupled"
+        sampler = sample_meeting_coupled if coupled else sample_meeting_independent
+        rec = sampler(d, x, y, cap, rng, trial=index)
+    rec.derived_seed = derived
+    return rec
 
 
 def sync_image_sizes(d, letters):
@@ -376,6 +404,22 @@ def test_run_experiment_deterministic_and_worker_independent(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("mode", simulate.MODES)
+@pytest.mark.parametrize("n, r, trials", [(1000, 20, 13), (1000, 20, 200), (2, 2, 9), (5, 5, 9),
+                                          (10, 2, 0)])
+def test_run_experiment_runs_each_trial_as_run_trial_does(mode, n, r, trials):
+    """Fresh automata built in batches give the trials of one ``run_trial`` each.
+
+    At n = 1000, r = 20 a batch holds six tables, so 13 serial trials end in
+    a batch of one; 200 trials on two workers make pool tasks of 7 trials,
+    which end in one too.
+    """
+    manifest = RunManifest(master_seed=12, mode=mode, n=n, r=r, trials=trials)
+    expected = [run_trial(manifest, i) for i in range(trials)]
+    assert run_experiment(manifest, workers=1) == expected
+    assert run_experiment(manifest, workers=2) == expected
+
+
 def test_default_workers_are_the_cpus_the_process_may_run_on(monkeypatch):
     monkeypatch.delenv(simulate.THREADS_ENV_VAR, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -495,7 +539,7 @@ def test_manifest_rejects_a_field_that_is_not_an_integer(monkeypatch, key, value
     def no_trial(*args, **kwargs):
         raise AssertionError("a trial ran")
 
-    monkeypatch.setattr(simulate, "run_trial", no_trial)
+    monkeypatch.setattr(simulate, "_run_trials", no_trial)
     fields = {"master_seed": 0, "mode": "independent", "n": 10, "r": 2, "trials": 2, key: value}
     with pytest.raises(ValueError) as exc:
         run_experiment(RunManifest(**fields), workers=1)

@@ -180,6 +180,13 @@ def _run_figure_recipe(rec: Recipe, spec: _Spec, workers) -> RecipeResult:
     """Run and fit every ``r`` before writing any file, so that a failed run leaves none."""
     p = rec.params
     master, n, trials = p["seed"], p["n"], p["trials"]
+    manifests = [
+        RunManifest(master_seed=seed_split(master, r, "variant"), mode=spec.mode, n=n, r=r,
+                    trials=trials, dfa_policy="fresh")
+        for r in p["r_values"]
+    ]
+    runs = [(manifest, run_experiment(manifest, workers=workers)) for manifest in manifests]
+    # after the runs, so that a size too large to run fails before the reference's n - 1 terms
     if spec.against == "exp1":
         fit = partial(stats.exponential_fit, mean=1.0)
     else:
@@ -189,17 +196,9 @@ def _run_figure_recipe(rec: Recipe, spec: _Spec, workers) -> RecipeResult:
 
     per_r: dict[str, dict] = {}
     failures: list[str] = []
-    runs = []
-    for r in p["r_values"]:
-        manifest = RunManifest(
-            master_seed=seed_split(master, r, "variant"),
-            mode=spec.mode,
-            n=n,
-            r=r,
-            trials=trials,
-            dfa_policy="fresh",
-        )
-        records = run_experiment(manifest, workers=workers)
+    fitted = []
+    for manifest, records in runs:
+        r = manifest.r
         taus = np.array([t.tau for t in records if not t.censored], dtype=float)
         censored = sum(t.censored for t in records)
         if not taus.size:
@@ -224,9 +223,9 @@ def _run_figure_recipe(rec: Recipe, spec: _Spec, workers) -> RecipeResult:
             elif lo is not None and not lo <= value <= hi:
                 failures.append(f"r={r} {label}: {value:.4f} not in [{lo}, {hi}]")
         per_r[str(r)] = entry
-        runs.append((manifest, records, dist))
+        fitted.append((manifest, records, dist))
 
-    for manifest, records, dist in runs:
+    for manifest, records, dist in fitted:
         stem = f"{rec.name}-r{manifest.r}"
         write_records_csv(records, rec.out_dir / f"{stem}.csv")
         write_json({"recipe": rec.name, **asdict(manifest)}, rec.out_dir / f"{stem}-manifest.json")

@@ -27,12 +27,20 @@ sampler.
 The samplers read the automaton as per-color columns (``cols[c][x]`` is
 the ``c``-successor of ``x``). The two pair samplers read about ``2 * tau``
 entries, so their columns are memoryviews of one contiguous copy of the
-transposed table; coalescing and sync read far more, from Python lists of
-the columns. Once two points are left, coalescing and sync finish in a
-pair loop that reads the colors in the order above: the last two clusters
-are two independent walks, the lower position taking the first color of
-each step, and the last two image points are two coupled walks, so sync
-resumes the coupled meeting loop at its step.
+transposed table. Coalescing and sync read far more, in three phases:
+
+* while the cluster or image set holds more than ``_SET_LOOP_SIZE``
+  points, a step is one numpy pass: gather each point's target for its
+  color, then sort and drop repeats, which leaves the positions ascending
+  as the next step's colors need; coalescing takes its clusters' colors as
+  slices of the ``COLOR_CHUNK`` blocks, so its stream is read as above;
+* a smaller set steps point by point in a set loop over Python lists of
+  the columns, reading the rest of the same stream;
+* once two points are left, a pair loop reads the colors in the order
+  above: the last two clusters are two independent walks, the lower
+  position taking the first color of each step, and the last two image
+  points are two coupled walks, so sync resumes the coupled meeting loop
+  at its step.
 """
 
 from __future__ import annotations
@@ -63,6 +71,11 @@ THREADS_ENV_VAR = "DFA_MEET_THREADS"
 # tables fill at most a quarter of it, beside their temporaries
 _FREED_BLOCK_BYTES = 1 << 22
 _BATCH_BYTES = _FREED_BLOCK_BYTES // 4
+# coalescing and sync step a cluster or image set larger than this as one
+# numpy pass, and a smaller one point by point in a set loop
+_SET_LOOP_SIZE = 32
+# at most what one finished TrialRecord holds in memory (about 240 bytes)
+_RECORD_BYTES = 200
 
 CSV_HEADER = ["trial", "derived_seed", "mode", "n", "r", "x", "y", "tau", "censored"]
 # what write_records_csv writes for an integer; int() alone would also take "1_5" or " 15"
@@ -253,18 +266,49 @@ def _meet_coupled(cols: list, x: int, y: int, cap: int, colors, t: int = 0) -> t
     return cap, True
 
 
+def _color_blocks(rng, r: int):
+    """Endless blocks of ``COLOR_CHUNK`` uniform colors."""
+    while True:
+        yield rng.integers(0, r, size=COLOR_CHUNK)
+
+
 def _colors(rng, r: int):
-    """Endless uniform colors from blocks of ``COLOR_CHUNK`` draws."""
-    # a block is never None, so the sentinel never stops the stream
-    blocks = iter(lambda: rng.integers(0, r, size=COLOR_CHUNK).tolist(), None)
-    return itertools.chain.from_iterable(blocks)
+    """Endless uniform colors, one at a time, from :func:`_color_blocks`."""
+    return itertools.chain.from_iterable(map(np.ndarray.tolist, _color_blocks(rng, r)))
+
+
+def _sorted_unique(points: np.ndarray) -> np.ndarray:
+    """The distinct values of ``points``, ascending; sorts ``points`` in place, O(k log k)."""
+    points.sort()
+    keep = np.empty(points.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(points[1:], points[:-1], out=keep[1:])
+    return points[keep]
 
 
 def _coalesce(d: Dfa, cap: int, rng, starts) -> tuple[int, bool]:
+    r = d.r
+    # While the clusters are many, a step is one numpy pass over them. A
+    # cluster at x is kept as x * r, where x's row starts in the flat table,
+    # whose targets are times r too; the colors are slices of the blocks.
+    targets = d.out.ravel() * r
+    positions = _sorted_unique(np.array(starts, dtype=np.int64)) * r
+    blocks = _color_blocks(rng, r)
+    block, at, t = positions[:0], 0, 0
+    while positions.size > _SET_LOOP_SIZE:
+        if t == cap:
+            return cap, True
+        t += 1
+        k = positions.size
+        if at + k > block.size:
+            fresh = -(-(at + k - block.size) // COLOR_CHUNK)
+            block = np.concatenate([block[at:], *itertools.islice(blocks, fresh)])
+            at = 0
+        positions = _sorted_unique(targets[positions + block[at:at + k]])
+        at += k
+    colors = itertools.chain(block[at:].tolist(), _colors(rng, r))
+    positions = (positions // r).tolist()
     cols = d.out.T.tolist()
-    positions = sorted(set(starts))
-    colors = _colors(rng, d.r)
-    t = 0
     while len(positions) > 2:
         if t == cap:
             return cap, True
@@ -286,15 +330,23 @@ def _coalesce(d: Dfa, cap: int, rng, starts) -> tuple[int, bool]:
 
 
 def _sync(d: Dfa, cap: int, rng) -> tuple[int, bool]:
-    cols = d.out.T.tolist()
     colors = _colors(rng, d.r)
-    image = range(d.n)
-    for t, c in zip(range(1, cap + 1), colors):
-        image = set(map(cols[c].__getitem__, image))
-        if len(image) <= 2:
-            # two points reading one word are a coupled meeting from step t; one has met
-            return _meet_coupled(cols, min(image), max(image), cap, colors, t)
-    return cap, True
+    # while the image is large, a step is one numpy pass over it
+    columns, image, t = d.out.T, np.arange(d.n), 0
+    while image.size > _SET_LOOP_SIZE:
+        if t == cap:
+            return cap, True
+        t += 1
+        image = _sorted_unique(columns[next(colors)][image])
+    cols = d.out.T.tolist()
+    image = image.tolist()
+    while len(image) > 2:
+        if t == cap:
+            return cap, True
+        t += 1
+        image = set(map(cols[next(colors)].__getitem__, image))
+    # two points reading one word are a coupled meeting from step t; one has met
+    return _meet_coupled(cols, min(image), max(image), cap, colors, t)
 
 
 def sample_meeting_independent_batch(
@@ -417,15 +469,29 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers
 
 
+def _check_records_fit(trials: int) -> None:
+    """A ``MemoryError`` when ``trials`` records would not fit in physical memory."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no such figure on this platform
+        return
+    if trials * _RECORD_BYTES > memory:
+        raise MemoryError(f"{trials} trials would hold {trials * _RECORD_BYTES / 2**30:.3g} GiB "
+                          f"of records, more than the {memory / 2**30:.3g} GiB of memory")
+
+
 def run_experiment(manifest: RunManifest, workers: int | None = None) -> list[TrialRecord]:
     """Run all trials of a manifest, in trial order, on a worker pool.
 
     Trials are seeded independently through :func:`seed_split`, so the
     output is byte-for-byte identical for any worker count. A fixed
-    automaton is read once per call and sent to the workers.
+    automaton is read once per call and sent to the workers. Every record
+    stays in memory until the call returns, so a trial count whose records
+    would outgrow physical memory is a ``MemoryError`` before any trial runs.
     """
     workers = resolve_workers(workers)
     trials = manifest.trials
+    _check_records_fit(trials)
     fixed_dfa = _read_fixed_dfa(manifest) if manifest.dfa_policy == "fixed" else None
     _free_block(_FREED_BLOCK_BYTES)
     if workers == 1 or trials < 4 * workers:

@@ -459,7 +459,7 @@ def test_huge_sizes_exit_one_without_a_traceback(dfa_file, tmp_path, capsys, arg
 
 
 @pytest.mark.parametrize("name, r_values, n", [
-    ("fig1-independent", "2,3", "2"),  # r = 3 > n fails after r = 2 has run
+    ("fig1-independent", "2,3", "2"),  # r = 3 > n fails before r = 2 runs
     ("fig1-coupled", f"2,{2**128}", "20"),  # r = 2**128 is no seed_split index
 ])
 def test_a_failing_figure_recipe_writes_no_file(tmp_path, capsys, name, r_values, n):
@@ -669,3 +669,73 @@ def test_convergence_failure_exits_one(dfa_file, monkeypatch, capsys):
     monkeypatch.setattr(cli, "stationary_distribution", stalls)
     assert main(["exact", "--dfa", str(dfa_file)]) == 1
     assert "no convergence after 7 iterations" in capsys.readouterr().err
+
+
+HUGE = str(10**18)
+
+
+def fuzz_cases():
+    """Each numeric flag of gen, simulate, fvtl and recipe fig2-* at -1, 0 and 10**18.
+
+    Worker counts are tried at -1 and 0 only: a huge one would start that
+    many processes. Sync runs to its cap on an automaton that does not
+    synchronize, as the n = 5 one of seed 0 does, so it is not given a huge cap.
+    """
+    def with_flag(base, flag, value):
+        if flag in base:
+            argv = list(base)
+            argv[argv.index(flag) + 1] = value
+            return argv
+        return base + [f"{flag}={value}"]
+
+    values = ("-1", "0", HUGE)
+    gen = ["gen", "--n", "5", "--r", "2", "--seed", "0"]
+    cases = [with_flag(gen, flag, v) for flag in ("--n", "--r", "--seed") for v in values]
+    for mode in ("independent", "coupled", "coalescing", "sync"):
+        base = ["simulate", "--n", "5", "--r", "2", "--trials", "3", "--seed", "0", "--mode", mode]
+        for flag in ("--n", "--r", "--trials", "--seed", "--cap", "--threads"):
+            cases += [with_flag(base, flag, v) for v in values if not (
+                v == HUGE and (flag == "--threads" or flag == "--cap" and mode == "sync"))]
+        if mode in ("independent", "coupled"):
+            cases += [with_flag(base, "--starts", v) for v in ("-1,0", "0,0", f"{HUGE},0")]
+    cases += [with_flag(["fvtl"], flag, v)
+              for flag in ("--T", "--eps", "--events-T", "--events-S") for v in values]
+    for name in ("fig2-coalescing", "fig2-sync"):
+        base = ["recipe", name, "--n", "5", "--trials", "4", "--r-values", "2", "--seed", "0"]
+        for flag in ("--seed", "--n", "--trials", "--r-values", "--eps", "--threads"):
+            cases += [with_flag(base, flag, v) for v in values
+                      if not (flag == "--threads" and v == HUGE)]
+    return cases
+
+
+@pytest.mark.parametrize("argv", fuzz_cases(), ids=" ".join)
+def test_numeric_flags_fail_cleanly_or_write_a_well_formed_artifact(tmp_path, capsys, argv):
+    """Exit 1 with one ``error:`` line and no artifact, or exit 0 with a well-formed one.
+
+    A figure recipe whose asserted bounds fail at n = 5 exits 1 too, with
+    its artifacts and the failures in its verify report.
+    """
+    out = tmp_path / "out"
+    if argv[0] == "fvtl":
+        dfa = tmp_path / "dfa.json"
+        assert main(["gen", "--n", "5", "--r", "2", "--seed", "0", "--out", str(dfa)]) == 0
+        argv = argv + ["--dfa", str(dfa)]
+    argv = argv + (["--out-dir", str(out)] if argv[0] == "recipe" else ["--out", str(out)])
+    code = main(argv)
+    lines = capsys.readouterr().err.splitlines()
+    errors = [line for line in lines if line.startswith("error: ")]
+    verify = out / f"{argv[1]}-verify.json"
+    if code == 1 and errors:
+        assert len(lines) == 1
+        assert not out.exists() or not list(out.iterdir())
+        return
+    assert code == 0 or argv[0] == "recipe" and json.loads(verify.read_text())["failures"]
+    if argv[0] == "gen":
+        assert parse_dfa(out.read_text()).n == 5
+    elif argv[0] == "simulate":
+        assert len(read_records_csv(out)) == int(argv[argv.index("--trials") + 1])
+    elif argv[0] == "fvtl":
+        assert FVTL_KEYS | {"events"} <= set(json.loads(out.read_text()))
+    else:
+        assert json.loads(verify.read_text())["recipe"] == argv[1]
+        assert len(read_records_csv(out / f"{argv[1]}-r2.csv")) == 4

@@ -329,20 +329,19 @@ def test_rows_independent_chi2():
     """Joint law of (row 0, row 1) matches the product of the marginals."""
     from scipy.stats import chi2
 
-    trials = 40_000
+    trials, batch = 40_000, 10**4
     joint = np.zeros((6, 6), dtype=np.int64)
-    pair_code = {}
+    pair_code = np.full((3, 3), -1)
     k = 0
     for a in range(3):
         for b in range(3):
             if a != b:
-                pair_code[(a, b)] = k
+                pair_code[a, b] = k
                 k += 1
-    for seed in range(trials):
-        d = generate_dfa(3, 2, seed=10**7 + seed)
-        i = pair_code[(int(d.out[0, 0]), int(d.out[0, 1]))]
-        j = pair_code[(int(d.out[1, 0]), int(d.out[1, 1]))]
-        joint[i, j] += 1
+    for lo in range(10**7, 10**7 + trials, batch):
+        out = np.stack([d.out for d in _generate_dfas(3, 2, range(lo, lo + batch))])
+        codes = pair_code[out[:, :2, 0], out[:, :2, 1]]
+        np.add.at(joint, (codes[:, 0], codes[:, 1]), 1)
     expected = trials / 36.0
     stat = float(((joint - expected) ** 2 / expected).sum())
     # 35 degrees of freedom; reject only at the 1e-4 level

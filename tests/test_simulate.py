@@ -216,10 +216,19 @@ def test_coalescence_matches_per_step_draw_oracle(monkeypatch, chunk):
         for seed in range(6)
     ]
     cases += [(slow_meeting_dfa(97), 2 * chunk + 5, seed) for seed in range(2)]
+    # above the set-loop size: numpy steps across color blocks, a cap among them, r = n;
+    # color 0 of the constant-color automaton sends its clusters to 0 at once
+    cases += [
+        (generate_dfa(n, r, seed), cap, seed + 9)
+        for n, r, cap in ((300, 2, 10**5), (1000, 3, 4), (200, 200, 10**4))
+        for seed in range(2)
+    ]
+    cases += [(constant_color_dfa(100, 2), 1, seed) for seed in range(8)]
     tails = collections.Counter()
     for d, cap, seed in cases:
         n = d.n
-        for starts in (None, [0, n - 1], [n // 2, 0], list(range(1, n, 3)), [n // 2]):
+        duplicates = [x % (n // 2 + 1) for x in range(n)]
+        for starts in (None, [0, n - 1], [n // 2, 0], list(range(1, n, 3)), [n // 2], duplicates):
             _, sizes = coalescence_oracle(d, cap, seed, starts)
             for c in capped_at_two(sizes, cap):
                 expected, sizes = coalescence_oracle(d, c, seed, starts)
@@ -294,6 +303,14 @@ def test_sync_tau_is_first_singleton_image_of_block_word(monkeypatch, chunk):
         for seed in range(8)
     ]
     cases += [(slow_meeting_dfa(23), 2 * chunk + 5, seed) for seed in range(3)]
+    # above the set-loop size: numpy steps across color blocks, a cap among them, r = n;
+    # color 0 of the constant-color automaton sends the whole image to 0
+    cases += [
+        (generate_dfa(n, r, seed), cap, seed + 50)
+        for n, r, cap in ((300, 2, 3000), (1000, 3, 3), (200, 200, 2000))
+        for seed in range(2)
+    ]
+    cases += [(constant_color_dfa(100, 3), 2, seed) for seed in range(4)]
     tails = collections.Counter()
     for d, cap, seed in cases:
         rng = np.random.default_rng(seed)
@@ -337,8 +354,18 @@ def set_loop_sync(d, cap, rng):
 
 @pytest.mark.parametrize("chunk", [7, simulate.COLOR_CHUNK])
 def test_pair_tails_match_the_set_loops_on_small_cases(monkeypatch, chunk):
-    """Seeded differential test: 2,000 small automata, caps 1-30."""
+    """Seeded differential test: 2,000 small automata, caps 1-30; then automata
+    above the set-loop size, whose numpy steps cross color blocks, with caps
+    among those steps and without, duplicate starts, r = n, and n = 10**4."""
     monkeypatch.setattr(simulate, "COLOR_CHUNK", chunk)
+
+    def check(d, cap, seed, starts):
+        for walkers in (starts, range(d.n)):
+            got = simulate._coalesce(d, cap, np.random.default_rng(seed), walkers)
+            assert got == set_loop_coalescence(d, cap, np.random.default_rng(seed), walkers)
+        got = simulate._sync(d, cap, np.random.default_rng(seed))
+        assert got == set_loop_sync(d, cap, np.random.default_rng(seed))
+
     master = np.random.default_rng(13)
     for _ in range(2000):
         n = int(master.integers(2, 13))
@@ -346,12 +373,13 @@ def test_pair_tails_match_the_set_loops_on_small_cases(monkeypatch, chunk):
         cap = int(master.integers(1, 31))
         d = generate_dfa(n, r, master)
         seed = int(master.integers(2**32))
-        starts = master.integers(0, n, size=int(master.integers(1, n + 1))).tolist()
-        for walkers in (starts, range(n)):
-            got = simulate._coalesce(d, cap, np.random.default_rng(seed), walkers)
-            assert got == set_loop_coalescence(d, cap, np.random.default_rng(seed), walkers)
-        got = simulate._sync(d, cap, np.random.default_rng(seed))
-        assert got == set_loop_sync(d, cap, np.random.default_rng(seed))
+        check(d, cap, seed, master.integers(0, n, size=int(master.integers(1, n + 1))).tolist())
+    large = [(n, r, cap) for n, r in ((33, 2), (100, 7), (300, 2), (300, 300), (1000, 20))
+             for cap in (1, 4, default_cap(n))]
+    for n, r, cap in large + [(10**4, 2, default_cap(10**4))]:
+        d = generate_dfa(n, r, master)
+        seed = int(master.integers(2**32))
+        check(d, cap, seed, master.integers(0, n, size=2 * n).tolist())
 
 
 def test_batch_sampler_matches_per_trial_distribution():
@@ -524,6 +552,16 @@ def test_manifest_rejects_negative_trials_and_nonpositive_cap():
         RunManifest(master_seed=0, mode="independent", n=5, r=2, trials=-1)
     with pytest.raises(ValueError, match="cap"):
         RunManifest(master_seed=0, mode="sync", n=5, r=2, trials=1, cap=0)
+
+
+def test_run_experiment_rejects_trials_whose_records_outgrow_memory(monkeypatch):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(simulate, "_run_trials", no_trial)
+    manifest = RunManifest(master_seed=0, mode="sync", n=5, r=2, trials=10**18)
+    with pytest.raises(MemoryError, match="10+ trials would hold .* GiB of records"):
+        run_experiment(manifest, workers=1)
 
 
 @pytest.mark.parametrize("key, value, message", [

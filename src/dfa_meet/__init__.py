@@ -57,6 +57,6 @@ from .simulate import (
     sample_sync,
     write_records_csv,
 )
-from .stats import EmpiricalDist, FitReport, geometric_tail_fit, ks_distance, w1_distance
+from .stats import FitReport, geometric_tail_fit, ks_distance, w1_distance
 
 __version__ = "0.1.0"

@@ -126,9 +126,6 @@ class AuxChain(Propagator):
     def start(self) -> np.ndarray:
         return np.diag(self.reentry)
 
-    def step(self, m: np.ndarray) -> np.ndarray:
-        return self.left_step(m)
-
     def target_mass(self, m: np.ndarray) -> float:
         return float(np.trace(m))
 

@@ -175,22 +175,19 @@ def _cmd_verify(args) -> int:
     ref = args.against
     if ref.startswith("geom:"):
         arg = ref.split(":", 1)[1]
-        dist = stats.EmpiricalDist.from_samples(taus)
         lam = 1.0 / (1.0 + float(taus.mean())) if arg == "auto" else _flag_value(
             arg, float, "--against geom:<rate>", "a number")
-        fit = stats.geometric_tail_fit(dist, lam)
+        fit = stats.geometric_tail_fit(taus, lam)
     elif ref.startswith("exp:"):
         mean = _flag_value(ref.split(":", 1)[1], float, "--against exp:<mean>", "a number")
-        dist = stats.EmpiricalDist.from_samples(taus / n)
-        fit = stats.exponential_fit(dist, mean)
+        fit = stats.exponential_fit(taus / n, mean)
     elif ref == "kingman":
-        dist = stats.EmpiricalDist.from_samples(taus / n)
         sample = sample_kingman_reference(n, args.seed, size=recipes.KINGMAN_REFERENCE_SIZE)
-        fit = stats.sample_fit(dist, sample, "kingman", {"n": n, "seed": args.seed})
+        fit = stats.sample_fit(taus / n, sample, "kingman", {"n": n, "seed": args.seed})
     else:
         raise ValueError(f"unknown reference {ref!r}")
     recipes.write_json({"results": str(args.results), "against": args.against,
-                        "count": dist.count, "censored_count": censored, **fit.as_dict()},
+                        "count": taus.size, "censored_count": censored, **fit.as_dict()},
                        args.report)
     return 0
 

@@ -15,7 +15,8 @@ precision; the geometric rate prediction itself is asymptotic.
 
 Each algorithm (the relaxation horizon with the ``R`` and ``Z`` sums, the
 certified scan of one start, Perron iteration, the report) is written once
-over a :class:`Propagator`.
+over a :class:`Propagator`, and every step it takes is one call of the
+propagator's ``left_step``.
 :class:`TargetWalk` is the propagator of a generic chain;
 :class:`~dfa_meet.aux_chain.AuxChain` is the propagator of the collapsed
 pair chain, whose every state is one ``(n, n)`` pair matrix.
@@ -23,7 +24,8 @@ pair chain, whose every state is one ``(n, n)`` pair matrix.
 The return pass stops once its total-variation (TV) distance to
 stationarity is certified small; that distance never increases along a
 run (Levin, Peres & Wilmer, *Markov Chains and Mixing Times*, ch. 4). See
-:func:`return_sums`, :func:`certified_scan` and :func:`certified_stop_level`.
+:func:`return_sums`, :func:`certified_scan` and
+:attr:`Propagator.scan_stop_level`.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ class Propagator(ABC):
     """A chain seen from one target state, as the first-visit engine uses it.
 
     A propagator supplies its chain: ``start`` (the point mass at the
-    target), ``step`` (``nu -> nu Q``), ``target_mass``, ``kill`` (zero the
+    target), ``left_step`` (``nu -> nu Q``), ``target_mass``, ``kill`` (zero the
     target of a state in place), ``stationary_state`` (a fresh array of the
     computed law), ``mu_target`` and ``horizon_cap`` (the longest
     relaxation horizon). A state is one array of the propagator's own
@@ -134,7 +136,7 @@ class Propagator(ABC):
     written once here: the uniform killed start and the step of the
     target-deleted sub-kernel ``[Q]_target`` (killed states sum to the
     surviving mass), the TV distance to the computed law, its one-step
-    residual and the scan stop level of :func:`certified_stop_level`.
+    residual and the scan stop level that residual gates.
     """
 
     mu_target: float
@@ -143,7 +145,7 @@ class Propagator(ABC):
     @abstractmethod
     def start(self) -> np.ndarray: ...
     @abstractmethod
-    def step(self, state: np.ndarray) -> np.ndarray: ...
+    def left_step(self, state: np.ndarray) -> np.ndarray: ...
     @abstractmethod
     def target_mass(self, state: np.ndarray) -> float: ...
     @abstractmethod
@@ -157,7 +159,7 @@ class Propagator(ABC):
         return v / v.sum()
 
     def killed_step(self, state: np.ndarray) -> np.ndarray:
-        w = self.step(state)
+        w = self.left_step(state)
         self.kill(w)
         return w
 
@@ -170,32 +172,29 @@ class Propagator(ABC):
     def stationarity_residual(self) -> float:
         """L1 residual of the computed stationary law under one step."""
         law = self.stationary_state()
-        return float(np.abs(self.step(law) - law).sum())
+        return float(np.abs(self.left_step(law) - law).sum())
 
     _residual = cached_property(stationarity_residual)
 
     @property
     def scan_stop_level(self) -> float:
-        """:func:`certified_stop_level` of the residual, computed once per propagator."""
-        return certified_stop_level(self._residual)
+        """``TV_STOP_LEVEL`` if the one-step residual is at most ``STOP_RESIDUAL_LEVEL``, else -1.
+
+        The residual is computed once per propagator; the gate is read at
+        each call. A scan stops when its TV distance to the computed law
+        ``pi`` is at most the level. Bounds drawn from that stop hold
+        against the exact law up to ``2e``, where ``e`` is the distance
+        from ``pi`` to it: at most half the residual times the summed
+        contraction coefficients of the chain. Those are not computed, so
+        the gate asks for a residual of a tenth of the stop level; a less
+        exact ``pi`` gets -1, which never stops.
+        """
+        return TV_STOP_LEVEL if self._residual <= STOP_RESIDUAL_LEVEL else -1.0
 
 
 def log_power_horizon(n: int, power: int) -> int:
     """``ceil(log(n)**power)`` with the natural log (the asymptotic schedule)."""
     return math.ceil(math.log(n) ** power)
-
-
-def certified_stop_level(residual: float) -> float:
-    """``TV_STOP_LEVEL`` if the stationary law's one-step L1 ``residual`` is at most ``STOP_RESIDUAL_LEVEL``, else -1.
-
-    A scan stops when its TV distance to the computed law ``pi`` is at
-    most the level. Bounds drawn from that stop hold against the exact law
-    up to ``2e``, where ``e`` is the distance from ``pi`` to it: at most
-    half the residual times the summed contraction coefficients of the
-    chain. Those are not computed, so the gate asks for a residual of a
-    tenth of the stop level; a less exact ``pi`` gets -1, which never stops.
-    """
-    return TV_STOP_LEVEL if residual <= STOP_RESIDUAL_LEVEL else -1.0
 
 
 @dataclass(eq=False)
@@ -221,7 +220,7 @@ class TargetWalk(Propagator):
         v[self.target] = 1.0
         return v
 
-    def step(self, v: np.ndarray) -> np.ndarray:
+    def left_step(self, v: np.ndarray) -> np.ndarray:
         return self.chain.kernel_t @ v
 
     def target_mass(self, v: np.ndarray) -> float:
@@ -242,7 +241,7 @@ def certified_scan(p: Propagator, state, horizon: int) -> tuple[int, float]:
     step ``t0`` where it is at most ``p.scan_stop_level``, or at ``horizon``.
     Returns ``t0`` and ``TV(t0)``. For ``t >= t0`` the TV distance to the
     computed stationary law is at most ``TV(t0) + 2e``, where ``e`` is its
-    distance to the exact one (see :func:`certified_stop_level`).
+    distance to the exact one (see :attr:`Propagator.scan_stop_level`).
     """
     if horizon < 0:
         raise ValueError(f"horizon must be at least 0, got {horizon}")
@@ -253,7 +252,7 @@ def certified_scan(p: Propagator, state, horizon: int) -> tuple[int, float]:
             tv = p.tv_to_stationary(state)
             if t == horizon or tv <= level:
                 return t, tv
-        state = p.step(state)
+        state = p.left_step(state)
         t += 1
 
 
@@ -276,7 +275,7 @@ def return_sums(p: Propagator, t_horizon: int | None = None, sum_z: bool = True)
     never increases. So after a certified stop at ``TV(t0)``, every later
     term is within ``TV(t0) + 2e`` of ``mu(target)``, where ``e`` is the
     distance from the computed to the exact stationary law (see
-    :func:`certified_stop_level`), and ``R`` is off by at most
+    :attr:`Propagator.scan_stop_level`), and ``R`` is off by at most
     ``(T - t0) * (TV(t0) + 2e)``. Writing the tail of ``Z`` through the
     fundamental matrix gives
     ``|Z - Z(t0)| <= (TV(t0) + 2e) * (1 + mu(target) * max_a E_a[tau_target])``.
@@ -309,7 +308,7 @@ def return_sums(p: Propagator, t_horizon: int | None = None, sum_z: bool = True)
                 break
         if t >= Z_MAX_STEPS:
             raise ConvergenceError(t, abs(q - mu))
-        state = p.step(state)
+        state = p.left_step(state)
         t += 1
     series = np.array(terms)
     r_mass = series[: t_horizon + 1].sum()

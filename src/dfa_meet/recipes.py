@@ -204,8 +204,8 @@ def _run_figure_recipe(rec: Recipe, spec: _Spec, workers) -> RecipeResult:
         if not taus.size:
             raise ValueError(f"recipe {rec.name!r}: no uncensored trial is left to fit at r={r} "
                              f"({trials} trials, {censored} censored)")
-        dist = stats.EmpiricalDist.from_samples(taus / n)
-        report = fit(dist)
+        ratios = taus / n
+        report = fit(ratios)
         entry = {
             "r": r,
             "trials": trials,
@@ -223,13 +223,13 @@ def _run_figure_recipe(rec: Recipe, spec: _Spec, workers) -> RecipeResult:
             elif lo is not None and not lo <= value <= hi:
                 failures.append(f"r={r} {label}: {value:.4f} not in [{lo}, {hi}]")
         per_r[str(r)] = entry
-        fitted.append((manifest, records, dist))
+        fitted.append((manifest, records, ratios))
 
-    for manifest, records, dist in fitted:
+    for manifest, records, ratios in fitted:
         stem = f"{rec.name}-r{manifest.r}"
         write_records_csv(records, rec.out_dir / f"{stem}.csv")
         write_json({"recipe": rec.name, **asdict(manifest)}, rec.out_dir / f"{stem}-manifest.json")
-        _write_histogram(rec.out_dir / f"{stem}-hist.csv", tau_histogram(dist.values))
+        _write_histogram(rec.out_dir / f"{stem}-hist.csv", tau_histogram(ratios))
     summary = {"recipe": rec.name, "mode": spec.mode, "n": n, "seed": master,
                "per_r": per_r, "failures": failures}
     write_json(summary, rec.out_dir / f"{rec.name}-verify.json")

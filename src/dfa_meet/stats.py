@@ -1,5 +1,6 @@
-"""Empirical-distribution summaries and distances against reference laws.
+"""Distances and fits of a sample against reference laws.
 
+Each fit and distance takes a 1-D sample in any order and sorts it first.
 Censored observations never enter a distance or a moment; callers count
 them separately, since hitting the step cap is an anomaly signal rather
 than distribution mass.
@@ -8,25 +9,9 @@ than distribution mass.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
-
-
-@dataclass
-class EmpiricalDist:
-    """A sorted sample."""
-
-    values: np.ndarray = field(repr=False)
-
-    @classmethod
-    def from_samples(cls, values) -> "EmpiricalDist":
-        arr = np.sort(np.asarray(values, dtype=float))
-        return cls(values=arr)
-
-    @property
-    def count(self) -> int:
-        return int(self.values.size)
 
 
 @dataclass
@@ -46,10 +31,10 @@ class FitReport:
         return asdict(self)
 
 
-def _fit_report(e: EmpiricalDist, reference: str, params: dict, ks: float | None,
+def _fit_report(x, reference: str, params: dict, ks: float | None,
                 w1: float | None, sup_tail_ratio: float | None = None) -> FitReport:
-    """The report of ``e``'s distances to one law, with the sample's moments."""
-    v = e.values
+    """The report of ``x``'s distances to one law, with its moments."""
+    v = np.sort(np.asarray(x, dtype=float))  # so the moments' bits do not depend on the order
     var = float(v.var(ddof=1)) if v.size > 1 else 0.0
     return FitReport(
         reference=reference,
@@ -63,7 +48,7 @@ def _fit_report(e: EmpiricalDist, reference: str, params: dict, ks: float | None
     )
 
 
-def ks_distance(e: EmpiricalDist, cdf) -> float:
+def ks_distance(x, cdf) -> float:
     """One-sample Kolmogorov-Smirnov distance against a reference CDF.
 
     Both one-sided jumps are evaluated at every sample point: the
@@ -72,10 +57,12 @@ def ks_distance(e: EmpiricalDist, cdf) -> float:
     is exact for step references and immaterial for continuous ones).
     ``cdf`` must accept an ndarray.
     """
-    if e.count < 1:
+    v = np.sort(np.asarray(x, dtype=float))
+    n = v.size
+    if n < 1:
         raise ValueError("need at least one observation")
-    n = e.count
-    distinct, first_idx, counts = np.unique(e.values, return_index=True, return_counts=True)
+    # on a sorted sample, the index of a value's first copy is its rank
+    distinct, first_idx, counts = np.unique(v, return_index=True, return_counts=True)
     f_right = np.asarray(cdf(distinct), dtype=float)
     f_left = np.asarray(cdf(np.nextafter(distinct, -np.inf)), dtype=float)
     after = (first_idx + counts) / n
@@ -83,7 +70,7 @@ def ks_distance(e: EmpiricalDist, cdf) -> float:
     return float(np.maximum(np.abs(f_right - after), np.abs(f_left - before)).max())
 
 
-def w1_distance(e: EmpiricalDist, reference) -> float:
+def w1_distance(x, reference) -> float:
     """L1-Wasserstein distance against a reference sample or quantile function.
 
     Against another sample (any size) this is the exact area between the
@@ -91,15 +78,16 @@ def w1_distance(e: EmpiricalDist, reference) -> float:
     difference of order statistics. Against a quantile function ``Q`` it is
     the midpoint-grid average ``mean |x_(i) - Q((i - 1/2) / n)|``.
     """
-    if e.count < 1:
+    v = np.sort(np.asarray(x, dtype=float))
+    if v.size < 1:
         raise ValueError("need at least one observation")
     if callable(reference):
-        grid = (np.arange(e.count) + 0.5) / e.count
-        return float(np.abs(e.values - np.asarray(reference(grid), dtype=float)).mean())
+        grid = (np.arange(v.size) + 0.5) / v.size
+        return float(np.abs(v - np.asarray(reference(grid), dtype=float)).mean())
     other = np.sort(np.asarray(reference, dtype=float))
-    if other.size == e.count:
-        return float(np.abs(e.values - other).mean())
-    return _ecdf_area(e.values, other)
+    if other.size == v.size:
+        return float(np.abs(v - other).mean())
+    return _ecdf_area(v, other)
 
 
 def _ecdf_area(a: np.ndarray, b: np.ndarray) -> float:
@@ -111,14 +99,14 @@ def _ecdf_area(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(np.abs(f_a - f_b) * deltas))
 
 
-def ks_two_sample(e: EmpiricalDist, reference) -> float:
+def ks_two_sample(x, reference) -> float:
     """Two-sample KS distance, ``sup_x |F_1(x) - F_2(x)|``: KS against the reference's ECDF.
 
-    Between two of ``e``'s points the difference is monotone, so the jumps
-    :func:`ks_distance` evaluates at ``e``'s points reach the sup.
+    Between two of ``x``'s points the difference is monotone, so the jumps
+    :func:`ks_distance` evaluates at ``x``'s points reach the sup.
     """
     other = np.sort(np.asarray(reference, dtype=float))
-    return ks_distance(e, lambda x: np.searchsorted(other, x, side="right") / other.size)
+    return ks_distance(x, lambda t: np.searchsorted(other, t, side="right") / other.size)
 
 
 def exponential_cdf(mean: float):
@@ -152,7 +140,7 @@ def geometric_quantile(lam: float):
     return quantile
 
 
-def geometric_tail_fit(e: EmpiricalDist, lam: float) -> FitReport:
+def geometric_tail_fit(x, lam: float) -> FitReport:
     """Compare a sample of stopping times against Geom(lam) on {0, 1, ...}.
 
     ``sup_tail_ratio`` is the largest ``P_emp(X > t) / (1 - lam)^t`` over
@@ -165,8 +153,9 @@ def geometric_tail_fit(e: EmpiricalDist, lam: float) -> FitReport:
     """
     if not 0 < lam <= 1:
         raise ValueError(f"rate must be in (0, 1], got {lam}")
-    n = e.count
-    distinct, first_idx = np.unique(e.values, return_index=True)
+    v = np.sort(np.asarray(x, dtype=float))
+    n = v.size
+    distinct, first_idx = np.unique(v, return_index=True)
     # P(X > t) just after the last copy of each distinct value.
     counts = np.diff(np.append(first_idx, n))
     tail = 1.0 - (first_idx + counts) / n
@@ -176,20 +165,20 @@ def geometric_tail_fit(e: EmpiricalDist, lam: float) -> FitReport:
         for t, tail_p in zip(distinct, tail):
             if tail_p > 0:
                 ratios.append(tail_p / math.exp(log_q * t))
-    ks = ks_distance(e, geometric_cdf(lam)) if lam < 1 else None
-    w1 = w1_distance(e, geometric_quantile(lam)) if lam < 1 else None
-    return _fit_report(e, "geometric", {"lambda": lam}, ks, w1, max(ratios) if ratios else 1.0)
+    ks = ks_distance(v, geometric_cdf(lam)) if lam < 1 else None
+    w1 = w1_distance(v, geometric_quantile(lam)) if lam < 1 else None
+    return _fit_report(v, "geometric", {"lambda": lam}, ks, w1, max(ratios) if ratios else 1.0)
 
 
-def exponential_fit(e: EmpiricalDist, mean: float) -> FitReport:
+def exponential_fit(x, mean: float) -> FitReport:
     """KS and W1 distances of a sample against Exp(mean)."""
     if not 0 < mean < math.inf:
         raise ValueError(f"mean must be finite and positive, got {mean}")
-    return _fit_report(e, "exponential", {"mean": mean}, ks_distance(e, exponential_cdf(mean)),
-                       w1_distance(e, exponential_quantile(mean)))
+    return _fit_report(x, "exponential", {"mean": mean}, ks_distance(x, exponential_cdf(mean)),
+                       w1_distance(x, exponential_quantile(mean)))
 
 
-def sample_fit(e: EmpiricalDist, reference, name: str, params: dict | None = None) -> FitReport:
+def sample_fit(x, reference, name: str, params: dict | None = None) -> FitReport:
     """Two-sample KS and W1 distances against a reference sample."""
-    return _fit_report(e, name, params or {}, ks_two_sample(e, reference),
-                       w1_distance(e, reference))
+    return _fit_report(x, name, params or {}, ks_two_sample(x, reference),
+                       w1_distance(x, reference))

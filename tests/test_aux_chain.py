@@ -640,17 +640,17 @@ def test_propagator_derived_members(monkeypatch):
         assert p.target_mass(killed) == 0.0 and np.array_equal(killed, zero_target(p, killed))
         state = rng.dirichlet(np.ones(killed.size)).reshape(killed.shape)
         for s in (state, killed, p.start()):
-            assert np.array_equal(p.killed_step(s), zero_target(p, p.step(s)))
+            assert np.array_equal(p.killed_step(s), zero_target(p, p.left_step(s)))
         assert p.tv_to_stationary(p.stationary_state()) == 0.0
 
         calls = [0]
-        step = p.step
+        left_step = p.left_step
 
         def counted(s):
             calls[0] += 1
-            return step(s)
+            return left_step(s)
 
-        monkeypatch.setattr(p, "step", counted)
+        monkeypatch.setattr(p, "left_step", counted)
         levels = []
         for gate in (math.inf, -1.0, math.inf):
             monkeypatch.setattr(fvtl, "STOP_RESIDUAL_LEVEL", gate)

@@ -18,7 +18,7 @@ import pytest
 from dfa_meet.aux_chain import build_aux_chain
 from dfa_meet.chains import walk_matrix
 from dfa_meet.dfa import Dfa
-from dfa_meet.stats import EmpiricalDist, exponential_fit, geometric_tail_fit, sample_fit
+from dfa_meet.stats import exponential_fit, geometric_tail_fit, sample_fit
 
 SAMPLE = [0, 1, 1, 2, 3, 3, 3, 5, 8, 13]
 # ties with SAMPLE at 1, 3 and 13
@@ -29,13 +29,12 @@ MOMENTS = {"sample_mean": 3.9, "sample_variance": 15.43333333333333, "sem": 1.24
 
 
 def fits():
-    e = EmpiricalDist.from_samples(SAMPLE)
     return {
-        "geometric-0.2": geometric_tail_fit(e, 0.2),
-        "geometric-1": geometric_tail_fit(e, 1.0),
-        "exponential": exponential_fit(EmpiricalDist.from_samples(np.array(SAMPLE) / 4), 1.0),
-        "sample-tied": sample_fit(e, TIED_REFERENCE, "kingman", {"n": 10}),
-        "sample-spread": sample_fit(e, SPREAD_REFERENCE, "spread"),
+        "geometric-0.2": geometric_tail_fit(SAMPLE, 0.2),
+        "geometric-1": geometric_tail_fit(SAMPLE, 1.0),
+        "exponential": exponential_fit(np.array(SAMPLE) / 4, 1.0),
+        "sample-tied": sample_fit(SAMPLE, TIED_REFERENCE, "kingman", {"n": 10}),
+        "sample-spread": sample_fit(SAMPLE, SPREAD_REFERENCE, "spread"),
     }
 
 

@@ -28,7 +28,7 @@ def return_series(p):
     state = p.start()
     while True:
         yield p.target_mass(state)
-        state = p.step(state)
+        state = p.left_step(state)
 
 
 def relaxation_horizon(p, terms):
@@ -68,7 +68,7 @@ def test_target_walk_steps_match_row_vector_oracle():
         target = int(rng.integers(0, c.size))
         walk = TargetWalk(c, target)
         v = rng.dirichlet(np.ones(c.size))
-        assert np.array_equal(walk.step(v), v @ c.kernel)
+        assert np.array_equal(walk.left_step(v), v @ c.kernel)
         killed = v @ c.kernel
         killed[target] = 0.0
         assert np.array_equal(walk.killed_step(v), killed)

@@ -5,6 +5,8 @@ tests; one that only tests call belongs in the tests, as an oracle next to
 them.
 A dataclass field must be read in the library or emitted by its class: a
 value that is computed and then dropped goes, with the code that makes it.
+A function or method that only passes its own parameters on to another is a
+second name for one operation, and goes unless an exemption says why it stays.
 """
 
 import ast
@@ -135,3 +137,76 @@ def test_every_dataclass_field_is_read_by_the_library():
     unread = [f"{cls}.{name}" for cls, name in dataclass_fields()
               if name not in read and (cls, name) not in FIELD_EXEMPTIONS]
     assert not unread, f"dataclass fields that the library never reads: {unread}"
+
+
+# Functions and methods whose body only passes their own parameters on to
+# another, each with the reason it stays.
+ALIAS_EXEMPTIONS = {
+    # its own span is perfbench's aux_chain.fvtl_report_s.*, and the exact
+    # goldens call it
+    "aux_chain.aux_fvtl_report",
+}
+
+
+def _module_level_names(tree) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def _passes_its_parameters_on(fn, module_names, method) -> bool:
+    """True when ``fn``'s body, docstring aside, is ``return f(<its parameters, in order>)``.
+
+    ``f`` is a module-level name, or a ``self.`` method when ``fn`` is a method.
+    """
+    body = fn.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    call = body[0].value
+    if not isinstance(call, ast.Call):
+        return False
+    f = call.func
+    if not (isinstance(f, ast.Name) and f.id in module_names
+            or method and isinstance(f, ast.Attribute)
+            and isinstance(f.value, ast.Name) and f.value.id == "self"):
+        return False
+    params = [a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs]
+    if method:
+        params = params[1:]
+    passed = [a.id if isinstance(a, ast.Name) else None for a in call.args]
+    passed += [k.arg if isinstance(k.value, ast.Name) and k.value.id == k.arg else None
+               for k in call.keywords]
+    return passed == params
+
+
+def aliases():
+    """``module.name`` or ``module.Class.name`` of each function that is only an alias."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        module_names = _module_level_names(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if _passes_its_parameters_on(node, module_names, method=False):
+                    found.append(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                found += [f"{path.stem}.{node.name}.{item.name}" for item in node.body
+                          if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                          and _passes_its_parameters_on(item, module_names, method=True)]
+    return found
+
+
+def test_no_function_is_only_another_name_for_one():
+    found = aliases()
+    flagged = [name for name in found if name not in ALIAS_EXEMPTIONS]
+    assert not flagged, f"functions that only pass their parameters on to another: {flagged}"
+    assert ALIAS_EXEMPTIONS <= set(found), "an exemption that is no longer an alias goes"

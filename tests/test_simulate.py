@@ -135,7 +135,7 @@ def test_coalescence_two_walkers_matches_exact_product_solve():
 
 def test_coalescence_debug_pair_matches_independent_meeting():
     """Two-walker coalescence has the law of the independent meeting time."""
-    from dfa_meet.stats import EmpiricalDist, ks_two_sample
+    from dfa_meet.stats import ks_two_sample
 
     d = generate_dfa(100, 2, seed=5)
     coal = np.array([
@@ -146,7 +146,7 @@ def test_coalescence_debug_pair_matches_independent_meeting():
         sample_meeting_independent(d, 3, 77, 10**5, seed=seed_split(2, i, "meet")).tau
         for i in range(10_000)
     ])
-    ks = ks_two_sample(EmpiricalDist.from_samples(coal), meet)
+    ks = ks_two_sample(coal, meet)
     assert ks <= 0.02
 
 
@@ -383,7 +383,7 @@ def test_pair_tails_match_the_set_loops_on_small_cases(monkeypatch, chunk):
 
 
 def test_batch_sampler_matches_per_trial_distribution():
-    from dfa_meet.stats import EmpiricalDist, ks_two_sample
+    from dfa_meet.stats import ks_two_sample
 
     d = generate_dfa(60, 2, seed=9)
     taus_batch, censored = sample_meeting_independent_batch(d, 0, 1, 8000, 10**5, seed=3)
@@ -392,7 +392,7 @@ def test_batch_sampler_matches_per_trial_distribution():
         sample_meeting_independent(d, 0, 1, 10**5, seed=seed_split(4, i, "s")).tau
         for i in range(8000)
     ])
-    ks = ks_two_sample(EmpiricalDist.from_samples(taus_batch), taus_single)
+    ks = ks_two_sample(taus_batch, taus_single)
     assert ks <= 0.03
 
 

@@ -27,7 +27,7 @@ sampler.
 The samplers read the automaton as per-color columns (``cols[c][x]`` is
 the ``c``-successor of ``x``). The two pair samplers read about ``2 * tau``
 entries, so their columns are memoryviews of one contiguous copy of the
-transposed table. Coalescing and sync read far more, in three phases:
+transposed table. Coalescing and sync read far more, in four phases:
 
 * while the cluster or image set holds more than ``_SET_LOOP_SIZE``
   points, a step is one numpy pass: gather each point's target for its
@@ -36,11 +36,17 @@ transposed table. Coalescing and sync read far more, in three phases:
   slices of the ``COLOR_CHUNK`` blocks, so its stream is read as above;
 * a smaller set steps point by point in a set loop over Python lists of
   the columns, reading the rest of the same stream;
+* once three points are left, they step as three locals: the last three
+  clusters take three colors per step, lowest position first, and are
+  re-sorted after it; the last three image points read one color;
 * once two points are left, a pair loop reads the colors in the order
   above: the last two clusters are two independent walks, the lower
   position taking the first color of each step, and the last two image
   points are two coupled walks, so sync resumes the coupled meeting loop
   at its step.
+
+A set may skip a phase: one step can take it from more than
+``_SET_LOOP_SIZE`` points to two.
 """
 
 from __future__ import annotations
@@ -72,7 +78,7 @@ THREADS_ENV_VAR = "DFA_MEET_THREADS"
 _FREED_BLOCK_BYTES = 1 << 22
 _BATCH_BYTES = _FREED_BLOCK_BYTES // 4
 # coalescing and sync step a cluster or image set larger than this as one
-# numpy pass, and a smaller one point by point in a set loop
+# numpy pass, and a smaller one of four or more point by point in a set loop
 _SET_LOOP_SIZE = 32
 # at most what one finished TrialRecord holds in memory (about 240 bytes)
 _RECORD_BYTES = 200
@@ -218,9 +224,12 @@ def sample_coalescence(d: Dfa, cap: int, seed, trial: int = 0) -> TrialRecord:
 
     Walks start from every vertex. Clusters take colors in increasing order
     of their current position, from ``COLOR_CHUNK`` blocks that equal one
-    draw per step; the last block may run past the stopping step. Once two
-    clusters remain, a pair loop steps them until they meet: the last merge
-    is an independent meeting, the lower position taking the first color.
+    draw per step; the last block may run past the stopping step. A step
+    over more than ``_SET_LOOP_SIZE`` clusters is one numpy pass, a step
+    over four or more a set loop, and the last three clusters step as
+    locals. Once two clusters remain, a pair loop steps them until they
+    meet: the last merge is an independent meeting, the lower position
+    taking the first color.
     """
     rng = np.random.default_rng(seed)
     tau, censored = _coalesce(d, cap, rng, range(d.n))
@@ -233,9 +242,11 @@ def sample_sync(d: Dfa, cap: int, seed, trial: int = 0) -> TrialRecord:
     Tracks the image set of the whole vertex set under the word read so
     far; non-synchronizable automata exist, so censoring at the cap is an
     expected occasional outcome. The word is read from ``COLOR_CHUNK``
-    blocks, the last of which may run past the stopping step. Once the
-    image holds two vertices, the rest of the word drives them as a coupled
-    meeting, resumed from the step reached.
+    blocks, the last of which may run past the stopping step. An image of
+    more than ``_SET_LOOP_SIZE`` vertices steps as one numpy pass, a
+    smaller one in a set loop, and an image of three as three locals. Once
+    the image holds two vertices, the rest of the word drives them as a
+    coupled meeting, resumed from the step reached.
     """
     rng = np.random.default_rng(seed)
     tau, censored = _sync(d, cap, rng)
@@ -309,12 +320,28 @@ def _coalesce(d: Dfa, cap: int, rng, starts) -> tuple[int, bool]:
     colors = itertools.chain(block[at:].tolist(), _colors(rng, r))
     positions = (positions // r).tolist()
     cols = d.out.T.tolist()
-    while len(positions) > 2:
+    while len(positions) > 3:
         if t == cap:
             return cap, True
         t += 1
         # zip stops at the last cluster, so each step takes one color per cluster
         positions = sorted({cols[c][x] for x, c in zip(positions, colors)})
+    if len(positions) == 3:
+        # the last three clusters, lowest position first, re-sorted after each step
+        x, y, z = positions
+        for t, a, b, c in zip(range(t + 1, cap + 1), colors, colors, colors):
+            x, y, z = cols[a][x], cols[b][y], cols[c][z]
+            if x == y or y == z or x == z:
+                break
+            if x > y:
+                x, y = y, x
+            if y > z:
+                y, z = z, y
+            if x > y:
+                x, y = y, x
+        else:
+            return cap, True
+        positions = sorted({x, y, z})
     if len(positions) == 1:
         return t, False
     # the last two clusters: the lower position takes the first color of each step
@@ -340,11 +367,22 @@ def _sync(d: Dfa, cap: int, rng) -> tuple[int, bool]:
         image = _sorted_unique(columns[next(colors)][image])
     cols = d.out.T.tolist()
     image = image.tolist()
-    while len(image) > 2:
+    while len(image) > 3:
         if t == cap:
             return cap, True
         t += 1
         image = set(map(cols[next(colors)].__getitem__, image))
+    if len(image) == 3:
+        # the last three image points, each step reading one color
+        x, y, z = image
+        for t, c in zip(range(t + 1, cap + 1), colors):
+            col = cols[c]
+            x, y, z = col[x], col[y], col[z]
+            if x == y or y == z or x == z:
+                break
+        else:
+            return cap, True
+        image = {x, y, z}
     # two points reading one word are a coupled meeting from step t; one has met
     return _meet_coupled(cols, min(image), max(image), cap, colors, t)
 
@@ -359,6 +397,7 @@ def sample_meeting_independent_batch(
     deterministic for a fixed seed but not trial-replayable; use
     :func:`run_experiment` when per-trial replay matters.
     """
+    _check_pair(d.n, (x, y))
     rng = np.random.default_rng(seed)
     taus = np.zeros(trials, dtype=np.int64)
     censored = np.zeros(trials, dtype=bool)

@@ -178,37 +178,39 @@ def coalescence_oracle(d, cap, seed, starts=None):
     return (cap, True), sizes
 
 
-def pair_tail(sizes, censored, chunk, reads=None):
-    """How a run's last two points ended, from its oracle trace up to its stop.
+def tail(sizes, censored, chunk, points, reads=None):
+    """How a run's phase of ``points`` points ended, from its oracle trace up to its stop.
 
     ``sizes[t]`` counts the points after step ``t``, and step ``t`` reads
     ``reads[t - 1]`` colors (one when ``reads`` is omitted). Returns ``None``
-    if two points never remained, ``"arrival"`` if the cap came on the step
-    two remained, ``"censored"`` if it came later, ``"crossed"`` if the two
-    met in a later color block than the one they started reading, else
-    ``"met"``.
+    if ``points`` points never remained, ``"arrival"`` if the cap came on
+    the step they first remained, ``"censored"`` if it came later with as
+    many points left, ``"crossed"`` if some of them met in a later color block
+    than the one they started reading, else ``"met"``.
     """
-    if 2 not in sizes:
+    if points not in sizes:
         return None
-    two = sizes.index(2)
-    if censored:
-        return "arrival" if two == len(sizes) - 1 else "censored"
+    first = sizes.index(points)
+    last = len(sizes) - 1 - sizes[::-1].index(points)
+    if censored and last == len(sizes) - 1:
+        return "arrival" if first == last else "censored"
     reads = [1] * len(sizes) if reads is None else reads
-    start, stop = sum(reads[:two]), sum(reads[:len(sizes) - 1])
+    start, stop = sum(reads[:first]), sum(reads[:last + 1])
     return "crossed" if start // chunk < (stop - 1) // chunk else "met"
 
 
-def capped_at_two(sizes, cap):
-    """``cap``, then the step two points remained when that is in ``[1, cap)``."""
-    two = sizes.index(2) if 2 in sizes else 0
-    return (cap, two) if 1 <= two < cap else (cap,)
+def capped_at(sizes, cap, counts):
+    """``cap``, and each step in ``[1, cap)`` on which one of ``counts`` points first remained."""
+    steps = {sizes.index(points) for points in counts if points in sizes}
+    return sorted({cap, *(step for step in steps if 1 <= step < cap)})
 
 
 @pytest.mark.parametrize("chunk", [7, simulate.COLOR_CHUNK])
 def test_coalescence_matches_per_step_draw_oracle(monkeypatch, chunk):
     """The sampler stops where the oracle does. Across the cases, the last
     two clusters meet after a color-block boundary, are censored, and are
-    censored on the very step two remain."""
+    censored on the very step two remain; with 7-color blocks, so do the
+    last three."""
     monkeypatch.setattr(simulate, "COLOR_CHUNK", chunk)
     cases = [
         (generate_dfa(n, r, seed), cap, seed + 9)
@@ -230,15 +232,18 @@ def test_coalescence_matches_per_step_draw_oracle(monkeypatch, chunk):
         duplicates = [x % (n // 2 + 1) for x in range(n)]
         for starts in (None, [0, n - 1], [n // 2, 0], list(range(1, n, 3)), [n // 2], duplicates):
             _, sizes = coalescence_oracle(d, cap, seed, starts)
-            for c in capped_at_two(sizes, cap):
+            for c in capped_at(sizes, cap, (2, 3)):
                 expected, sizes = coalescence_oracle(d, c, seed, starts)
                 if starts is None:
                     rec = sample_coalescence(d, c, seed=seed)
                     assert (rec.tau, rec.censored) == expected
                 else:
                     assert simulate._coalesce(d, c, np.random.default_rng(seed), starts) == expected
-                tails[pair_tail(sizes, expected[1], chunk, reads=sizes)] += 1
-    assert min(tails["crossed"], tails["censored"], tails["arrival"]) > 0
+                for points in (2, 3):
+                    tails[points, tail(sizes, expected[1], chunk, points, reads=sizes)] += 1
+    for points in (2, 3) if chunk == 7 else (2,):
+        assert min(tails[points, "crossed"], tails[points, "censored"],
+                   tails[points, "arrival"]) > 0
 
 
 def meeting_oracle(d, x, y, cap, seed, coupled):
@@ -295,14 +300,15 @@ def test_sync_tau_is_first_singleton_image_of_block_word(monkeypatch, chunk):
     """The sync sampler stops where the oracle's image of the block-drawn word
     is one vertex. Across the cases, the last two image points meet after a
     color-block boundary, are censored, and are censored on the very step
-    two remain."""
+    two remain; with 7-color blocks, so do the last three."""
     monkeypatch.setattr(simulate, "COLOR_CHUNK", chunk)
     cases = [
         (generate_dfa(n, r, seed), cap, seed + 50)
         for n, r, cap in ((2, 2, 5), (17, 3, 1000), (40, 2, 3), (60, 2, 2000), (60, 5, 400))
         for seed in range(8)
     ]
-    cases += [(slow_meeting_dfa(23), 2 * chunk + 5, seed) for seed in range(3)]
+    # at n = 5 the last three image points may outlast the cap
+    cases += [(slow_meeting_dfa(n), 2 * chunk + 5, seed) for n in (5, 23) for seed in range(3)]
     # above the set-loop size: numpy steps across color blocks, a cap among them, r = n;
     # color 0 of the constant-color automaton sends the whole image to 0
     cases += [
@@ -317,54 +323,74 @@ def test_sync_tau_is_first_singleton_image_of_block_word(monkeypatch, chunk):
         blocks = -(-cap // chunk)
         word = np.concatenate([rng.integers(0, d.r, size=chunk) for _ in range(blocks)])[:cap]
         word_sizes = sync_image_sizes(d, word)
-        for c in capped_at_two(word_sizes, cap):
+        for c in capped_at(word_sizes, cap, (2, 3)):
             sizes = word_sizes[:c + 1]
             hits = [t for t, size in enumerate(sizes) if size == 1]
             expected = (hits[0], False) if hits else (c, True)
             rec = sample_sync(d, c, seed=seed)
             assert (rec.tau, rec.censored) == expected
-            tails[pair_tail(sizes[:expected[0] + 1], expected[1], chunk)] += 1
-    assert min(tails["crossed"], tails["censored"], tails["arrival"]) > 0
+            for points in (2, 3):
+                tails[points, tail(sizes[:expected[0] + 1], expected[1], chunk, points)] += 1
+    for points in (2, 3) if chunk == 7 else (2,):
+        assert min(tails[points, "crossed"], tails[points, "censored"],
+                   tails[points, "arrival"]) > 0
 
 
-def set_loop_coalescence(d, cap, rng, starts):
-    """The coalescing sampler as one set loop to the end, with no pair tail."""
+def set_loop_coalescence(d, cap, rng, starts, exits):
+    """The coalescing sampler as one set loop to the end, with no pair tail.
+
+    Counts in ``exits`` how a run's last three points ended: ``2`` or ``1``
+    points after a step, or ``"cap"``.
+    """
     r, out_flat = d.r, d.out.ravel().tolist()
     positions = sorted(set(starts))
     if len(positions) == 1:
         return 0, False
     colors = simulate._colors(rng, r)
     for t in range(1, cap + 1):
+        before = len(positions)
         positions = sorted({out_flat[x * r + c] for x, c in zip(positions, colors)})
+        if before == 3 and len(positions) < 3:
+            exits[len(positions)] += 1
         if len(positions) == 1:
             return t, False
+    exits["cap"] += len(positions) == 3
     return cap, True
 
 
-def set_loop_sync(d, cap, rng):
-    """The sync sampler as one set loop to the end, with no coupled tail."""
+def set_loop_sync(d, cap, rng, exits):
+    """The sync sampler as one set loop to the end, with no coupled tail; ``exits`` as above."""
     r, out_flat = d.r, d.out.ravel().tolist()
     image = range(d.n)
     for t, c in zip(range(1, cap + 1), simulate._colors(rng, r)):
+        before = len(image)
         image = {out_flat[x * r + c] for x in image}
+        if before == 3 and len(image) < 3:
+            exits[len(image)] += 1
         if len(image) == 1:
             return t, False
+    exits["cap"] += len(image) == 3
     return cap, True
 
 
 @pytest.mark.parametrize("chunk", [7, simulate.COLOR_CHUNK])
 def test_pair_tails_match_the_set_loops_on_small_cases(monkeypatch, chunk):
-    """Seeded differential test: 2,000 small automata, caps 1-30; then automata
-    above the set-loop size, whose numpy steps cross color blocks, with caps
-    among those steps and without, duplicate starts, r = n, and n = 10**4."""
+    """Seeded differential test: 2,000 small automata, caps 1-30, on which the
+    last three points of each sampler end with two left, with none, and at
+    the cap; then automata above the set-loop size, whose numpy steps cross
+    color blocks, with caps among those steps and without, duplicate starts,
+    r = n, and n = 10**4."""
     monkeypatch.setattr(simulate, "COLOR_CHUNK", chunk)
+    exits = {"coalescing": collections.Counter(), "sync": collections.Counter()}
 
     def check(d, cap, seed, starts):
         for walkers in (starts, range(d.n)):
             got = simulate._coalesce(d, cap, np.random.default_rng(seed), walkers)
-            assert got == set_loop_coalescence(d, cap, np.random.default_rng(seed), walkers)
+            expected = set_loop_coalescence(d, cap, np.random.default_rng(seed), walkers,
+                                            exits["coalescing"])
+            assert got == expected
         got = simulate._sync(d, cap, np.random.default_rng(seed))
-        assert got == set_loop_sync(d, cap, np.random.default_rng(seed))
+        assert got == set_loop_sync(d, cap, np.random.default_rng(seed), exits["sync"])
 
     master = np.random.default_rng(13)
     for _ in range(2000):
@@ -374,6 +400,8 @@ def test_pair_tails_match_the_set_loops_on_small_cases(monkeypatch, chunk):
         d = generate_dfa(n, r, master)
         seed = int(master.integers(2**32))
         check(d, cap, seed, master.integers(0, n, size=int(master.integers(1, n + 1))).tolist())
+    for mode in exits:
+        assert min(exits[mode][2], exits[mode][1], exits[mode]["cap"]) > 0, mode
     large = [(n, r, cap) for n, r in ((33, 2), (100, 7), (300, 2), (300, 300), (1000, 20))
              for cap in (1, 4, default_cap(n))]
     for n, r, cap in large + [(10**4, 2, default_cap(10**4))]:
@@ -394,6 +422,18 @@ def test_batch_sampler_matches_per_trial_distribution():
     ])
     ks = ks_two_sample(taus_batch, taus_single)
     assert ks <= 0.03
+
+
+@pytest.mark.parametrize("x", [-1, -10])
+def test_batch_sampler_rejects_starts_outside_the_vertices(x):
+    """As the per-trial sampler does; numpy would index from the end, x = -1 meaning 9."""
+    d = generate_dfa(10, 2, seed=0)
+    message = rf"start vertex {x} outside \[0, 10\)"
+    for pair in ((x, 3), (3, x)):
+        with pytest.raises(ValueError, match=message):
+            sample_meeting_independent(d, *pair, 100, seed=0)
+        with pytest.raises(ValueError, match=message):
+            sample_meeting_independent_batch(d, *pair, 4, 100, seed=0)
 
 
 def test_kingman_reference_moments():

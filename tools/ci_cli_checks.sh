@@ -49,6 +49,13 @@ for n in 60 2000; do
     cmp "$tmp/$mode-$n-threads-1.csv" "$tmp/$mode-$n-threads-2.csv"
   done
 done
+# at n = 12 with cap 8, 19 coalescing and 11 sync trials are censored with three points left
+for mode in coalescing sync; do
+  for threads in 1 2; do
+    dfa-meet simulate --mode "$mode" --n 12 --r 2 --trials 40 --cap 8 --seed 3 --threads "$threads" --out "$tmp/$mode-capped-threads-$threads.csv"
+  done
+  cmp "$tmp/$mode-capped-threads-1.csv" "$tmp/$mode-capped-threads-2.csv"
+done
 # six n = 1000, r = 20 tables to a batch: 200 trials are pool tasks of 7
 for mode in independent coupled; do
   for threads in 1 2; do

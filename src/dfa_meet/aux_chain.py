@@ -47,6 +47,7 @@ from .fvtl import (
     log_power_horizon,
     return_sums,
 )
+from .simulate import _draw_uniform_distinct_pair
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -299,9 +300,9 @@ def check_events(
     :func:`~dfa_meet.fvtl.certified_scan` to ``S``: every start when ``n``
     is at most ``A4_EXACT_LIMIT``, otherwise ``DELTA`` and ``A4_SAMPLES``
     uniform pair starts (seed ``A4_SEED``), an estimate of the max, not
-    the exact max. The return-mass pass computes only ``R``. Both stop at
-    the certified TV level (see :class:`AuxEventReport`), so A4
-    and A5 can differ from the verdicts of full runs only when ``eps``
+    the exact max. ``R`` comes from :func:`return_mass`, without ``Z``.
+    Both stop at the certified TV level (see :class:`AuxEventReport`), so
+    A4 and A5 can differ from the verdicts of full runs only when ``eps``
     lies within ``TV_STOP_LEVEL + 2e`` of ``max_tv_at_s``, or within
     ``(T - t0) * (TV_STOP_LEVEL + 2e)`` of ``|R - r/(r-1)|``.
     """
@@ -316,7 +317,7 @@ def check_events(
     n_pi_delta = n * a.pi_tilde_delta
     ratio = r / (r - 1.0)
 
-    sums = return_sums(a, t_horizon, sum_z=False)
+    r_mass, r_stop = return_mass(a, t_horizon)
     scans = [certified_scan(a, m, s_horizon) for m in _a4_starts(a)]
     max_tv = max(tv for _, tv in scans)
     stopped = sum(t0 < s_horizon for t0, _ in scans)
@@ -335,13 +336,13 @@ def check_events(
         max_tv_at_s=max_tv,
         tv_mode=tv_mode,
         a4_stopped_starts=stopped,
-        return_mass=sums.return_mass,
-        return_stop_step=sums.stop_step,
+        return_mass=r_mass,
+        return_stop_step=r_stop,
         a1=min_pt >= n**-3.6,
         a2=max_pt <= log_n**8 / n,
         a3=abs(n_pi_delta - ratio) < eps,
         a4=max_tv < eps,
-        a5=abs(sums.return_mass - ratio) < eps,
+        a5=abs(r_mass - ratio) < eps,
     )
 
 
@@ -358,8 +359,7 @@ def _a4_starts(a: AuxChain):
         pairs = ((x, xp) for x in range(n) for xp in range(n) if x != xp)
     else:
         rng = np.random.default_rng(A4_SEED)
-        draws = ((int(rng.integers(0, n)), int(rng.integers(0, n - 1))) for _ in range(A4_SAMPLES))
-        pairs = ((x, xp + (xp >= x)) for x, xp in draws)
+        pairs = (_draw_uniform_distinct_pair(rng, n) for _ in range(A4_SAMPLES))
     for x, xp in pairs:
         m = np.zeros((n, n))
         m[x, xp] = 1.0

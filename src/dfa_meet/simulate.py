@@ -24,6 +24,9 @@ its stopping step: where the generator stands after a sampler returns is
 not part of the contract, and nothing draws from a trial stream after its
 sampler.
 
+The trials of ``sample_meeting_independent_batch`` share one stream
+instead: each reads the independent layout from where the last stopped.
+
 The samplers read the automaton as per-color columns (``cols[c][x]`` is
 the ``c``-successor of ``x``). The two pair samplers read about ``2 * tau``
 entries, so their columns are memoryviews of one contiguous copy of the
@@ -390,34 +393,23 @@ def _sync(d: Dfa, cap: int, rng) -> tuple[int, bool]:
 def sample_meeting_independent_batch(
     d: Dfa, x: int, y: int, trials: int, cap: int, seed
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized independent-meeting sampler for many trials on one DFA.
+    """Independent meeting times of ``trials`` walk pairs from ``(x, y)`` on one DFA.
 
-    Returns ``(taus, censored)`` arrays. Uses a single stream across all
-    trials (per-step color blocks for the still-active trials), so it is
-    deterministic for a fixed seed but not trial-replayable; use
-    :func:`run_experiment` when per-trial replay matters.
+    Returns ``(taus, censored)`` arrays. The trials read one color stream
+    from ``seed`` in turn, each from where the last one stopped. So a batch
+    is deterministic for a fixed seed and is the start of any longer batch,
+    but no trial is replayable alone; use :func:`run_experiment` when
+    per-trial replay matters.
     """
     _check_pair(d.n, (x, y))
-    rng = np.random.default_rng(seed)
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
+    cols = d.out.T.tolist()
+    colors = _colors(np.random.default_rng(seed), d.r)
     taus = np.zeros(trials, dtype=np.int64)
     censored = np.zeros(trials, dtype=bool)
-    if x == y:
-        return taus, censored
-    out = d.out
-    active = np.arange(trials)
-    xs = np.full(trials, x)
-    ys = np.full(trials, y)
-    for t in range(1, cap + 1):
-        colors = rng.integers(0, d.r, size=(active.size, 2))
-        xs[active] = out[xs[active], colors[:, 0]]
-        ys[active] = out[ys[active], colors[:, 1]]
-        met = xs[active] == ys[active]
-        taus[active[met]] = t
-        active = active[~met]
-        if active.size == 0:
-            return taus, censored
-    taus[active] = cap
-    censored[active] = True
+    for i in range(trials):
+        taus[i], censored[i] = _meet_independent(cols, x, y, cap, colors)
     return taus, censored
 
 

@@ -410,18 +410,54 @@ def test_pair_tails_match_the_set_loops_on_small_cases(monkeypatch, chunk):
         check(d, cap, seed, master.integers(0, n, size=2 * n).tolist())
 
 
-def test_batch_sampler_matches_per_trial_distribution():
+# vertices 0 and 1 of generate_dfa(60, 2, seed=9) share no successor, so
+# at cap 1 every trial is censored
+@pytest.mark.parametrize("x, y, cap", [(0, 1, 10**5), (0, 0, 10**5), (0, 1, 1)])
+def test_batch_sampler_matches_per_trial_distribution(x, y, cap):
+    """One shared stream and per-trial streams give the same law."""
     from dfa_meet.stats import ks_two_sample
 
     d = generate_dfa(60, 2, seed=9)
-    taus_batch, censored = sample_meeting_independent_batch(d, 0, 1, 8000, 10**5, seed=3)
-    assert not censored.any()
-    taus_single = np.array([
-        sample_meeting_independent(d, 0, 1, 10**5, seed=seed_split(4, i, "s")).tau
-        for i in range(8000)
-    ])
-    ks = ks_two_sample(taus_batch, taus_single)
+    taus_batch, censored = sample_meeting_independent_batch(d, x, y, 8000, cap, seed=3)
+    assert taus_batch.dtype == np.int64 and censored.dtype == bool
+    singles = [sample_meeting_independent(d, x, y, cap, seed=seed_split(4, i, "s"))
+               for i in range(8000)]
+    assert censored.tolist() == [rec.censored for rec in singles] == [cap == 1] * 8000
+    if x == y:
+        assert not taus_batch.any()
+    ks = ks_two_sample(taus_batch, [rec.tau for rec in singles])
     assert ks <= 0.03
+
+
+def test_batch_trials_read_one_stream_in_turn():
+    """Each trial reads two colors a step from where the last one stopped.
+
+    So a batch is the first trials of any longer batch from its seed. The
+    stream is replayed as one draw, which equals its blocks
+    (``tests/test_streams.py``).
+    """
+    d = generate_dfa(60, 2, seed=9)
+    taus, censored = sample_meeting_independent_batch(d, 0, 1, 200, 40, seed=5)
+    head_taus, head_censored = sample_meeting_independent_batch(d, 0, 1, 100, 40, seed=5)
+    assert head_taus.tolist() == taus[:100].tolist()
+    assert head_censored.tolist() == censored[:100].tolist()
+    assert 0 < censored.sum() < censored.size
+    stream = iter(np.random.default_rng(5).integers(0, d.r, size=2 * int(taus.sum())).tolist())
+    for tau, cens in zip(taus.tolist(), censored.tolist()):
+        x, y, met = 0, 1, []
+        for _, c, cp in zip(range(tau), stream, stream):
+            x, y = d.out[x, c], d.out[y, cp]
+            met.append(x == y)
+        assert met == [False] * (tau - 1) + [not cens]
+
+
+def test_batch_sampler_rejects_a_negative_trial_count():
+    d = generate_dfa(10, 2, seed=0)
+    message = "trials must be nonnegative, got -1"
+    with pytest.raises(ValueError, match=message):
+        RunManifest(master_seed=0, mode="independent", n=10, r=2, trials=-1)
+    with pytest.raises(ValueError, match=message):
+        sample_meeting_independent_batch(d, 0, 1, -1, 100, seed=0)
 
 
 @pytest.mark.parametrize("x", [-1, -10])

@@ -37,7 +37,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .chains import ChainSpec, stationary_distribution
+from .chains import (
+    ChainSpec,
+    _map_threaded,
+    _row_groups,
+    _thread_count,
+    stationary_distribution,
+)
 from .dfa import _free_block
 from .fvtl import (
     FvtlReport,
@@ -68,7 +74,8 @@ class AuxChain(Propagator):
 
     Off-diagonal ordered pairs are enumerated row-major with the diagonal
     state last, so ``pair_index`` and ``delta_index`` are stable across
-    runs.
+    runs. ``row_groups`` holds the row slices of ``kernel_t`` that threaded
+    steps run on, one group per thread, or None for serial steps.
     """
 
     n: int
@@ -77,6 +84,7 @@ class AuxChain(Propagator):
     kernel_t: sp.csr_array = field(repr=False)
     pi: np.ndarray = field(repr=False)
     reentry: np.ndarray = field(repr=False)
+    row_groups: list[list[tuple]] | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -107,9 +115,20 @@ class AuxChain(Propagator):
         transpose copy. That is the step of ``m`` when ``s = m.T``, and
         its transpose when ``s = m``, which comes back as an F-ordered
         ``.T`` view; either way the result is the state the right way round.
+
+        When ``n * nnz`` of the kernel reaches
+        :data:`~dfa_meet.chains.THREADED_STEP_MIN`, both products run on
+        threads over contiguous row slices of ``kernel_t``: each thread
+        writes the transpose of its slice's first product into its own
+        columns of the transposed buffer, then its slice's second product
+        into its own rows of the result. Every entry is summed as in the
+        serial step, so the states are bit-identical for any thread count.
         """
         s = m.T if m.flags.f_contiguous and not m.flags.c_contiguous else m
-        w = self.kernel_t @ np.ascontiguousarray((self.kernel_t @ s).T)
+        if self.row_groups is None:
+            w = self.kernel_t @ np.ascontiguousarray((self.kernel_t @ s).T)
+        else:
+            w = _threaded_products(self.row_groups, s)
         if s is m:
             w = w.T
         w[np.diag_indices(self.n)] = np.trace(w) * self.reentry
@@ -162,6 +181,28 @@ class AuxChain(Propagator):
         return sp.vstack([product @ collapse, delta_row], format="csr")
 
 
+def _threaded_products(groups: list[list[tuple]], s: np.ndarray) -> np.ndarray:
+    """``kernel_t @ ascontiguousarray((kernel_t @ s).T)``, one thread per row group of ``kernel_t``."""
+    n = s.shape[0]
+    t = np.empty((n, n))
+
+    def first(group):
+        for lo, hi, rows in group:
+            t[:, lo:hi] = (rows @ s).T
+
+    _map_threaded(first, groups, len(groups))
+    # made after the first product, as the serial step makes its result, so
+    # that the heap's n x n blocks keep the serial step's rotation
+    w = np.empty((n, n))
+
+    def second(group):
+        for lo, hi, rows in group:
+            w[lo:hi] = rows @ t
+
+    _map_threaded(second, groups, len(groups))
+    return w
+
+
 def build_aux_chain(c: ChainSpec) -> AuxChain:
     """Assemble the auxiliary chain for a DFA walk kernel.
 
@@ -170,7 +211,10 @@ def build_aux_chain(c: ChainSpec) -> AuxChain:
     diagonal self-transition exactly ``1/r`` and the closed-form law
     stationary. Reads the chain's stationary law, computing and caching it
     if needed, which propagates
-    :class:`~dfa_meet.chains.MultipleRecurrentClassesError`.
+    :class:`~dfa_meet.chains.MultipleRecurrentClassesError`. Resolves the
+    thread count of the chain's steps once (see
+    :func:`~dfa_meet.chains._thread_count`), so a malformed
+    ``DFA_MEET_THREADS`` is a ``ValueError`` here.
     """
     kernel = c.kernel
     n = c.size
@@ -185,6 +229,7 @@ def build_aux_chain(c: ChainSpec) -> AuxChain:
     total = weights.sum()
     if total <= 0:
         raise AuxChainError("stationary law has no mass")
+    threads = _thread_count(n, kernel.nnz)
     # room for two n x n temporaries of a pair-chain step, which would
     # otherwise be unmapped when freed and faulted in again on the next step
     _free_block(8 * (2 * n * n + 512))
@@ -195,6 +240,7 @@ def build_aux_chain(c: ChainSpec) -> AuxChain:
         kernel_t=c.kernel_t,
         pi=pi,
         reentry=weights / total,
+        row_groups=None if threads == 1 else _row_groups(c.kernel_t, threads),
     )
 
 

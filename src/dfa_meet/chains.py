@@ -4,11 +4,18 @@ Transition kernels are scipy CSR matrices throughout. Dense linear algebra
 is used below ``DIRECT_SOLVE_LIMIT`` states and sparse iteration above.
 Scipy is imported inside the functions that build or solve a kernel, so
 the Monte Carlo side, which builds none, runs without loading it.
+
+Pair-chain steps and mixing profiles whose kernel has ``n * nnz`` of at
+least ``THREADED_STEP_MIN`` run their sparse products on one shared pool
+of helper threads (see :func:`_thread_count`). Each thread writes its own
+rows or columns of the result, with the same terms summed in the same
+order, so every output is bit-identical to the serial one.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -16,6 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .dfa import Dfa
+from .simulate import _usable_cpus, resolve_workers
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -29,6 +37,86 @@ PRODUCT_STATE_CAP = 4_000_000
 MAX_RESAMPLES = 64
 MIXING_THRESHOLD = 1.0 / (2.0 * math.e)
 MIXING_BATCH_SIZE = 2000
+# n * nnz from which a kernel's steps run on threads (n = 1000, r = 2 is at
+# it); below it the hand-offs cost more than the threads save
+THREADED_STEP_MIN = 2_000_000
+# row slices per thread of a threaded step; smaller slices keep each
+# thread's product temporaries small
+ROW_SUB_BLOCKS = 4
+
+# (threads, ThreadPoolExecutor) of the helper pool, made on first use
+_pool = None
+
+
+def _drop_pool() -> None:
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of its parent's pool threads, so it makes its own pool
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _thread_count(size: int, nnz: int) -> int:
+    """Threads for the steps of a kernel with ``size`` states and ``nnz`` entries.
+
+    1 when ``size * nnz`` is below ``THREADED_STEP_MIN``, else the least of
+    :func:`~dfa_meet.simulate.resolve_workers`, the usable CPUs and
+    ``size``. The worker count is resolved either way, so a malformed
+    ``DFA_MEET_THREADS`` is an error at every size.
+    """
+    workers = resolve_workers()
+    if size * nnz < THREADED_STEP_MIN:
+        return 1
+    return min(workers, _usable_cpus(), size)
+
+
+def _executor(threads: int):
+    """The helper pool with all its ``threads`` threads started, made anew for another count."""
+    global _pool
+    if _pool is None or _pool[0] != threads:
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        if _pool is not None:
+            _pool[1].shutdown(wait=False)
+        _pool = (threads, ThreadPoolExecutor(max_workers=threads))
+        # a pool starts a thread only when no thread is idle; tasks that wait
+        # for each other start them all now
+        barrier = threading.Barrier(threads)
+        list(_pool[1].map(lambda _: barrier.wait(), range(threads)))
+    return _pool[1]
+
+
+def _map_threaded(fn, items, threads: int) -> list:
+    """``[fn(item) for item in items]``, on ``threads`` pool threads when more than one.
+
+    ``fn`` runs numpy and scipy only: it calls no public function of this
+    package, whose spans a tracer may keep on one stack.
+    """
+    if threads == 1:
+        return [fn(item) for item in items]
+    return list(_executor(threads).map(fn, items))
+
+
+def _row_groups(kernel_t: sp.csr_array, threads: int) -> list[list[tuple]]:
+    """``kernel_t`` cut into ``threads`` groups of contiguous CSR row slices ``(lo, hi, rows)``.
+
+    Each group holds about ``ROW_SUB_BLOCKS`` slices; ``threads`` is at
+    most the row count, so no group is empty. The pool's threads start
+    here, before any step allocates its ``n x n`` blocks: a thread started
+    during a step leaves its own small allocations between those blocks,
+    and the heap then grows by a block.
+    """
+    n = kernel_t.shape[0]
+    bounds = [g * n // threads for g in range(threads + 1)]
+    groups = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        cuts = [lo + j * (hi - lo) // ROW_SUB_BLOCKS for j in range(ROW_SUB_BLOCKS + 1)]
+        groups.append([(a, b, kernel_t[a:b]) for a, b in zip(cuts, cuts[1:]) if b > a])
+    _executor(threads)
+    return groups
 
 
 class MultipleRecurrentClassesError(Exception):
@@ -189,9 +277,9 @@ def stationary_distribution(c: ChainSpec, method: str = "auto") -> np.ndarray:
 
 
 def _stationary_direct(kernel: sp.csr_array, support: np.ndarray) -> np.ndarray:
-    sub = kernel[np.ix_(support, support)].toarray()
     m = len(support)
-    a = sub.T - np.eye(m)
+    a = np.ascontiguousarray(kernel[np.ix_(support, support)].toarray().T)
+    a[np.diag_indices(m)] -= 1.0
     a[-1, :] = 1.0
     b = np.zeros(m)
     b[-1] = 1.0
@@ -256,27 +344,47 @@ def mixing_profile(c: ChainSpec, t_cap: int) -> MixingProfile:
 
     ``t_mix`` is the first ``t`` with ``d_tv(t) <= 1/(2e)``, or ``None``
     when the cap is exhausted first (flagged, not fatal). Start states are
-    processed in batches of ``MIXING_BATCH_SIZE``; a batch is held
+    processed in batches of at most ``MIXING_BATCH_SIZE``; a batch is held
     column-wise, one column per start, so a step is ``kernel_t @ block``,
     and memory stays at two blocks plus one TV buffer of
     ``MIXING_BATCH_SIZE * N`` floats each.
+
+    At or above ``THREADED_STEP_MIN`` each batch is cut into about
+    ``ROW_SUB_BLOCKS`` batches per thread (see :func:`_thread_count`), each
+    run to ``t_cap`` on a pool thread; small batches keep each thread's
+    blocks small. The batches' profiles are combined by their maximum, so
+    ``d_tv`` is the same for any thread count.
     """
     if t_cap < 0:
         raise ValueError(f"horizon must be at least 0, got {t_cap}")
     pi = stationary_distribution(c)[:, None]
-    n = c.size
-    d_tv = np.zeros(t_cap + 1)
-    for start in range(0, n, MIXING_BATCH_SIZE):
-        stop = min(start + MIXING_BATCH_SIZE, n)
+    n, kernel_t = c.size, c.kernel_t
+    threads = _thread_count(n, kernel_t.nnz)
+    cuts = 1 if threads == 1 else threads * ROW_SUB_BLOCKS
+    batches = []
+    for lo in range(0, n, MIXING_BATCH_SIZE):
+        hi = min(lo + MIXING_BATCH_SIZE, n)
+        # numpy sums a one-column block pairwise and a wider one column by
+        # column, so the cuts of a wider batch keep two columns or more
+        parts = max(1, min(cuts, (hi - lo) // 2))
+        batches += [(lo + j * (hi - lo) // parts, lo + (j + 1) * (hi - lo) // parts)
+                    for j in range(parts)]
+
+    def batch_profile(batch: tuple[int, int]) -> np.ndarray:
+        start, stop = batch
         block = np.zeros((n, stop - start))
         block[np.arange(start, stop), np.arange(stop - start)] = 1.0
         buf = np.empty_like(block)
+        d_tv = np.empty(t_cap + 1)
         for t in range(t_cap + 1):
             if t:
-                block = c.kernel_t @ block
+                block = kernel_t @ block
             np.subtract(block, pi, out=buf)
             np.abs(buf, out=buf)
-            d_tv[t] = max(d_tv[t], 0.5 * float(buf.sum(axis=0).max()))
+            d_tv[t] = 0.5 * float(buf.sum(axis=0).max())
+        return d_tv
+
+    d_tv = np.maximum.reduce(_map_threaded(batch_profile, batches, threads))
     below = np.flatnonzero(d_tv <= MIXING_THRESHOLD)
     t_mix = int(below[0]) if below.size else None
     return MixingProfile(d_tv=d_tv, t_mix=t_mix)

@@ -170,9 +170,11 @@ class Propagator(ABC):
         return 0.5 * float(np.abs(d, out=d).sum())
 
     def stationarity_residual(self) -> float:
-        """L1 residual of the computed stationary law under one step."""
+        """L1 residual of the computed stationary law under one step, in the step's buffer."""
         law = self.stationary_state()
-        return float(np.abs(self.left_step(law) - law).sum())
+        w = self.left_step(law)
+        np.subtract(w, law, out=w)
+        return float(np.abs(w, out=w).sum())
 
     _residual = cached_property(stationarity_residual)
 

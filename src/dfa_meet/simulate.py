@@ -476,20 +476,24 @@ def _read_fixed_dfa(manifest: RunManifest) -> Dfa:
     return d
 
 
+def _usable_cpus() -> int:
+    """CPUs of the process's affinity mask where the platform reports one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def resolve_workers(workers: int | None = None) -> int:
     """Explicit argument, then the DFA_MEET_THREADS variable, then usable CPUs.
 
-    Usable CPUs are those of the process's affinity mask where the platform
-    reports one, else the CPU count. A non-integer variable or a count
-    below 1 is a ``ValueError`` naming its source.
+    A non-integer variable or a count below 1 is a ``ValueError`` naming
+    its source.
     """
     source = f"workers={workers}"
     if workers is None:
         env = os.environ.get(THREADS_ENV_VAR)
         if not env:
-            if hasattr(os, "sched_getaffinity"):
-                return len(os.sched_getaffinity(0))
-            return os.cpu_count() or 1
+            return _usable_cpus()
         source = f"{THREADS_ENV_VAR}={env}"
         try:
             workers = int(env)

@@ -586,6 +586,19 @@ def test_simulate_rejects_worker_counts_below_one(tmp_path, dfa_file, monkeypatc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["exact", "fvtl"])
+@pytest.mark.parametrize("value", ["0", "abc", "-2"])
+def test_exact_side_rejects_a_malformed_worker_count(dfa_file, tmp_path, monkeypatch, capsys,
+                                                     command, value):
+    monkeypatch.setenv("DFA_MEET_THREADS", value)
+    out = tmp_path / "report.json"
+    assert main([command, "--dfa", str(dfa_file), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: DFA_MEET_THREADS={value}: the worker count must be "
+                                + ("an integer" if value == "abc" else "at least 1")]
+    assert not out.exists()
+
+
 @pytest.fixture
 def duplicate_target_file(tmp_path):
     path = tmp_path / "dup.json"

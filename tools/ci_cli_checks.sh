@@ -64,6 +64,16 @@ for mode in independent coupled; do
   cmp "$tmp/$mode-threads-1.csv" "$tmp/$mode-threads-2.csv"
 done
 
+step "Thread count leaves the exact-side reports unchanged"
+# both sizes are above the gate from which pair-chain steps and mixing profiles run on threads
+dfa-meet gen --n 1000 --r 2 --seed 0 --out "$tmp/dfa-1000-2.json"
+for threads in 1 2; do
+  DFA_MEET_THREADS="$threads" dfa-meet fvtl --dfa "$tmp/dfa-400-20.json" --quasi --skip-events --out "$tmp/fvtl-400-20-threads-$threads.json"
+  DFA_MEET_THREADS="$threads" dfa-meet exact --dfa "$tmp/dfa-1000-2.json" --out "$tmp/exact-1000-2-threads-$threads.json"
+done
+cmp "$tmp/fvtl-400-20-threads-1.json" "$tmp/fvtl-400-20-threads-2.json"
+cmp "$tmp/exact-1000-2-threads-1.json" "$tmp/exact-1000-2-threads-2.json"
+
 step "Kingman reference through the CLI"
 dfa-meet simulate --mode coalescing --n 20 --r 2 --trials 30 --seed 1 --out "$tmp/coalescing-20.csv"
 dfa-meet verify --results "$tmp/coalescing-20.csv" --against kingman --report "$tmp/kingman-20.json"

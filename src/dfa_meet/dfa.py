@@ -8,12 +8,13 @@ exactly ``r`` out-edges with pairwise distinct targets, one per color.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .seeds import check_seed
+from .seeds import _is_integer, check_seed
 
 
 class DfaError(ValueError):
@@ -40,6 +41,8 @@ def _free_block(nbytes: int) -> None:
 
 
 def _check_sizes(n: int, r: int) -> None:
+    if not (_is_integer(n) and _is_integer(r)):
+        raise DfaError(f"sizes must be integers, got n={n!r}, r={r!r}")
     if n < 2 or not 2 <= r <= n:
         raise DfaError(f"invalid sizes n={n}, r={r}: need n >= 2 and 2 <= r <= n")
 
@@ -54,7 +57,7 @@ class Dfa:
         Number of vertices, at least 2.
     r : int
         Alphabet size, with ``2 <= r <= n``.
-    out : ndarray, shape (n, r)
+    out : array of integers, shape (n, r)
         ``out[x, c]`` is the target of the color-``c`` edge leaving ``x``.
         For each ``x`` the ``r`` targets must be pairwise distinct.
 
@@ -68,9 +71,16 @@ class Dfa:
 
     def __post_init__(self):
         _check_sizes(self.n, self.r)
-        out = np.ascontiguousarray(self.out, dtype=np.int64)
+        self.n, self.r = int(self.n), int(self.r)
+        out = np.asarray(self.out)
+        if out.dtype.kind not in "iu":
+            raise DfaError(f"out table has dtype {out.dtype}, expected integers")
         if out.shape != (self.n, self.r):
             raise DfaError(f"out table has shape {out.shape}, expected {(self.n, self.r)}")
+        if out.dtype == np.uint64 and out.max() > np.iinfo(np.int64).max:
+            x, c = np.argwhere(out > np.iinfo(np.int64).max)[0]
+            raise DfaError(f"row {x}, field {c}: target {out[x, c]} is not a 64-bit integer")
+        out = np.ascontiguousarray(out, dtype=np.int64)
         _check_tables(out[None], self.n)
         out.setflags(write=False)
         object.__setattr__(self, "out", out)
@@ -83,6 +93,44 @@ class Dfa:
         if not isinstance(other, Dfa):
             return NotImplemented
         return self.n == other.n and self.r == other.r and np.array_equal(self.out, other.out)
+
+
+# While r**2 <= _COMPARE_R2_PER_N * n, repeats are found by comparing the
+# array with itself shifted by d = 1, ..., r-1 rows, r**2 N / 2 compares
+# along the columns; beyond, all r N entries are sorted once, on keys that
+# widen with n. Timed on whole batches as a run makes them, the compare
+# scan was the faster up to r of about 24 at n = 100, 50 at n = 300, 72 at
+# n = 1000 and 130 at n = 3000 and 10**4.
+_COMPARE_R2_PER_N = 5
+
+
+def _repeats(cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of an ``(r, N)`` array of values in ``[0, n)`` that repeat
+    an earlier entry of their column.
+
+    Returns the flat index of each such entry ``(k, x)`` and of its last
+    earlier copy ``(l, x)``, ``l < k``, in the C-order layout of ``cols``.
+    """
+    r, m = cols.shape
+    if r * r <= _COMPARE_R2_PER_N * n:
+        narrow = cols.astype(np.min_scalar_type(n - 1), order="C")
+        repeated = np.zeros((r, m), dtype=bool)
+        for d in range(1, r):
+            repeated[d:] |= narrow[d:] == narrow[:-d]
+        at = np.flatnonzero(repeated)
+        k, x = np.divmod(at, m)
+        earlier = narrow[:, x] == narrow.ravel()[at]
+        earlier &= np.arange(r)[:, None] < k
+        return at, (r - 1 - earlier[::-1].argmax(axis=0)) * m + x
+    # sorted by column, then value, then row, a repeat follows its last earlier copy
+    vbits, rbits = (n - 1).bit_length(), (r - 1).bit_length()
+    keys = (np.arange(m) << vbits | cols) << rbits | np.arange(r)[:, None]
+    keys = np.sort(keys.astype(np.uint32 if m << vbits + rbits <= 1 << 32 else np.int64), axis=None)
+    entry = keys >> rbits
+    dup = np.flatnonzero(entry[1:] == entry[:-1])
+    x = (entry[dup] >> vbits).astype(np.intp)
+    row = (1 << rbits) - 1
+    return (keys[dup + 1] & row) * m + x, (keys[dup] & row) * m + x
 
 
 def _check_tables(tables: np.ndarray, n: int) -> None:
@@ -100,10 +148,9 @@ def _check_tables(tables: np.ndarray, n: int) -> None:
     if rows.min() < 0 or rows.max() >= n:
         i, c = np.argwhere((rows < 0) | (rows >= n))[0]
         raise DfaError(f"{where(i)}, field {c}: target {rows[i, c]} outside [0, {n})")
-    ordered = np.sort(rows, axis=1)
-    repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-    if repeats.any():
-        raise DfaError(f"{where(repeats.argmax())}: one-to-one violated (duplicate targets)")
+    dup = _repeats(rows.T, n)[0]
+    if dup.size:
+        raise DfaError(f"{where((dup % len(rows)).min())}: one-to-one violated (duplicate targets)")
 
 
 def generate_dfa(n: int, r: int, seed) -> Dfa:
@@ -114,7 +161,9 @@ def generate_dfa(n: int, r: int, seed) -> Dfa:
     by the first ``r`` swaps of a Fisher-Yates shuffle of ``0..n-1``. Swap
     ``k`` exchanges position ``k`` with a drawn jump ``j_k`` in ``[k, n)``;
     the jumps of swap ``k`` are drawn for all vertices at once, one column
-    per swap, in the order of ``k``.
+    per swap, in the order of ``k``. Each target follows from the jumps
+    without running the swaps, by passes along all vertices at once (see
+    :func:`_resolve_swaps`), so a vertex costs about ``O(r log r)``.
 
     Parameters
     ----------
@@ -131,75 +180,70 @@ def _generate_dfas(n: int, r: int, seeds) -> list[Dfa]:
     """One :func:`generate_dfa` automaton per seed, the tables built and checked as one stack.
 
     Each seed's stream gives its jump columns exactly as it would alone, so
-    the automata are those of one call per seed. They hold read-only views
-    of the stack, which :func:`_check_tables` checks once for them all.
+    the automata are those of one call per seed. The batch is one ``(r, N)``
+    array whose row ``k`` holds the ``k``-th jump column of every table, so
+    each pass runs along the ``N = len(seeds) * n`` vertices of the batch.
+    :func:`_check_tables` checks the result once for all automata, and one
+    transposed copy makes the ``(len(seeds), n, r)`` stack; they hold
+    read-only views of it.
     """
     _check_sizes(n, r)
+    n, r = int(n), int(r)
     rngs = []
     for seed in seeds:
         check_seed(seed)
         rngs.append(np.random.default_rng(seed))
     # Swap positions are drawn column-by-column so the stream layout is a
-    # frozen part of the generator contract.
-    jumps = np.stack([np.column_stack([rng.integers(k, n, size=n) for k in range(r)])
-                      for rng in rngs])
-    _swap_rows(jumps.reshape(-1, r))
-    _check_tables(jumps, n)
-    jumps.setflags(write=False)
+    # frozen part of the generator contract. Each column goes straight into
+    # the batch, so no second copy of it is held; the batch is made after the
+    # first draw, so a size too large to allocate fails there, as it always has.
+    draws = (rng.integers(k, n, size=n) for k in range(r) for rng in rngs)
+    first = next(draws)
+    jumps = np.empty((r, len(rngs) * n), dtype=np.int64)
+    for row, column in zip(jumps.reshape(-1, n), itertools.chain([first], draws)):
+        row[...] = column
+    _resolve_swaps(jumps, n)
+    # checked as a view of the columns, which the check reads along, then copied
+    tables = jumps.reshape(r, len(rngs), n).transpose(1, 2, 0)
+    _check_tables(tables, n)
+    tables = np.ascontiguousarray(tables)
+    tables.setflags(write=False)
     dfas = []
-    for out in jumps:
+    for out in tables:
         d = Dfa.__new__(Dfa)
         d.n, d.r, d.out = n, r, out
         dfas.append(d)
     return dfas
 
 
-def _swap_rows(jumps: np.ndarray) -> None:
-    """Turn each row of drawn jumps, shape ``(m, r)``, into its target row, in place.
+def _resolve_swaps(jumps: np.ndarray, n: int) -> None:
+    """Turn drawn jumps, shape ``(r, N)`` with ``jumps[k, x]`` the jump ``j_k``
+    of vertex ``x``, into its targets ``out[x, k]``, in place, running no swap.
 
-    Before swap ``k`` only an earlier swap with the same jump can have moved
-    position ``j_k``, since that swap's other position is below ``k``. So a
-    row whose ``r`` jumps are pairwise distinct is its own target row,
-    ``out[x, k] = j_k``, and one row-wise sort of the jumps finds the rows
-    that hold a repeated jump.
-
-    Only those rows run the swaps, all at once, in a compact row of
-    ``2 * r`` slots: position ``p < r`` is slot ``p``, and a jump ``j >= r``
-    is slot ``r`` plus the rank of its first copy among the row's sorted
-    jumps, so a repeated jump finds its earlier swap. That is ``O(r)`` numpy
-    passes and ``O(m * r * log r)`` work in total.
+    The swaps before swap ``k`` exchange positions below ``k`` with their
+    jumps. So position ``j_k >= k`` still holds ``j_k``, and ``out[x, k] =
+    j_k``, unless an earlier jump hit it. If one did, the last such swap
+    ``l`` left there ``V(l)``, what position ``l`` held just before swap
+    ``l``, and ``out[x, k] = V(l)``. ``V(p) = p`` unless a jump below ``r``
+    hit position ``p``, so one pass per swap ``i`` moves ``V(i)`` to the
+    position below ``r`` that its jump hits, if any; the last hitter wins.
+    Finding the repeats costs about ``O(r log r)`` per vertex at large ``r``
+    (see :func:`_repeats`), and the passes ``O(r)`` per vertex.
     """
-    r = jumps.shape[1]
-    ranked = np.sort(jumps, axis=1)
-    same = ranked[:, 1:] == ranked[:, :-1]
-    # rows of distinct jumps are already their targets; the rest run the swaps
-    redo = np.flatnonzero(same.any(axis=1))
-    if not redo.size:
+    r, m = jumps.shape
+    at, before = _repeats(jumps, n)
+    if not at.size:
         return
-    m = redo.size
-    cols = np.arange(r)
-    rows = np.arange(0, m * r, r)[:, None]
-    picked = jumps[redo]
-    order = np.argsort(picked, axis=1)
-    # rank of each sorted jump's first copy in its row
-    first = np.zeros((m, r), dtype=np.int64)
-    first[:, 1:] = np.where(same[redo], 0, cols[1:])
-    np.maximum.accumulate(first, axis=1, out=first)
-    rank = np.empty((m, r), dtype=np.int64)
-    rank.ravel()[order + rows] = first
-    # flat index, in the (m, 2r) scratch, of the slot swap k exchanges with slot k
-    there = np.where(picked < r, picked, rank + r) + 2 * rows
-
-    scratch = np.empty((m, 2 * r), dtype=np.int64)
-    scratch[:, :r] = cols
-    scratch[:, r:] = ranked[redo]
-    flat = scratch.ravel()
-    # swap k only touches slot k and slots past it, so column k is final after it
-    for k in range(r):
-        moved = flat[there[:, k]]
-        flat[there[:, k]] = scratch[:, k]
-        scratch[:, k] = moved
-    jumps[redo] = scratch[:, :r]
+    flat = jumps.ravel()
+    # held[p * m + x]: what position p < r of vertex x holds; V(p) once swap p is due
+    held = np.repeat(np.arange(r, dtype=np.min_scalar_type(r - 1)), m)
+    hit = np.flatnonzero(flat < r)
+    bounds = np.searchsorted(hit, np.arange(r) * m)
+    dst = hit + (flat[hit] - np.repeat(np.arange(r), np.diff(bounds, append=hit.size))) * m
+    # swap r - 1 can only hit its own position, so it moves nothing
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        held[dst[a:b]] = held[hit[a:b]]
+    flat[at] = held[before]
 
 
 def serialize_dfa(d: Dfa) -> str:
@@ -237,10 +281,19 @@ def parse_dfa(text: str) -> Dfa:
     for x, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != r:
             raise DfaFormatError(f"row {x}: expected {r} targets")
-        for c, y in enumerate(row):
-            if not _is_json_int(y) or not -(2**63) <= y < 2**63:
-                raise DfaFormatError(f"row {x}, field {c}: target {y!r} is not a 64-bit integer")
+    # one pass checks the types and numpy the int64 range; the loop only words an error
+    out = None
+    if set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
+        try:
+            out = np.array(rows, dtype=np.int64)
+        except OverflowError:
+            pass
+    if out is None:
+        for x, row in enumerate(rows):
+            for c, y in enumerate(row):
+                if not _is_json_int(y) or not -(2**63) <= y < 2**63:
+                    raise DfaFormatError(f"row {x}, field {c}: target {y!r} is not a 64-bit integer")
     try:
-        return Dfa(n=n, r=r, out=np.array(rows, dtype=np.int64))
+        return Dfa(n=n, r=r, out=out)
     except DfaError as exc:
         raise DfaFormatError(str(exc)) from exc

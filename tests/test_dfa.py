@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -64,8 +65,8 @@ def test_generate_matches_swap_loop_reference():
     cases = [(2, 2), (3, 3), (4, 2), (9, 9), (50, 3), (64, 40), (120, 119), (1000, 2), (1000, 20)]
     draw = np.random.default_rng(2)
     cases += [(int(n), int(draw.integers(2, n + 1))) for n in draw.integers(2, 90, size=60)]
-    # rows with a repeated jump run the swap pass, the others skip it
-    repeated_rows = distinct_rows = instances_without_repeats = 0
+    # rows with a repeated jump take their earlier copy's value, the others their jumps
+    repeated_rows = distinct_rows = instances_without_repeats = chained_rows = 0
     for seed, (n, r) in enumerate(cases):
         rng = np.random.default_rng(seed)
         out = generate_dfa(n, r, rng).out
@@ -76,7 +77,65 @@ def test_generate_matches_swap_loop_reference():
         repeated_rows += repeats
         distinct_rows += n - repeats
         instances_without_repeats += repeats == 0
+        chained_rows += sum(map(has_chained_repeat, zip(*jumps)))
     assert repeated_rows > 0 and distinct_rows > 0 and instances_without_repeats > 0
+    assert chained_rows > 0
+
+
+def has_chained_repeat(row):
+    """A jump repeats an earlier one, whose position an even earlier jump hit."""
+    return any(row[k] == row[l] and l in row[:l] for k in range(len(row)) for l in range(k))
+
+
+@pytest.mark.parametrize("n, r, tables", [(1000, 2, 8), (1000, 20, 6), (1000, 20, 2), (400, 400, 1)])
+def test_batch_matches_swap_loop_at_pool_shapes(n, r, tables):
+    """Batches of the shapes a run's pool makes give the reference loop's tables."""
+    seeds = [1000 * r + i for i in range(tables)]
+    for d, seed in zip(_generate_dfas(n, r, seeds), seeds):
+        np.testing.assert_array_equal(d.out, swap_loop_dfa(n, r, seed)[0])
+
+
+@pytest.mark.parametrize("n, r, tables", [(50, 7, 3), (120, 60, 2), (300, 300, 1), (5000, 5, 16)])
+def test_sorting_and_comparing_repeat_scans_agree(monkeypatch, n, r, tables):
+    """Both ways of finding repeated jumps give the same automata.
+
+    At (5000, 5) with 16 tables the sort keys need more than 32 bits.
+    """
+    monkeypatch.setattr("dfa_meet.dfa._COMPARE_R2_PER_N", n)
+    compared = _generate_dfas(n, r, range(tables))
+    monkeypatch.setattr("dfa_meet.dfa._COMPARE_R2_PER_N", 0)
+    assert _generate_dfas(n, r, range(tables)) == compared
+    stack = np.stack([d.out for d in compared])
+    stack[-1, n // 2, r - 1] = stack[-1, n // 2, 0]
+    where = f"table {tables - 1}, row {n // 2}" if tables > 1 else f"row {n // 2}"
+    with pytest.raises(DfaError, match=f"^{where}: one-to-one violated"):
+        _check_tables(stack, n)
+
+
+class Draws:
+    """Stands in for ``np.random.default_rng``, giving fixed jump columns in order."""
+
+    def __init__(self, columns):
+        self.columns = iter(columns)
+
+    def integers(self, low, high, size):
+        column = next(self.columns)
+        assert size == high == len(column) and all(low <= j < high for j in column)
+        return np.array(column, dtype=np.int64)
+
+
+@pytest.mark.parametrize("compare_r2_per_n", [4, 0])
+def test_repeat_takes_the_value_chained_through_earlier_hits(monkeypatch, compare_r2_per_n):
+    """Vertex 0 jumps 1, 3, 3: swap 2 repeats swap 1, whose position 1 swap 0 hit.
+
+    Swap 0 moved 0 to position 1 and swap 1 moved it on to position 3, so
+    swap 2 reads 0 there, not 1. Both repeat scans see it.
+    """
+    monkeypatch.setattr("dfa_meet.dfa._COMPARE_R2_PER_N", compare_r2_per_n)
+    columns = [[1, 0, 2, 3], [3, 1, 2, 3], [3, 2, 3, 2]]
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Draws(columns))
+    out = generate_dfa(4, 3, seed=0).out
+    assert out.tolist() == [[1, 3, 0], [0, 1, 2], [2, 0, 3], [3, 0, 2]]
 
 
 @pytest.mark.parametrize("n, r", [(2, 2), (3, 3), (50, 7), (1000, 20)])
@@ -108,6 +167,39 @@ def test_generate_rejects_bad_sizes():
         generate_dfa(5, 1, seed=0)
     with pytest.raises(DfaError):
         generate_dfa(5, 6, seed=0)
+
+
+@pytest.mark.parametrize("n, r, named", [(5.0, 2, "n=5.0"), (5, 2.0, "r=2.0"), (True, 2, "n=True"),
+                                         (5, np.True_, "r=np.True_"), ("5", 2, "n='5'")])
+def test_sizes_must_be_integers(n, r, named):
+    with pytest.raises(DfaError, match=f"sizes must be integers, got .*{named}"):
+        generate_dfa(n, r, seed=0)
+    with pytest.raises(DfaError, match=f"sizes must be integers, got .*{named}"):
+        Dfa(n=n, r=r, out=np.array([[0, 1], [1, 0]]))
+
+
+def test_numpy_integer_sizes_are_taken_as_ints():
+    d = Dfa(n=np.int64(2), r=np.int32(2), out=np.array([[1, 0], [0, 1]], dtype=np.uint8))
+    assert type(d.n) is int and type(d.r) is int and d.out.dtype == np.int64
+    assert parse_dfa(serialize_dfa(d)) == d
+    assert generate_dfa(np.int64(5), np.int16(2), seed=1) == generate_dfa(5, 2, seed=1)
+
+
+@pytest.mark.parametrize("out, named", [
+    ([[1.7, 0.2], [0, 1]], "dtype float64"),
+    (np.array([[True, False], [False, True]]), "dtype bool"),
+    (np.array([["1", "0"], ["0", "1"]]), "dtype <U1"),
+    ([[1, 0], [0, 2**70]], "dtype object"),
+])
+def test_constructor_rejects_non_integer_tables(out, named):
+    with pytest.raises(DfaError, match=f"out table has {named}, expected integers"):
+        Dfa(n=2, r=2, out=out)
+
+
+def test_constructor_rejects_integers_outside_int64():
+    out = np.array([[1, 0], [0, 2**63 + 4]], dtype=np.uint64)
+    with pytest.raises(DfaError, match="row 1, field 1: target 9223372036854775812 is not a 64-bit"):
+        Dfa(n=2, r=2, out=out)
 
 
 def test_out_table_immutable():
@@ -261,8 +353,19 @@ def test_parse_rejects_json_booleans():
 def test_parse_rejects_int64_overflow_and_bad_sizes():
     with pytest.raises(DfaFormatError, match="64-bit"):
         parse_dfa('{"n": 2, "r": 2, "out": [[0, 1], [1, 18446744073709551616]]}')
+    with pytest.raises(DfaFormatError, match="row 0, field 1: target 9223372036854775808 is not a 64-bit"):
+        parse_dfa('{"n": 2, "r": 2, "out": [[0, 9223372036854775808], [1, 0]]}')
+    with pytest.raises(DfaFormatError, match="row 1, field 0: target -9223372036854775809 is not"):
+        parse_dfa('{"n": 2, "r": 2, "out": [[0, 1], [-9223372036854775809, 0]]}')
     with pytest.raises(DfaFormatError, match="invalid sizes"):
         parse_dfa('{"n": 2, "r": 0, "out": [[], []]}')
+
+
+def test_parse_names_the_first_entry_that_is_not_an_integer():
+    for entry, shown in (("1.0", "1.0"), ('"1"', "'1'"), ("null", "None"), ("[1]", "[1]")):
+        text = f'{{"n": 3, "r": 2, "out": [[0, 1], [1, 2], [2, {entry}]]}}'
+        with pytest.raises(DfaFormatError, match=rf"row 2, field 1: target {re.escape(shown)} is not"):
+            parse_dfa(text)
 
 
 def test_parse_rejects_garbage():
@@ -282,16 +385,6 @@ def test_generator_maps_every_draw_sequence_to_a_distinct_dfa_n3_r2(monkeypatch)
     So the generator is exactly uniform there: each DFA has probability 1/216.
     """
     columns = {k: list(itertools.product(range(k, 3), repeat=3)) for k in range(2)}
-
-    class Draws:
-        def __init__(self, sequence):
-            self.sequence = iter(sequence)
-
-        def integers(self, low, high, size):
-            column = next(self.sequence)
-            assert (high, size) == (3, 3) and all(low <= j < high for j in column)
-            return np.array(column, dtype=np.int64)
-
     sequences = list(itertools.product(columns[0], columns[1]))
     dfas = set()
     for sequence in sequences:

@@ -54,6 +54,7 @@ A set may skip a phase: one step can take it from more than
 
 from __future__ import annotations
 
+import atexit
 import csv
 import itertools
 import math
@@ -85,6 +86,14 @@ _BATCH_BYTES = _FREED_BLOCK_BYTES // 4
 _SET_LOOP_SIZE = 32
 # at most what one finished TrialRecord holds in memory (about 240 bytes)
 _RECORD_BYTES = 200
+# pool tasks per worker: each task costs a hand-off in which its worker idles,
+# and more tasks even out the workers' shares of a run's slow trials; of 16, 8,
+# 4 and 2, 4 ran the n = 1000 pair and coalescing runs fastest on two workers
+_TASKS_PER_WORKER = 4
+
+# (workers, multiprocessing.Pool) of the trial pool, made by the first pooled
+# run_experiment call and kept for the next
+_pool = None
 
 CSV_HEADER = ["trial", "derived_seed", "mode", "n", "r", "x", "y", "tau", "censored"]
 # what write_records_csv writes for an integer; int() alone would also take "1_5" or " 15"
@@ -515,6 +524,49 @@ def _check_records_fit(trials: int) -> None:
                           f"of records, more than the {memory / 2**30:.3g} GiB of memory")
 
 
+def _drop_pool() -> None:
+    """Terminate the trial pool's workers, if there is a pool, and forget it."""
+    global _pool
+    if _pool is not None:
+        pool, _pool = _pool[1], None
+        pool.terminate()
+
+
+def _forget_parent_pool() -> None:
+    """In a forked child, forget the parent's pool without touching it.
+
+    Its workers and threads belong to the parent. The child's copy is marked
+    terminated, so that collecting it writes nothing to the parent's pipes,
+    and its workers leave the child's set of children, whose daemons
+    multiprocessing would otherwise terminate when the child exits.
+    """
+    global _pool
+    if _pool is not None:
+        import multiprocessing.pool
+        import multiprocessing.process
+
+        pool, _pool = _pool[1], None
+        pool._state = multiprocessing.pool.TERMINATE
+        multiprocessing.process._children.difference_update(pool._pool)
+
+
+# the workers end with the interpreter, before its modules are torn down
+atexit.register(_drop_pool)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_parent_pool)
+
+
+def _worker_pool(workers: int):
+    """The trial pool of ``workers`` processes, made on first use and anew for another count."""
+    global _pool
+    if _pool is None or _pool[0] != workers:
+        import multiprocessing
+
+        _drop_pool()
+        _pool = (workers, multiprocessing.Pool(workers))
+    return _pool[1]
+
+
 def run_experiment(manifest: RunManifest, workers: int | None = None) -> list[TrialRecord]:
     """Run all trials of a manifest, in trial order, on a worker pool.
 
@@ -523,6 +575,11 @@ def run_experiment(manifest: RunManifest, workers: int | None = None) -> list[Tr
     automaton is read once per call and sent to the workers. Every record
     stays in memory until the call returns, so a trial count whose records
     would outgrow physical memory is a ``MemoryError`` before any trial runs.
+
+    The workers stay alive for the next call with the same count; a call
+    with another count replaces them, and a call that raises ends them. A
+    forked child makes its own workers, and the workers end with the
+    interpreter.
     """
     workers = resolve_workers(workers)
     trials = manifest.trials
@@ -532,13 +589,16 @@ def run_experiment(manifest: RunManifest, workers: int | None = None) -> list[Tr
     if workers == 1 or trials < 4 * workers:
         return _run_trials(manifest, range(trials), fixed_dfa)
 
-    import multiprocessing as mp
-
-    span = max(1, math.ceil(trials / (workers * 16)))
+    span = max(1, math.ceil(trials / (workers * _TASKS_PER_WORKER)))
     tasks = [range(lo, min(lo + span, trials)) for lo in range(0, trials, span)]
-    with mp.Pool(workers) as pool:
+    pool = _worker_pool(workers)
+    try:
         chunks = pool.imap(partial(_run_trials, manifest, fixed_dfa=fixed_dfa), tasks)
         return list(itertools.chain.from_iterable(chunks))
+    except BaseException:
+        # tasks still queued or running would run into the next call
+        _drop_pool()
+        raise
 
 
 def write_records_csv(records, path) -> None:

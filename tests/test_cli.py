@@ -1,5 +1,4 @@
 import json
-import multiprocessing
 import re
 import sys
 import warnings
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from dfa_meet import simulate
 from dfa_meet.cli import main
 from dfa_meet.dfa import generate_dfa, parse_dfa, serialize_dfa
 from dfa_meet.simulate import read_records_csv
@@ -728,13 +728,15 @@ def test_numeric_flags_fail_cleanly_or_write_a_well_formed_artifact(
     """Exit 1 with one ``error:`` line and no artifact, or exit 0 with a well-formed one.
 
     A figure recipe whose asserted bounds fail at n = 5 exits 1 too, with
-    its artifacts and the failures in its verify report. No case may start a
-    worker pool, which at a huge worker count would fork that many processes.
+    its artifacts and the failures in its verify report. No case may use a
+    worker pool, which at a huge worker count would fork that many processes;
+    the guard stands where a pool is handed out, so a pool an earlier test
+    made cannot pass it by.
     """
     def no_pool(*args, **kwargs):
-        raise AssertionError(f"a fuzz case started a worker pool: {args} {kwargs}")
+        raise AssertionError(f"a fuzz case used a worker pool: {args} {kwargs}")
 
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(simulate, "_worker_pool", no_pool)
     out = tmp_path / "out"
     if argv[0] == "fvtl":
         dfa = tmp_path / "dfa.json"

@@ -3,8 +3,10 @@ import math
 import multiprocessing
 import os
 import platform
+import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -515,7 +517,7 @@ def test_run_experiment_runs_each_trial_as_run_trial_does(mode, n, r, trials):
     """Fresh automata built in batches give the trials of one ``run_trial`` each.
 
     At n = 1000, r = 20 a batch holds six tables, so 13 serial trials end in
-    a batch of one; 200 trials on two workers make pool tasks of 7 trials,
+    a batch of one; 200 trials on two workers make pool tasks of 25 trials,
     which end in one too.
     """
     manifest = RunManifest(master_seed=12, mode=mode, n=n, r=r, trials=trials)
@@ -534,7 +536,42 @@ def test_default_workers_are_the_cpus_the_process_may_run_on(monkeypatch):
     assert resolve_workers() == 8
 
 
-def test_spawned_workers_write_the_serial_bytes(tmp_path, monkeypatch):
+@pytest.fixture
+def own_pool():
+    """No trial pool before the test, and none left after it for later tests."""
+    simulate._drop_pool()
+    yield
+    simulate._drop_pool()
+
+
+def alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter that shows resource warnings.
+
+    On a timeout its whole session is killed, so that no pool worker of a
+    hung run outlives the test.
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen([sys.executable, "-W", "always::ResourceWarning", "-c", code],
+                            env={**os.environ, "PYTHONPATH": str(src)}, start_new_session=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
+
+
+def test_spawned_workers_write_the_serial_bytes(tmp_path, monkeypatch, own_pool):
     """Workers in clean interpreters reproduce a serial run, fresh and fixed DFA."""
     from dfa_meet.dfa import serialize_dfa
 
@@ -559,7 +596,120 @@ def test_spawned_workers_write_the_serial_bytes(tmp_path, monkeypatch):
         write_records_csv(expected, one)
         write_records_csv(run_experiment(manifest, workers=2), two)
         assert one.read_bytes() == two.read_bytes()
-    assert pools == [2] * len(manifests)
+    assert pools == [2]
+
+
+def test_calls_with_one_worker_count_share_a_pool(monkeypatch, own_pool):
+    manifest = RunManifest(master_seed=6, mode="coupled", n=50, r=2, trials=60)
+    serial = run_experiment(manifest, workers=1)
+    made = []
+    fork_pool = multiprocessing.Pool
+
+    def recording_pool(processes):
+        made.append(processes)
+        return fork_pool(processes)
+
+    monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
+    assert run_experiment(manifest, workers=2) == serial
+    assert run_experiment(manifest, workers=2) == serial
+    assert made == [2]
+
+
+def test_another_worker_count_ends_the_old_workers(own_pool):
+    manifest = RunManifest(master_seed=6, mode="sync", n=50, r=2, trials=60)
+    serial = run_experiment(manifest, workers=1)
+    assert run_experiment(manifest, workers=2) == serial
+    old = [p.pid for p in multiprocessing.active_children()]
+    assert len(old) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert run_experiment(manifest, workers=3) == serial
+    # terminated, not left running for the collector
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not any(alive(pid) for pid in old)
+    assert len(multiprocessing.active_children()) == 3
+
+
+def test_a_forked_child_runs_its_own_pool():
+    """A child forked after the parent's pool exists makes its own, and leaves the parent's be."""
+    code = ("import os, signal, sys\n"
+            "from dfa_meet import simulate\n"
+            "from dfa_meet.simulate import RunManifest, run_experiment\n"
+            "m = RunManifest(master_seed=4, mode='coupled', n=50, r=2, trials=40)\n"
+            "serial = run_experiment(m, workers=1)\n"
+            "assert run_experiment(m, workers=2) == serial\n"
+            "parent = simulate._pool[1]\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(30)  # a child waiting on its parent's pool ends here\n"
+            "    ok = simulate._pool is None and run_experiment(m, workers=2) == serial\n"
+            "    sys.exit(0 if ok and simulate._pool[1] is not parent else 3)\n"
+            "print(os.waitpid(pid, 0)[1])\n"
+            "assert run_experiment(m, workers=2) == serial and simulate._pool[1] is parent\n")
+    if not hasattr(os, "fork"):
+        pytest.skip("no fork on this platform")
+    done = run_python(code)
+    # a collected pool that still runs warns, and multiprocessing reports a child it cannot join
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.split() == ["0"]
+
+
+def failing_sync(*args, **kwargs):
+    raise RuntimeError("a sync trial failed")
+
+
+def interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("how", ["worker error", "interrupt"])
+def test_a_call_that_raises_ends_its_pool(monkeypatch, own_pool, how):
+    """No task of a failed call runs into the next: its workers end, and the next call forks anew."""
+    manifest = RunManifest(master_seed=5, mode="sync", n=50, r=2, trials=60)
+    serial = run_experiment(manifest, workers=1)
+    if how == "worker error":
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "sample_sync", failing_sync)
+            # workers forked now inherit the failing sampler
+            coupled = RunManifest(master_seed=5, mode="coupled", n=50, r=2, trials=60)
+            assert run_experiment(coupled, workers=2) == run_experiment(coupled, workers=1)
+            pids = [p.pid for p in multiprocessing.active_children()]
+            with pytest.raises(RuntimeError, match="a sync trial failed"):
+                run_experiment(manifest, workers=2)
+    else:
+        if not hasattr(signal, "setitimer"):
+            pytest.skip("no interval timer on this platform")
+        # a warm pool, so that the interrupt lands while the long call waits on it
+        assert run_experiment(manifest, workers=2) == serial
+        pids = [p.pid for p in multiprocessing.active_children()]
+        slow = RunManifest(master_seed=5, mode="coalescing", n=1000, r=2, trials=4000)
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.2)
+            with pytest.raises(KeyboardInterrupt):
+                run_experiment(slow, workers=2)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+    assert simulate._pool is None
+    assert not any(alive(pid) for pid in pids)
+    assert run_experiment(manifest, workers=2) == serial
+
+
+def test_the_workers_end_with_the_interpreter():
+    """They end at exit before multiprocessing's own exit hook, so teardown finds no running pool."""
+    # registered after multiprocessing's exit hook and before the package's, the count runs
+    # between the two
+    code = ("import atexit, multiprocessing, multiprocessing.util\n"
+            "atexit.register(lambda: print(len(multiprocessing.active_children())))\n"
+            "from dfa_meet.simulate import RunManifest, run_experiment\n"
+            "run_experiment(RunManifest(master_seed=2, mode='sync', n=50, r=2, trials=40), workers=2)\n"
+            "print(*[p.pid for p in multiprocessing.active_children()])\n")
+    done = run_python(code)
+    assert (done.returncode, done.stderr) == (0, "")
+    pids, left = done.stdout.splitlines()
+    assert len(pids.split()) == 2 and left == "0"
+    assert not any(alive(int(pid)) for pid in pids.split())
 
 
 def test_trial_replay_from_derived_seed():

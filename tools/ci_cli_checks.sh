@@ -40,11 +40,16 @@ dfa-meet fvtl --dfa "$tmp/dfa-200-2.json" --quasi --out "$tmp/fvtl-200-2.json"
 python -c "import json, sys; lam = json.load(open(sys.argv[1]))['lambda_star']; sys.exit(not 0 < lam < 1)" "$tmp/fvtl-200-2.json"
 
 step "Worker count leaves the trial CSVs unchanged"
+# a run whose workers end badly says so on stderr, beside its one "wrote" line
+simulate_cleanly() {
+  dfa-meet simulate "$@" 2> "$tmp/stderr.txt"
+  if grep -v '^wrote [0-9]* records to ' "$tmp/stderr.txt"; then exit 1; fi
+}
 # at n = 2000 the first steps of each trial are numpy passes over large sets
 for n in 60 2000; do
   for mode in coalescing sync; do
     for threads in 1 2; do
-      dfa-meet simulate --mode "$mode" --n "$n" --r 2 --trials 40 --seed 3 --threads "$threads" --out "$tmp/$mode-$n-threads-$threads.csv"
+      simulate_cleanly --mode "$mode" --n "$n" --r 2 --trials 40 --seed 3 --threads "$threads" --out "$tmp/$mode-$n-threads-$threads.csv"
     done
     cmp "$tmp/$mode-$n-threads-1.csv" "$tmp/$mode-$n-threads-2.csv"
   done
@@ -52,14 +57,14 @@ done
 # at n = 12 with cap 8, 19 coalescing and 11 sync trials are censored with three points left
 for mode in coalescing sync; do
   for threads in 1 2; do
-    dfa-meet simulate --mode "$mode" --n 12 --r 2 --trials 40 --cap 8 --seed 3 --threads "$threads" --out "$tmp/$mode-capped-threads-$threads.csv"
+    simulate_cleanly --mode "$mode" --n 12 --r 2 --trials 40 --cap 8 --seed 3 --threads "$threads" --out "$tmp/$mode-capped-threads-$threads.csv"
   done
   cmp "$tmp/$mode-capped-threads-1.csv" "$tmp/$mode-capped-threads-2.csv"
 done
-# six n = 1000, r = 20 tables to a batch: 200 trials are pool tasks of 7
+# six n = 1000, r = 20 tables to a batch: 200 trials are pool tasks of 25 = 4 * 6 + 1
 for mode in independent coupled; do
   for threads in 1 2; do
-    dfa-meet simulate --mode "$mode" --n 1000 --r 20 --trials 200 --seed 3 --threads "$threads" --out "$tmp/$mode-threads-$threads.csv"
+    simulate_cleanly --mode "$mode" --n 1000 --r 20 --trials 200 --seed 3 --threads "$threads" --out "$tmp/$mode-threads-$threads.csv"
   done
   cmp "$tmp/$mode-threads-1.csv" "$tmp/$mode-threads-2.csv"
 done

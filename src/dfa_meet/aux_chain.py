@@ -53,7 +53,7 @@ from .fvtl import (
     log_power_horizon,
     return_sums,
 )
-from .simulate import _draw_uniform_distinct_pair
+from .simulate import _check_fits, _draw_uniform_distinct_pair
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -62,6 +62,10 @@ KERNEL_NNZ_CAP = 30_000_000
 A4_EXACT_LIMIT = 60
 A4_SAMPLES = 200
 A4_SEED = 0
+# n x n float64 arrays live at once: an A4 scan's start and state beside a
+# step's first product and its transposed copy, or perron_pair's two
+# iterates, their difference and its absolute value
+LIVE_PAIR_ARRAYS = 4
 
 
 class AuxChainError(Exception):
@@ -214,7 +218,9 @@ def build_aux_chain(c: ChainSpec) -> AuxChain:
     :class:`~dfa_meet.chains.MultipleRecurrentClassesError`. Resolves the
     thread count of the chain's steps once (see
     :func:`~dfa_meet.chains._thread_count`), so a malformed
-    ``DFA_MEET_THREADS`` is a ``ValueError`` here.
+    ``DFA_MEET_THREADS`` is a ``ValueError`` here. A chain whose
+    ``LIVE_PAIR_ARRAYS`` ``n x n`` arrays would outgrow physical memory is
+    a ``MemoryError`` before the first is made.
     """
     kernel = c.kernel
     n = c.size
@@ -224,6 +230,8 @@ def build_aux_chain(c: ChainSpec) -> AuxChain:
         raise AuxChainError("walk kernel must have the same out-degree r >= 2 in every row")
     if kernel.nnz and not (kernel.data == 1.0 / r).all():
         raise AuxChainError("walk kernel entries must all equal 1/r (one-to-one out-map)")
+    _check_fits(f"the pair chain at n = {n}", LIVE_PAIR_ARRAYS * 8 * n * n,
+                f"{LIVE_PAIR_ARRAYS} n x n states")
     pi = stationary_distribution(c)
     weights = pi * pi
     total = weights.sum()
@@ -289,12 +297,14 @@ class AuxEventReport:
     return mass within ``T`` steps. All thresholds use the natural log.
 
     ``tv_mode`` is ``"exact"`` (``DELTA`` and every pair start, each run
-    to ``S``) or ``"sampled"`` (``DELTA`` and the sampled pair starts, each
-    run to ``S``), with ``"-bound"`` appended when ``a4_stopped_starts`` of
-    those starts stopped at a certified level before ``S`` and report
-    their TV there. ``max_tv_at_s`` is then an upper bound on the maximum
-    over the starts, up to twice the distance ``e`` between ``pi_tilde``
-    and the exact stationary law (see :func:`~dfa_meet.fvtl.certified_scan`).
+    to ``S``; one scan per unordered pair stands for both its orders) or
+    ``"sampled"`` (``DELTA`` and the sampled pair starts, each run to
+    ``S``), with ``"-bound"`` appended when ``a4_stopped_starts`` of those
+    starts, each order of a pair counted, stopped at a certified level
+    before ``S`` and report their TV there. ``max_tv_at_s`` is then an
+    upper bound on the maximum over the starts, up to twice the distance
+    ``e`` between ``pi_tilde`` and the exact stationary law (see
+    :func:`~dfa_meet.fvtl.certified_scan`).
     ``return_stop_step`` is the step ``t0`` at which the return-mass pass
     stopped, at most ``t_horizon``; when it is below ``t_horizon`` the
     later terms were taken as ``pi_tilde(DELTA)``.
@@ -344,12 +354,13 @@ def check_events(
     The mixing event is the largest TV over the starts of
     :func:`_a4_starts`, each run through its own
     :func:`~dfa_meet.fvtl.certified_scan` to ``S``: every start when ``n``
-    is at most ``A4_EXACT_LIMIT``, otherwise ``DELTA`` and ``A4_SAMPLES``
-    uniform pair starts (seed ``A4_SEED``), an estimate of the max, not
-    the exact max. ``R`` comes from :func:`return_mass`, without ``Z``.
-    Both stop at the certified TV level (see :class:`AuxEventReport`), so
-    A4 and A5 can differ from the verdicts of full runs only when ``eps``
-    lies within ``TV_STOP_LEVEL + 2e`` of ``max_tv_at_s``, or within
+    is at most ``A4_EXACT_LIMIT``, with one scan for each unordered pair,
+    otherwise ``DELTA`` and ``A4_SAMPLES`` uniform pair starts (seed
+    ``A4_SEED``), an estimate of the max, not the exact max. ``R`` comes
+    from :func:`return_mass`, without ``Z``. Both stop at the certified TV
+    level (see :class:`AuxEventReport`), so A4 and A5 can differ from the
+    verdicts of full runs only when ``eps`` lies within
+    ``TV_STOP_LEVEL + 2e`` of ``max_tv_at_s``, or within
     ``(T - t0) * (TV_STOP_LEVEL + 2e)`` of ``|R - r/(r-1)|``.
     """
     if not 0 < eps < math.inf:
@@ -364,10 +375,13 @@ def check_events(
     ratio = r / (r - 1.0)
 
     r_mass, r_stop = return_mass(a, t_horizon)
-    scans = [certified_scan(a, m, s_horizon) for m in _a4_starts(a)]
-    max_tv = max(tv for _, tv in scans)
-    stopped = sum(t0 < s_horizon for t0, _ in scans)
-    tv_mode = ("exact" if n <= A4_EXACT_LIMIT else "sampled") + ("-bound" if stopped else "")
+    exact = n <= A4_EXACT_LIMIT
+    delta, *pairs = [certified_scan(a, m, s_horizon) for m in _a4_starts(a)]
+    max_tv = max(tv for _, tv in [delta, *pairs])
+    # in exact mode each pair scan stands for both orders of its pair
+    orders = 2 if exact else 1
+    stopped = (delta[0] < s_horizon) + orders * sum(t0 < s_horizon for t0, _ in pairs)
+    tv_mode = ("exact" if exact else "sampled") + ("-bound" if stopped else "")
 
     log_n = math.log(n)
     return AuxEventReport(
@@ -395,14 +409,17 @@ def check_events(
 def _a4_starts(a: AuxChain):
     """The A4 starts as pair states: ``DELTA``, then the pair starts.
 
-    The pairs are every ordered ``(x, x')`` with ``x != x'``, row-major,
-    when ``n`` is at most ``A4_EXACT_LIMIT``, and otherwise ``A4_SAMPLES``
-    uniform ones drawn from ``A4_SEED``, ``x`` before ``x'``.
+    The pairs are every ``(x, x')`` with ``x < x'``, row-major, when ``n``
+    is at most ``A4_EXACT_LIMIT``, and otherwise ``A4_SAMPLES`` uniform
+    ordered ones drawn from ``A4_SEED``, ``x`` before ``x'``. The step
+    commutes with transposition, so the scan from ``(x', x)`` is, up to
+    rounding, the transpose of the scan from ``(x, x')``, and as far in TV
+    from the symmetric ``outer(pi, pi)``: one scan serves both orders.
     """
     yield a.start()
     n = a.n
     if n <= A4_EXACT_LIMIT:
-        pairs = ((x, xp) for x in range(n) for xp in range(n) if x != xp)
+        pairs = ((x, xp) for x in range(n) for xp in range(x + 1, n))
     else:
         rng = np.random.default_rng(A4_SEED)
         pairs = (_draw_uniform_distinct_pair(rng, n) for _ in range(A4_SAMPLES))

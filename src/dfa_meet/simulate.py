@@ -513,15 +513,15 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers
 
 
-def _check_records_fit(trials: int) -> None:
-    """A ``MemoryError`` when ``trials`` records would not fit in physical memory."""
+def _check_fits(holder: str, nbytes: int, contents: str) -> None:
+    """A ``MemoryError`` when ``holder`` would hold ``nbytes`` of ``contents``, above physical memory."""
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no such figure on this platform
         return
-    if trials * _RECORD_BYTES > memory:
-        raise MemoryError(f"{trials} trials would hold {trials * _RECORD_BYTES / 2**30:.3g} GiB "
-                          f"of records, more than the {memory / 2**30:.3g} GiB of memory")
+    if nbytes > memory:
+        raise MemoryError(f"{holder} would hold {nbytes / 2**30:.3g} GiB of {contents}, "
+                          f"more than the {memory / 2**30:.3g} GiB of memory")
 
 
 def _drop_pool() -> None:
@@ -583,7 +583,7 @@ def run_experiment(manifest: RunManifest, workers: int | None = None) -> list[Tr
     """
     workers = resolve_workers(workers)
     trials = manifest.trials
-    _check_records_fit(trials)
+    _check_fits(f"{trials} trials", trials * _RECORD_BYTES, "records")
     fixed_dfa = _read_fixed_dfa(manifest) if manifest.dfa_policy == "fixed" else None
     _free_block(_FREED_BLOCK_BYTES)
     if workers == 1 or trials < 4 * workers:

@@ -4,7 +4,7 @@ import os
 import platform
 import subprocess
 import sys
-from itertools import islice
+from itertools import combinations, islice, permutations
 from pathlib import Path
 
 import numpy as np
@@ -329,7 +329,7 @@ def test_exact_tv_matches_the_explicit_chain_profile():
 
 def test_exact_mode_reports_its_certified_stops():
     """On the uniform chain every start is stationary after one step, so
-    each of the n(n-1) + 1 scans stops at the first check."""
+    each of the n(n-1) + 1 starts stops at the first check."""
     aux = build_aux_chain(walk_matrix(full_image_dfa(12)))
     report = check_events(aux, eps=0.5, s_horizon=20)
     assert report.tv_mode == "exact-bound"
@@ -337,14 +337,32 @@ def test_exact_mode_reports_its_certified_stops():
     assert report.max_tv_at_s <= fvtl.TV_STOP_LEVEL
 
 
-def test_a4_starts_are_delta_then_every_pair_in_exact_mode():
+def test_a4_starts_are_delta_then_each_unordered_pair_in_exact_mode():
     aux = small_aux(6, 2, seed=1)
     starts = list(aux_chain._a4_starts(aux))
-    assert len(starts) == aux.size
     assert np.array_equal(starts[0], aux.start())
     pairs = [tuple(np.argwhere(m)[0]) for m in starts[1:]]
     assert all(m.sum() == 1.0 for m in starts[1:])
-    assert pairs == [index_pair(aux, i) for i in range(aux.size - 1)]
+    assert pairs == list(combinations(range(aux.n), 2))
+
+
+@pytest.mark.parametrize("n, r, seed, s_horizon", [(12, 3, 1, 48), (25, 2, 1, 68)])
+def test_exact_mode_reports_what_scans_of_both_orders_report(n, r, seed, s_horizon):
+    """Some pairs stop before these horizons and some run to them; both
+    orders of each pair stop at the same step, at TVs that differ by rounding."""
+    aux = small_aux(n, r, seed)
+    full = {}
+    for x, xp in permutations(range(n), 2):
+        m = np.zeros((n, n))
+        m[x, xp] = 1.0
+        full[x, xp] = fvtl.certified_scan(aux, m, s_horizon)
+    assert all(full[x, xp][0] == full[xp, x][0] for x, xp in full)
+    scans = [fvtl.certified_scan(aux, aux.start(), s_horizon), *full.values()]
+    stopped = sum(t0 < s_horizon for t0, _ in scans)
+    assert 0 < stopped < aux.size
+    report = check_events(aux, eps=0.5, s_horizon=s_horizon)
+    assert (report.tv_mode, report.a4_stopped_starts) == ("exact-bound", stopped)
+    assert report.max_tv_at_s == pytest.approx(max(tv for _, tv in scans), rel=1e-12)
 
 
 @pytest.fixture(scope="module")

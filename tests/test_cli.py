@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import sys
 import warnings
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dfa_meet import simulate
+from dfa_meet import chains, simulate
+from dfa_meet.aux_chain import build_aux_chain
+from dfa_meet.chains import walk_matrix
 from dfa_meet.cli import main
 from dfa_meet.dfa import generate_dfa, parse_dfa, serialize_dfa
 from dfa_meet.simulate import read_records_csv
@@ -18,6 +21,21 @@ from dfa_meet.simulate import read_records_csv
 def dfa_file(tmp_path):
     path = tmp_path / "dfa.json"
     assert main(["gen", "--n", "30", "--r", "2", "--seed", "11", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """``generated(n, r, seed)``: the path of that ``dfa-meet gen`` automaton, made once."""
+    root = tmp_path_factory.mktemp("generated")
+
+    def path(n, r, seed):
+        out = root / f"dfa-{n}-{r}-{seed}.json"
+        if not out.exists():
+            assert main(["gen", "--n", str(n), "--r", str(r), "--seed", str(seed),
+                         "--out", str(out)]) == 0
+        return out
+
     return path
 
 
@@ -75,11 +93,19 @@ VERIFY_KEYS = {"results", "against", "count", "censored_count", "reference", "pa
                "sup_tail_ratio"}
 
 
-@pytest.mark.parametrize("quasi", [False, True], ids=["no-quasi", "quasi"])
-@pytest.mark.parametrize("skip_events", [False, True], ids=["events", "skip-events"])
-def test_fvtl_report_key_set(dfa_file, tmp_path, capsys, quasi, skip_events):
-    argv = ["fvtl", "--dfa", str(dfa_file), "--eps", "0.5", "--events-T", "40",
-            "--events-S", "12"] + ["--quasi"] * quasi + ["--skip-events"] * skip_events
+SMALL_EVENTS = ["--eps", "0.5", "--events-T", "40", "--events-S", "12"]
+
+
+@pytest.mark.parametrize("size, flags", [
+    *(((30, 2, 11), SMALL_EVENTS + flags)
+      for flags in ([], ["--quasi"], ["--skip-events"], ["--quasi", "--skip-events"])),
+    ((200, 2, 0), ["--quasi"]),  # the pair chain's meeting rate, with the events
+    ((400, 20, 0), ["--skip-events"]),
+], ids=["events-no-quasi", "events-quasi", "skip-events-no-quasi", "skip-events-quasi",
+        "200-2-quasi", "400-20-skip-events"])
+def test_fvtl_report_key_set(generated, tmp_path, capsys, size, flags):
+    quasi, skip_events = "--quasi" in flags, "--skip-events" in flags
+    argv = ["fvtl", "--dfa", str(generated(*size)), *flags]
     out = tmp_path / "fvtl.json"
     assert main(argv + ["--out", str(out)]) == 0
     capsys.readouterr()
@@ -90,18 +116,25 @@ def test_fvtl_report_key_set(dfa_file, tmp_path, capsys, quasi, skip_events):
     if not skip_events:
         assert set(payload["events"]) == EVENT_KEYS
     assert (payload["lambda_star"] is None) == (not quasi)
+    assert not quasi or 0 < payload["lambda_star"] < 1
+    assert payload["z_stop"] == "certified"
 
 
-@pytest.mark.parametrize("against", ["geom:auto", "geom:0.05", "exp:1", "kingman"])
-def test_verify_report_key_set(tmp_path, coalescing_csv, against):
+@pytest.mark.parametrize("results, against", [
+    *(("coalescing_csv", against) for against in ["geom:auto", "geom:0.05", "exp:1", "kingman"]),
+    *(("independent_csv", against) for against in ["geom:auto", "geom:0.02", "exp:1"]),
+])
+def test_verify_report_key_set(tmp_path, request, results, against):
+    results = request.getfixturevalue(results)
     report_path = tmp_path / "verify.json"
-    assert main(["verify", "--results", str(coalescing_csv), "--against", against,
+    assert main(["verify", "--results", str(results), "--against", against,
                  "--report", str(report_path)]) == 0
     text = report_path.read_text()
     assert text.endswith("}\n") and not text.endswith("\n\n")
     payload = json.loads(text)
     assert set(payload) == VERIFY_KEYS
-    assert payload["results"] == str(coalescing_csv) and payload["against"] == against
+    assert payload["results"] == str(results) and payload["against"] == against
+    assert 0 <= payload["ks_distance"] <= 1
 
 
 def test_simulate_and_verify_round_trip(tmp_path, dfa_file):
@@ -146,6 +179,14 @@ def coalescing_csv(tmp_path):
     path = tmp_path / "coalescing.csv"
     assert main(["simulate", "--mode", "coalescing", "--n", "20", "--r", "2",
                  "--trials", "30", "--seed", "1", "--threads", "1", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def independent_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("independent") / "independent-60.csv"
+    assert main(["simulate", "--mode", "independent", "--n", "60", "--r", "2", "--trials", "40",
+                 "--seed", "2", "--threads", "1", "--out", str(path)]) == 0
     return path
 
 
@@ -475,6 +516,37 @@ def test_fvtl_suite_recipe_passes_at_its_defaults(tmp_path, capsys):
     assert main(["recipe", "thm-fvtl-suite", "--out-dir", str(tmp_path)]) == 0
     err = capsys.readouterr().err
     assert err.splitlines() == [f"recipe thm-fvtl-suite: exit 0; artifacts in {tmp_path}"]
+    assert [path.name for path in tmp_path.glob("*.json")] == ["thm-fvtl-suite-report.json"]
+    report = json.loads((tmp_path / "thm-fvtl-suite-report.json").read_text())
+    assert report["recipe"] == "thm-fvtl-suite"
+
+
+def test_worker_count_leaves_the_fig2_sync_recipe_output_unchanged(tmp_path):
+    for threads in ("1", "2"):
+        assert main(["recipe", "fig2-sync", "--n", "60", "--trials", "40", "--threads", threads,
+                     "--out-dir", str(tmp_path / threads)]) == 0
+    one, two = ({p.name: p.read_bytes() for p in (tmp_path / t).iterdir()} for t in ("1", "2"))
+    assert one == two
+    reports = sorted(name for name in one if name.endswith(".json"))
+    assert reports == ["fig2-sync-r2-manifest.json", "fig2-sync-r20-manifest.json",
+                       "fig2-sync-verify.json"]
+    assert all(json.loads(one[name])["recipe"] == "fig2-sync" for name in reports)
+
+
+def test_thread_count_leaves_the_exact_side_reports_unchanged(generated, tmp_path, monkeypatch):
+    """Both sizes are above the gate from which pair-chain steps and mixing
+    profiles run on threads; two threads run on any machine."""
+    monkeypatch.setattr(chains, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(chains, "_pool", None)
+    runs = {"fvtl": ["fvtl", "--dfa", str(generated(400, 20, 0)), "--quasi", "--skip-events"],
+            "exact": ["exact", "--dfa", str(generated(1000, 2, 0))]}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("DFA_MEET_THREADS", threads)
+        for name, argv in runs.items():
+            assert main([*argv, "--out", str(tmp_path / f"{name}-{threads}.json")]) == 0
+    assert chains._pool[0] == 2
+    for name in runs:
+        assert (tmp_path / f"{name}-1.json").read_bytes() == (tmp_path / f"{name}-2.json").read_bytes()
 
 
 def test_fvtl_suite_recipe_prints_each_failure(tmp_path, capsys, monkeypatch):
@@ -497,6 +569,17 @@ def test_recipe_names_the_recipe_and_r_when_no_trial_is_left_to_fit(tmp_path, ca
     err = capsys.readouterr().err
     assert err.splitlines() == ["error: recipe 'fig1-independent': no uncensored trial is left "
                                 "to fit at r=2 (0 trials, 0 censored)"]
+
+
+def test_fvtl_names_the_memory_its_pair_chain_would_hold(dfa_file, tmp_path, monkeypatch, capsys):
+    build_aux_chain(walk_matrix(generate_dfa(1000, 2, 0)))  # fits at the real memory size
+    monkeypatch.setattr(os, "sysconf", lambda name: 4096 if name == "SC_PAGE_SIZE" else 1)
+    out = tmp_path / "fvtl.json"
+    assert main(["fvtl", "--dfa", str(dfa_file), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the pair chain at n = 30 would hold 2.68e-05 GiB of 4 n x n states, "
+        "more than the 3.81e-06 GiB of memory"]
+    assert not out.exists()
 
 
 def test_exact_rejects_a_negative_cap(dfa_file, tmp_path, capsys):

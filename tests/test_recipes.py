@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dfa_meet.chains import hitting_time_expectation, stationary_distribution
+from dfa_meet.cli import main
 from dfa_meet.fvtl import fvtl_quantities, random_ergodic_chain
 from dfa_meet.recipes import Recipe, run_recipe, tau_histogram
 from dfa_meet.seeds import seed_split
@@ -135,15 +136,15 @@ def test_recipes_take_numpy_overrides_as_python_numbers():
     assert type(eps) is float and eps == 0.2
 
 
-def test_events_recipe(tmp_path):
-    rec = Recipe("events-a1-a5", overrides={"n": 25}, out_dir=tmp_path)
-    result = run_recipe(rec)
-    assert result.exit_code == 0
-    rows = result.summary["rows"]
+@pytest.mark.parametrize("n, tv_mode, stopped", [
+    (25, "exact", 0), (40, "exact", 0), (150, "sampled-bound", 201)])
+def test_events_recipe(tmp_path, n, tv_mode, stopped):
+    assert main(["recipe", "events-a1-a5", "--n", str(n), "--out-dir", str(tmp_path)]) == 0
+    rows = json.loads((tmp_path / "events-a1-a5-report.json").read_text())["rows"]
     assert len(rows) == 3
     for row in rows:
         assert {"a1", "a2", "a3", "a4", "a5", "n_pi_tilde_delta"} <= set(row)
-        assert row["tv_mode"] == "exact" and row["a4_stopped_starts"] == 0
+        assert row["tv_mode"] == tv_mode and row["a4_stopped_starts"] == stopped
         assert 0 < row["return_stop_step"] <= row["t_horizon"]
 
 
